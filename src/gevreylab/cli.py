@@ -1,7 +1,10 @@
 """Command line interface: gevrey-lab {check|solve|estimate|examples}.
 
-Exit codes: 0 success, 2 check failure, 3 parse or semantic error in the
-problem document, 4 solver error.
+Exit codes: 0 success, 2 check failure, 3 unusable input (a parse or
+semantic error in the problem document, an unreadable or malformed input
+file, an unknown example, a bad --param, --degree or --rho value), 4
+solver error.  Exits 3 and 4 print a one-line ``error[...]`` diagnostic
+on stderr.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dsl import parse_problem
-from .errors import (GevreyLabError, InconclusiveBound, ParseError,
+from .diffops import check_divisibility
+from .dsl import _format_series, parse_problem
+from .errors import (GevreyLabError, InconclusiveBound, InputError, ParseError,
                      RegressionMismatch, SemanticError)
-from .gevrey import estimate_order, theoretical_order
+from .gevrey import estimate_order
 from .registry import list_examples, run_example
 from .series import format_rational
-from .solver import (build_lifted, check_poincare, evaluate, reduce_problem,
-                     solve_direct, solve_p_expansion)
+# solve_direct stays bound here for callers that look it up on this module
+from .solver import Run, check_poincare, solve_direct
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -28,27 +32,36 @@ EXIT_PARSE = 3
 EXIT_SOLVER = 4
 
 
-def _load_document(path: str, args):
-    text = Path(path).read_text(encoding="utf-8")
-    doc = parse_problem(text)
-    if getattr(args, "degree", None) is not None:
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError("io", f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError("io", f"cannot read {path}: {exc.reason}") from exc
+
+
+def _load_run(args) -> Run:
+    """The document's run, with --degree, --order and --rho applied."""
+    doc = parse_problem(_read_text(args.file))
+    if args.degree is not None:
+        if args.degree < 0:
+            raise InputError("bad-option",
+                             "--degree must be a non-negative integer")
         doc.options["degree"] = args.degree
-        doc = parse_problem(doc.serialize())
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         doc.options["order"] = args.order
-    if getattr(args, "rho", None) is not None:
-        doc.options["rho"] = Fraction(args.rho)
-    return doc
-
-
-def _working(doc):
-    return doc.options["degree"] + 2 * doc.spec.order + 2
+    if args.rho is not None:
+        try:
+            doc.options["rho"] = Fraction(args.rho)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad-option",
+                             f"--rho {args.rho!r} is not a rational p/q") from exc
+    return doc.run()
 
 
 def cmd_check(args) -> int:
-    doc = _load_document(args.file, args)
-    spec = doc.spec.with_trunc(_working(doc))
-    from .diffops import check_divisibility
+    spec = _load_run(args).spec
     verdict = check_divisibility(spec.P, spec.operators)
     lk = spec.operators[-1]
     lk_ok = lk is not None and not lk.is_zero
@@ -58,7 +71,6 @@ def cmd_check(args) -> int:
             print(f"  L_{j}*(P): not divisible by P "
                   f"(witness monomial {verdict.witnesses[j]})")
         else:
-            from .dsl import _format_series
             q = verdict.quotients[j]
             print(f"  L_{j}*(P) = P * ({_format_series(q)})")
     divergent = bool(verdict) and lk_ok
@@ -86,66 +98,59 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    doc = _load_document(args.file, args)
-    spec = doc.spec
-    degree = doc.options["degree"]
-    order = doc.options["order"]
+    run = _load_run(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pexp = solve_p_expansion(spec, order, degree)
-    direct = solve_direct(spec, degree)
-    summed = evaluate(pexp)
-    cert = min(min(s.trunc for s in summed), degree)
-    residual = spec.with_trunc(cert).residual(
-        [s.truncate(cert) for s in summed])
-    res_zero = all(s.is_zero for s in residual)
+    pexp = run.pexp
+    direct = run.direct
+    res_zero = all(s.is_zero for s in run.residual)
     (out_dir / "solution.json").write_text(
         json.dumps(pexp.to_json(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     (out_dir / "solution_x.json").write_text(
-        json.dumps({"degree": degree,
+        json.dumps({"degree": run.degree,
                     "solution": [s.to_json() for s in direct]},
                    sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     with (out_dir / "norms.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "norm", "certified_degree"])
-        for n, norm, cdeg in pexp.norms(doc.options["rho"]):
+        for n, norm, cdeg in run.norms:
             writer.writerow([n, format_rational(norm), cdeg])
     status = "vanishes" if res_zero else "DOES NOT vanish"
-    print(f"residual {status} through certified degree {cert}")
+    print(f"residual {status} through certified degree {run.certified}")
     print(f"wrote solution.json, solution_x.json, norms.csv to {out_dir}")
     return EXIT_OK if res_zero else EXIT_SOLVER
 
 
+def _read_norms(path: str) -> list[tuple[int, Fraction]]:
+    norms = []
+    rows = csv.reader(_read_text(path).splitlines())
+    for line, row in enumerate(rows, start=1):
+        if not row or row[0] == "n":
+            continue
+        try:
+            norms.append((int(row[0]), Fraction(row[1])))
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise InputError(
+                "norms", f"{path} line {line}: expected n,norm[,...], "
+                         f"got {','.join(row)!r}") from exc
+    return norms
+
+
 def cmd_estimate(args) -> int:
     if args.norms:
-        norms = []
-        with open(args.norms, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0] == "n":
-                    continue
-                norms.append((int(row[0]), Fraction(row[1])))
-        est = estimate_order(norms)
+        est = estimate_order(_read_norms(args.norms))
         print(f"fitted order: {est.fitted_order:.4f} "
               f"(window {est.window[0]}..{est.window[1]})")
         return EXIT_OK
-    doc = _load_document(args.file, args)
-    spec = doc.spec
-    degree = doc.options["degree"]
-    order = doc.options["order"]
-    pexp = solve_p_expansion(spec, order, degree)
-    norms = [(n, r) for n, r, _ in pexp.norms(doc.options["rho"])]
-    est = estimate_order(norms, float(doc.options["window"]),
-                         doc.options["rho"])
-    eq = build_lifted(reduce_problem(spec.with_trunc(_working(doc)),
-                                     _working(doc)))
-    theo = theoretical_order(eq)
+    run = _load_run(args)
+    est = run.estimate
+    theo = run.theoretical
     print(f"theoretical order: {theo}")
     print(f"fitted order:      {est.fitted_order:.4f} "
           f"(window {est.window[0]}..{est.window[1]}, "
-          f"rho {format_rational(doc.options['rho'])})")
+          f"rho {format_rational(run.rho)})")
     print(f"difference:        {abs(est.fitted_order - float(theo)):.4f}")
     return EXIT_OK
 
@@ -155,12 +160,7 @@ def cmd_examples(args) -> int:
         for name, summary in list_examples():
             print(f"{name}: {summary}")
         return EXIT_OK
-    overrides = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if not _:
-            raise SystemExit(f"bad parameter {item!r}; expected key=value")
-        overrides[key] = _parse_param(value)
+    overrides = dict(_parse_param(item) for item in args.param or [])
     report = run_example(args.name, overrides)
     est = report["estimate"]
     print(f"PASS {args.name} "
@@ -171,12 +171,18 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
-def _parse_param(value: str):
+def _parse_param(item: str) -> tuple[str, int | tuple[int, ...]]:
+    """``key=int`` or ``key=(int, ...)``."""
+    key, _, value = item.partition("=")
     value = value.strip()
-    if value.startswith("(") and value.endswith(")"):
-        inner = value[1:-1].strip().rstrip(",")
-        return tuple(int(v) for v in inner.split(",")) if inner else ()
-    return int(value)
+    try:
+        if value.startswith("(") and value.endswith(")"):
+            inner = value[1:-1].strip().rstrip(",")
+            return key, tuple(int(v) for v in inner.split(",")) if inner else ()
+        return key, int(value)
+    except ValueError as exc:
+        raise InputError("param", f"bad parameter {item!r}; expected key=N "
+                                  f"or key=(N,...)") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +234,7 @@ def main(argv=None) -> int:
         parser.error("estimate requires a file or --norms")
     try:
         return args.func(args)
-    except (ParseError, SemanticError) as exc:
+    except (ParseError, SemanticError, InputError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RegressionMismatch as exc:

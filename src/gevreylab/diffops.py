@@ -1,8 +1,8 @@
 """Homogeneous-order differential operators and their interaction with a
 distinguished series P: the star map L*(P), the coefficient tables A_{alpha,j}
 appearing in the derivatives of powers of P, the divisibility check that
-governs solvability, and the small combinatorial helpers (falling factorials,
-signed Stirling numbers) the solver needs."""
+governs solvability, and the signed Stirling numbers the solver needs.
+``falling_factorial`` is defined in ``series`` and re-exported here."""
 
 from __future__ import annotations
 
@@ -17,19 +17,10 @@ from .series import (
     exp_degree,
     exp_le,
     exp_sub,
+    falling_factorial,
     grlex_key,
     unit_exp,
 )
-
-
-def falling_factorial(n: int, j: int) -> int:
-    """n (n-1) ... (n-j+1); equals 1 for j=0 and 0 for j > n."""
-    if j < 0:
-        raise ValueError("negative j")
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
 
 
 def stirling_first(j: int, l: int) -> int:

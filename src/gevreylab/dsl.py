@@ -21,7 +21,7 @@ from fractions import Fraction
 from .diffops import DiffOperator
 from .errors import ParseError, SemanticError
 from .series import Series, SeriesMatrix, format_rational, grlex_key
-from .solver import ProblemSpec
+from .solver import ProblemSpec, Run
 
 _TOKEN = re.compile(r"""
     (?P<num>\d+)
@@ -365,6 +365,11 @@ class ProblemDocument:
         self.raw = raw
         self.spec = spec
         self.options = options
+
+    def run(self) -> Run:
+        """The pipeline run at this document's degree, order, rho and window."""
+        o = self.options
+        return Run(self.spec, o["degree"], o["order"], o["rho"], o["window"])
 
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an identical ProblemSpec."""

@@ -84,6 +84,16 @@ class SemanticError(GevreyLabError):
         super().__init__(f"line {line}: {message}")
 
 
+class InputError(GevreyLabError):
+    """A command-line input other than the problem text is unusable: an
+    unreadable file, a malformed norms table, an unknown example or a bad
+    parameter."""
+
+    def __init__(self, code, message):
+        self.code = code
+        super().__init__(message)
+
+
 class RegressionMismatch(GevreyLabError):
     """A registry run differs from its stored expected values."""
 

@@ -49,9 +49,10 @@ def term_order(sig: TermSignature) -> Fraction:
 
 def theoretical_order(eq: LiftedEquation) -> Fraction:
     """Largest term weight over the linear terms with a coefficient that is
-    nonzero within its certified degree."""
+    nonzero within its certified degree.  The left side B u of a lifted
+    equation has (t d_t)-order p = 0."""
     orders = [
-        term_order(TermSignature(j, b, alpha, eq.p))
+        term_order(TermSignature(j, b, alpha, 0))
         for (j, b, alpha), g in eq.linear.items()
         if not g.is_zero
     ]

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import RegressionMismatch
-from .gevrey import estimate_order, monomial_gevrey_fit, theoretical_order
-from .series import Series
+from .errors import InputError, RegressionMismatch
+from .gevrey import monomial_gevrey_fit
+from .series import iter_exponents
 
 
 def eje3_table(upto: int) -> list[Fraction]:
@@ -171,7 +171,7 @@ def _doc_eje4(params) -> str:
     lines = [f"dim {d}; unknowns 1; order {k}", f"P = {mono}"]
     for j in range(1, k + 1):
         terms = []
-        for beta in _exponents(d, j):
+        for beta in iter_exponents(d, j):
             bm = "*".join(f"x{i + 1}" + (f"^{b}" if b > 1 else "")
                           for i, b in enumerate(beta) if b)
             terms.append(f"({','.join(map(str, beta))}) -> {bm}")
@@ -181,15 +181,6 @@ def _doc_eje4(params) -> str:
     lines.append(f"option degree = {params['degree']}")
     lines.append(f"option order = {params['order']}")
     return "\n".join(lines) + "\n"
-
-
-def _exponents(dim, total):
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _exponents(dim - 1, total - head):
-            yield (head,) + rest
 
 
 def _verify_eje4(params, report):
@@ -249,12 +240,15 @@ def list_examples() -> list[tuple[str, str]]:
 
 
 def build_document(name: str, overrides: dict | None = None) -> tuple[str, dict]:
+    if name not in ENTRIES:
+        raise InputError("example", f"no example named {name!r}")
     entry = ENTRIES[name]
     params = dict(entry.defaults)
     if overrides:
         unknown = set(overrides) - set(params)
         if unknown:
-            raise KeyError(f"unknown parameters for {name}: {sorted(unknown)}")
+            raise InputError(
+                "param", f"unknown parameters for {name}: {sorted(unknown)}")
         params.update(overrides)
     if "alpha" in params:
         params["alpha"] = tuple(params["alpha"])
@@ -267,40 +261,27 @@ def run_example(name: str, overrides: dict | None = None) -> dict:
     Returns the report dict; raises RegressionMismatch on any difference
     from the stored expected values."""
     from .dsl import parse_problem
-    from .solver import (build_lifted, evaluate, reduce_problem, solve_direct,
-                         solve_p_expansion)
 
-    if name not in ENTRIES:
-        raise KeyError(f"no example named {name!r}")
     text, params = build_document(name, overrides)
-    doc = parse_problem(text)
-    spec = doc.spec
-    degree = doc.options["degree"]
-    order = doc.options["order"]
-    direct = solve_direct(spec, degree)
-    pexp = solve_p_expansion(spec, order, degree)
-    summed = evaluate(pexp)
-    cert = min(min(s.trunc for s in summed), degree)
-    for a, b in zip(summed, direct):
+    run = parse_problem(text).run()
+    direct = run.direct
+    pexp = run.pexp
+    cert = run.certified
+    for a, b in zip(run.summed, direct):
         if not a.equal_upto(b, cert):
             raise RegressionMismatch(
                 name, "pipeline and direct solutions disagree within "
                       f"certified degree {cert}")
-    eq = build_lifted(reduce_problem(
-        spec.with_trunc(degree + 2 * spec.order + 2),
-        degree + 2 * spec.order + 2))
-    theo = theoretical_order(eq)
-    norms = [(n, r) for n, r, _ in pexp.norms(doc.options["rho"])]
+    theo = run.theoretical
     try:
-        est = estimate_order(norms, float(doc.options["window"]),
-                             doc.options["rho"])
+        est = run.estimate
     except Exception:
         est = None
     report = {
         "name": name,
         "params": params,
         "document": text,
-        "spec": spec,
+        "spec": run.problem,
         "direct": direct,
         "pexpansion": pexp,
         "theoretical": theo,

@@ -14,7 +14,7 @@ the helpers at the top of the module supply the arithmetic on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -84,27 +84,18 @@ def iter_exponents(dim: int, total: int):
             yield (head,) + tail
 
 
-class Infinite:
-    """Order of the identically zero series."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __gt__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
+# order of the identically zero series
+INFINITE = inf
 
 
-INFINITE = Infinite()
+def falling_factorial(n: int, j: int) -> int:
+    """n (n-1) ... (n-j+1); equals 1 for j=0 and 0 for j > n."""
+    if j < 0:
+        raise ValueError("negative j")
+    out = 1
+    for i in range(j):
+        out *= n - i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,7 @@ class Series:
         for e, c in self.terms.items():
             if not exp_le(alpha, e):
                 continue
-            factor = _prod(_falling(e[i], alpha[i]) for i in range(self.dim))
+            factor = _prod(falling_factorial(e[i], alpha[i]) for i in range(self.dim))
             terms[exp_sub(e, alpha)] = c * factor
         return Series(self.dim, trunc, terms)
 
@@ -445,13 +436,6 @@ def _product_trunc(a: Series, b: Series) -> int:
     if not candidates:
         return max(a.trunc, b.trunc)
     return min(candidates)
-
-
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
 
 
 def _divide_homogeneous(h: Series, g: Series, trunc: int) -> Series:

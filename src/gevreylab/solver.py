@@ -19,10 +19,11 @@ at the origin and the solution is convergent.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
-from .diffops import DiffOperator, check_divisibility, faadibruno, falling_factorial
+from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_first
 from .errors import (
     DivisibilityViolation,
     InconclusiveBound,
@@ -35,10 +36,12 @@ from .series import (
     Exponent,
     Series,
     SeriesMatrix,
+    _det,
     exp_binomial,
     exp_degree,
     exp_le,
     exp_sub,
+    falling_factorial,
     invert_rational_matrix,
     iter_exponents,
 )
@@ -312,7 +315,7 @@ def _neg_weighted_lhs(problem: ProblemSpec, y: Vector) -> Vector:
 # the lifted equation
 
 class LiftedEquation:
-    """[c_p (t d_t)^p + ... + c_0] u = forcing * t^k + G(x)(t, D^m u).
+    """B u = forcing * t^k + G(x)(t, D^m u).
 
     ``linear`` maps (j, b, alpha) -> scalar series coefficient of the right
     side term  g * t^(j+b) d_t^b d_alpha;  j >= 1 always, so the order-n
@@ -320,37 +323,21 @@ class LiftedEquation:
     (j, gamma) -> vector coefficient of t^j u^gamma, |gamma| >= 2.
     """
 
-    __slots__ = ("dim", "unknowns", "k", "cs", "forcing", "linear", "nonlinear",
-                 "m", "truncated_terms")
+    __slots__ = ("dim", "unknowns", "k", "B", "forcing", "linear", "nonlinear")
 
-    def __init__(self, dim: int, unknowns: int, k: int, cs: list[SeriesMatrix],
+    def __init__(self, dim: int, unknowns: int, k: int, B: SeriesMatrix,
                  forcing: Vector, linear: dict[tuple[int, int, Exponent], Series],
-                 nonlinear: dict[tuple[int, tuple[int, ...]], Vector],
-                 truncated_terms: int = 0):
+                 nonlinear: dict[tuple[int, tuple[int, ...]], Vector]):
         for (j, b, alpha) in linear:
             if j < 1:
                 raise ValueError("linear terms need a strictly positive t-power")
         self.dim = dim
         self.unknowns = unknowns
         self.k = k
-        self.cs = cs
+        self.B = B
         self.forcing = forcing
         self.linear = dict(linear)
         self.nonlinear = dict(nonlinear)
-        self.m = max((b + exp_degree(a) for (_, b, a) in linear), default=0)
-        self.truncated_terms = truncated_terms
-
-    @property
-    def p(self) -> int:
-        return len(self.cs) - 1
-
-    def char_matrix(self, n: int) -> SeriesMatrix:
-        """sum_p c_p(x) n^p."""
-        out = self.cs[0]
-        for p, c in enumerate(self.cs[1:], start=1):
-            out = out + SeriesMatrix(
-                [[s.scale(n ** p) for s in row] for row in c.entries])
-        return out
 
 
 def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
@@ -361,12 +348,9 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     dim, unknowns, k = problem.dim, problem.unknowns, problem.order
     zero_alpha = (0,) * dim
     linear: dict[tuple[int, int, Exponent], Series] = {}
-    dropped = 0
 
     def put(key, series):
-        nonlocal dropped
         if series.is_zero:
-            dropped += 1
             return
         if key in linear:
             linear[key] = linear[key] + series
@@ -406,8 +390,8 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     nonlinear = {(0, gamma): [-s for s in vec]
                  for gamma, vec in reduced.H.items()}
     forcing = [-s for s in reduced.h]
-    return LiftedEquation(dim, unknowns, k, [reduced.B], forcing, linear,
-                          nonlinear, truncated_terms=dropped)
+    return LiftedEquation(dim, unknowns, k, reduced.B, forcing, linear,
+                          nonlinear)
 
 
 def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
@@ -417,19 +401,13 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
-    inv_cache: dict[int, SeriesMatrix] = {}
-
-    def inverse_at(n: int) -> SeriesMatrix:
-        key = 0 if eq.p == 0 else n
-        if key not in inv_cache:
-            C = eq.char_matrix(n)
+    Binv = None
+    for n in range(k, order + 1):
+        if Binv is None:
             try:
-                inv_cache[key] = invert_series_matrix(C)
+                Binv = invert_series_matrix(eq.B)
             except SingularLinearPart as exc:
                 raise PoincareViolation(n) from exc
-        return inv_cache[key]
-
-    for n in range(k, order + 1):
         rhs = [Series.zero(dim, degree) for _ in range(unknowns)]
         if n == k:
             rhs = [r + f for r, f in zip(rhs, eq.forcing)]
@@ -454,8 +432,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 continue
             for i in range(unknowns):
                 rhs[i] = rhs[i] + vec[i] * conv
-        un = inverse_at(n).apply(rhs)
-        us.append([s for s in un])
+        us.append(Binv.apply(rhs))
     return us
 
 
@@ -541,22 +518,83 @@ class PExpansion:
         )
 
 
+class Run:
+    """The pipeline on one problem at truncation degree ``degree`` and
+    expansion order ``order``.  Each stage is a cached property, computed
+    at most once and only when a caller reads it."""
+
+    def __init__(self, problem: ProblemSpec, degree: int, order: int,
+                 rho: Fraction = Fraction(1, 2),
+                 window: Fraction = Fraction(1, 2)):
+        self.problem = problem
+        self.degree = degree
+        self.order = order
+        self.rho = rho
+        self.window = window
+        # headroom for the degrees that the divisions by P^m and the
+        # derivatives in the reduction cost
+        self.working = degree + 2 * problem.order + 2
+
+    @cached_property
+    def spec(self) -> ProblemSpec:
+        return self.problem.with_trunc(self.working)
+
+    @cached_property
+    def reduced(self) -> ReducedProblem:
+        return reduce_problem(self.spec, self.working)
+
+    @cached_property
+    def lifted(self) -> LiftedEquation:
+        return build_lifted(self.reduced)
+
+    @cached_property
+    def pexp(self) -> PExpansion:
+        Lk = self.problem.operators[-1]
+        if Lk is None or Lk.is_zero:
+            raise ValueError("the top operator L_k must not vanish identically")
+        tail = solve_lifted(self.lifted, self.order, self.working)
+        coeffs = [
+            [s.truncate(min(s.trunc, self.working)) for s in vec]
+            for vec in self.reduced.head
+        ] + tail[self.problem.order:self.order + 1]
+        return PExpansion(self.spec.P, coeffs, self.degree, self.order)
+
+    @cached_property
+    def direct(self) -> Vector:
+        return solve_direct(self.problem, self.degree)
+
+    @cached_property
+    def summed(self) -> Vector:
+        """sum y_n P^n, every component truncated to the certified degree."""
+        return self.pexp.evaluate()
+
+    @property
+    def certified(self) -> int:
+        return self.summed[0].trunc
+
+    @cached_property
+    def residual(self) -> Vector:
+        return self.problem.with_trunc(self.certified).residual(self.summed)
+
+    @cached_property
+    def theoretical(self) -> Fraction:
+        from .gevrey import theoretical_order
+        return theoretical_order(self.lifted)
+
+    @cached_property
+    def norms(self) -> list[tuple[int, Fraction, int]]:
+        return self.pexp.norms(self.rho)
+
+    @cached_property
+    def estimate(self):
+        from .gevrey import estimate_order
+        return estimate_order([(n, r) for n, r, _ in self.norms],
+                              float(self.window), self.rho)
+
+
 def solve_p_expansion(problem: ProblemSpec, order: int, degree: int) -> PExpansion:
     """Full pipeline: reduction, lift, order recurrence, reassembly."""
-    k = problem.order
-    Lk = problem.operators[-1]
-    if Lk is None or Lk.is_zero:
-        raise ValueError("the top operator L_k must not vanish identically")
-    working = degree + 2 * k + 2
-    prob = problem.with_trunc(working)
-    reduced = reduce_problem(prob, working)
-    eq = build_lifted(reduced)
-    tail = solve_lifted(eq, order, working)
-    coeffs = [
-        [s.truncate(min(s.trunc, working)) for s in vec]
-        for vec in reduced.head
-    ] + tail[k:order + 1]
-    return PExpansion(prob.P, coeffs, degree, order)
+    return Run(problem, degree, order).pexp
 
 
 def evaluate(pexp: PExpansion, degree: int | None = None) -> Vector:
@@ -687,17 +725,8 @@ class PoincareVerdict:
     def __bool__(self):
         return self.ok
 
-    def char_value(self, n: int) -> Fraction:
-        return sum((falling_factorial(n, j) * lam
-                    for j, lam in self.lambdas.items()), Fraction(0))
-
     def determinant(self, n: int) -> Fraction:
-        from .series import _det
-        s = self.char_value(n)
-        N = len(self.A0)
-        m = [[(s if i == j else Fraction(0)) - self.A0[i][j]
-              for j in range(N)] for i in range(N)]
-        return _det(m)
+        return _char_det(self.lambdas, self.A0, n)
 
     def __repr__(self):
         tag = "pass" if self.ok else f"fail at n={self.failing}"
@@ -736,9 +765,8 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
         coeffs = [Fraction(0)] * (k + 1)
         for j, lam in lambdas.items():
             sign = 1 if j == k else -1
-            poly = _falling_factorial_poly(j)
-            for l, c in enumerate(poly):
-                coeffs[l] += sign * abs(lam) * c
+            for l in range(1, j + 1):
+                coeffs[l] += sign * abs(lam) * stirling_first(j, l)
         coeffs[0] -= row_norm
         top = coeffs[k]
         bound = 1 + max((abs(c / top) for c in coeffs[:k]), default=Fraction(0))
@@ -749,22 +777,9 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
 
 
 def _char_det(lambdas: dict[int, Fraction], A0: list[list[Fraction]], n: int) -> Fraction:
-    from .series import _det
     s = sum((falling_factorial(n, j) * lam for j, lam in lambdas.items()),
             Fraction(0))
     N = len(A0)
     m = [[(s if i == j else Fraction(0)) - A0[i][j] for j in range(N)]
          for i in range(N)]
     return _det(m)
-
-
-def _falling_factorial_poly(j: int) -> list[Fraction]:
-    """Coefficients of n(n-1)...(n-j+1) as a polynomial in n."""
-    coeffs = [Fraction(0), Fraction(1)]
-    for i in range(1, j):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-            nxt[p] -= i * c
-        coeffs = nxt
-    return coeffs

@@ -4,6 +4,8 @@ import csv
 
 import pytest
 
+import gevreylab.cli
+import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 
 DOC = """\
@@ -109,14 +111,28 @@ F 1 = -1*y1 + x1
 
 
 def test_solve_degree_flag(tmp_path, capsys):
-    path = write(tmp_path, "p.gl", EULER)
-    out_dir = tmp_path / "out"
-    code = main(["solve", path, "--degree", "6", "--order", "6",
-                 "--out-dir", str(out_dir)])
-    capsys.readouterr()
-    assert code == EXIT_OK
-    data = (out_dir / "solution_x.json").read_text()
-    assert '"degree": 6' in data
+    # --degree/--order give the same files and residual line as writing
+    # the options into the document
+    names = ("solution.json", "solution_x.json", "norms.csv")
+    cases = [(EULER, "", 6, 6),
+             (DOC, "option degree = 16\noption order = 12\n", 9, 6)]
+    for i, (text, options, degree, order) in enumerate(cases):
+        inline = text.replace(options, "") + \
+            f"option degree = {degree}\noption order = {order}\n"
+        results = []
+        for tag, body, extra in (
+                ("flag", text, ["--degree", str(degree), "--order", str(order)]),
+                ("inline", inline, [])):
+            path = write(tmp_path, f"{tag}{i}.gl", body)
+            out_dir = tmp_path / f"{tag}{i}"
+            code = main(["solve", path, *extra, "--out-dir", str(out_dir)])
+            assert code == EXIT_OK
+            residual_line = capsys.readouterr().out.splitlines()[0]
+            results.append((residual_line,
+                            {n: (out_dir / n).read_bytes() for n in names}))
+        assert f'"degree": {degree}' in \
+            results[0][1]["solution_x.json"].decode()
+        assert results[0] == results[1]
 
 
 def test_estimate_from_file(tmp_path, capsys):
@@ -179,3 +195,59 @@ def test_examples_run_with_param(capsys):
                  "--param", "degree=20", "--param", "order=8"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS eje1" in out and "'degree': 20" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{tmp}/missing.gl"],
+    ["solve", "{tmp}/missing.gl", "--out-dir", "{tmp}/out"],
+    ["estimate", "{tmp}/missing.gl"],
+    ["estimate", "--norms", "{tmp}/missing.csv"],
+    ["estimate", "--norms", "{tmp}/bad.csv"],
+    ["examples", "run", "nosuch"],
+    ["examples", "run", "eje1", "--param", "foo=1"],
+    ["examples", "run", "eje1", "--param", "degree=abc"],
+    ["examples", "run", "eje1", "--param", "degree"],
+    ["solve", "{tmp}/p.gl", "--degree", "-1", "--out-dir", "{tmp}/out"],
+    ["check", "{tmp}/p.gl", "--rho", "abc"],
+], ids=["check-missing", "solve-missing", "estimate-missing",
+        "norms-missing", "norms-malformed", "unknown-example",
+        "unknown-param", "param-not-int", "param-no-value",
+        "negative-degree", "bad-rho"])
+def test_bad_input_exits_3_with_one_line(tmp_path, capsys, argv):
+    write(tmp_path, "p.gl", EULER)
+    write(tmp_path, "bad.csv", "n,norm,certified_degree\n1,abc,3\n")
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error[")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "{doc}"], {"reduce_problem": 0, "solve_direct": 0}),
+    (["solve", "{doc}", "--degree", "12", "--order", "6",
+      "--out-dir", "{tmp}/out"], {"reduce_problem": 1, "solve_direct": 1}),
+    (["estimate", "{doc}", "--degree", "20", "--order", "10"],
+     {"reduce_problem": 1, "solve_direct": 0}),
+    (["examples", "run", "eje1", "--param", "degree=20", "--param", "order=8"],
+     {"reduce_problem": 1, "solve_direct": 1}),
+], ids=["check", "solve", "estimate", "examples-run"])
+def test_stage_calls_per_command(tmp_path, capsys, monkeypatch, argv,
+                                 expected):
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in expected:
+        wrapper = counting(name, getattr(gevreylab.solver, name))
+        for module in (gevreylab.solver, gevreylab.cli):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    path = write(tmp_path, "p.gl", DOC)
+    argv = [a.format(doc=path, tmp=tmp_path) for a in argv]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert calls == expected

@@ -62,12 +62,12 @@ def test_theoretical_order_bounded_by_one():
     dim = 1
     one = Series.constant(dim, 8, 1)
     linear = {(1, 0, (1,)): one, (2, 0, (2,)): one, (3, 0, (1,)): one}
-    eq = LiftedEquation(dim, 1, 1, [None], [Series.zero(dim, 8)], linear, {})
+    eq = LiftedEquation(dim, 1, 1, None, [Series.zero(dim, 8)], linear, {})
     assert theoretical_order(eq) <= 1
 
 
 def test_theoretical_order_empty():
-    eq = LiftedEquation(1, 1, 1, [None], [Series.zero(1, 8)],
+    eq = LiftedEquation(1, 1, 1, None, [Series.zero(1, 8)],
                         {(1, 0, (1,)): Series.zero(1, 8)}, {})
     with pytest.raises(EmptyTermSet):
         theoretical_order(eq)

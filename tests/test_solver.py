@@ -141,7 +141,7 @@ def test_build_lifted_k1_structure():
     # phi = L_1*(x^2)/x^2 = 2x * x / x^2 = 2
     assert eq.linear[(1, 1, (0,))].constant_term() == 2
     assert set(eq.nonlinear) == {(0, (2,))}
-    assert eq.k == 1 and eq.p == 0
+    assert eq.k == 1
 
 
 def test_build_lifted_bivariate_order2_has_phi_term():
@@ -156,7 +156,7 @@ def test_build_lifted_bivariate_order2_has_phi_term():
 
 def test_solve_lifted_zero():
     dim = 1
-    eq = LiftedEquation(dim, 1, 1, [scalar_matrix(1, 6, 1)],
+    eq = LiftedEquation(dim, 1, 1, scalar_matrix(1, 6, 1),
                         [Series.zero(1, 6)], {(1, 1, (0,)): const(1, 6, 1)}, {})
     us = solve_lifted(eq, 5, 6)
     assert all(s.is_zero for vec in us for s in vec)
@@ -169,7 +169,7 @@ def test_solve_lifted_start_value():
     eq = build_lifted(red)
     us = solve_lifted(eq, 4, 14)
     assert all(s.is_zero for s in us[0]) and all(s.is_zero for s in us[1])
-    want = invert_series_matrix(eq.char_matrix(2)).apply(eq.forcing)
+    want = invert_series_matrix(eq.B).apply(eq.forcing)
     assert us[2][0].equal_upto(want[0], min(us[2][0].trunc, want[0].trunc))
 
 
