@@ -1,8 +1,10 @@
 """Command line interface: gevrey-lab {check|solve|estimate|examples}.
 
 Exit codes: 0 success, 2 check failure, 3 unusable input (a parse or
-semantic error in the problem document, an unreadable or malformed input
-file, an unknown example, a bad --param, --degree or --rho value), 4
+semantic error in the problem document, a document without the top
+operator L_k for solve or estimate, an unreadable or malformed input
+file, an --out-dir that cannot be created, an unknown example, a bad
+--param, --degree, --order or --rho value), 4
 solver error.  Exits 3 and 4 print a one-line ``error[...]`` diagnostic
 on stderr.
 """
@@ -44,13 +46,14 @@ def _read_text(path: str) -> str:
 def _load_run(args) -> Run:
     """The document's run, with --degree, --order and --rho applied."""
     doc = parse_problem(_read_text(args.file))
-    if args.degree is not None:
-        if args.degree < 0:
+    for name in ("degree", "order"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if value < 0:
             raise InputError("bad-option",
-                             "--degree must be a non-negative integer")
-        doc.options["degree"] = args.degree
-    if args.order is not None:
-        doc.options["order"] = args.order
+                             f"--{name} must be a non-negative integer")
+        doc.options[name] = value
     if args.rho is not None:
         try:
             doc.options["rho"] = Fraction(args.rho)
@@ -100,7 +103,10 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     run = _load_run(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError("io", f"cannot create {out_dir}: {exc.strerror}") from exc
     pexp = run.pexp
     direct = run.direct
     res_zero = all(s.is_zero for s in run.residual)

@@ -6,17 +6,13 @@ governs solvability, and the signed Stirling numbers the solver needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, DivisibilityViolation
 from .series import (
     Exponent,
     Series,
-    exp_binomial,
     exp_degree,
-    exp_le,
-    exp_sub,
     falling_factorial,
     grlex_key,
     unit_exp,
@@ -96,19 +92,6 @@ class DiffOperator:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "terms": [
-                {"alpha": list(a), "coef": s.to_json()} for a, s in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, dim: int, data: dict) -> "DiffOperator":
-        terms = {tuple(t["alpha"]): Series.from_json(t["coef"]) for t in data["terms"]}
-        return cls(dim, data["order"], terms)
-
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
@@ -141,48 +124,22 @@ class FaaDiBrunoTable:
         self.alpha = alpha
         self.A = A
 
-    def __getitem__(self, j: int) -> Series:
-        return self.A[j]
-
     def coefficient(self, j: int) -> Series:
         """A_{alpha,j}, the zero series when absent (j > |alpha|)."""
         if j in self.A:
             return self.A[j]
         return Series.zero(self.P.dim, self.P.trunc)
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.A
-
-    def identity_rhs(self, n: int) -> Series:
-        """sum_j n!/(n-j)! P^(n-j) A_{alpha,j} -- should equal d_alpha(P^n)."""
-        out = None
-        for j, A in self.A.items():
-            if j > n:
-                continue
-            term = self.P.pow(n - j) * A.scale(falling_factorial(n, j))
-            out = term if out is None else out + term
-        if out is None:
-            return Series.zero(self.P.dim, self.P.trunc)
-        return out
-
-
-def faadibruno(P: Series, alpha: Sequence[int],
-               order: Sequence[int] | None = None) -> FaaDiBrunoTable:
+def faadibruno(P: Series, alpha: Sequence[int]) -> FaaDiBrunoTable:
     """Build the A_{alpha,j} table by the one-step recurrence
     A_{alpha+e_l,j} = d_l(A_{alpha,j}) + d_l(P) A_{alpha,j-1},
-    incrementing coordinates in the given order (default: left to right).
-    The result does not depend on the path."""
+    incrementing the coordinates from left to right."""
     alpha = tuple(alpha)
     if exp_degree(alpha) < 1:
         raise ValueError("|alpha| must be >= 1")
     steps = []
     for i, a in enumerate(alpha):
         steps.extend([i] * a)
-    if order is not None:
-        steps = list(order)
-        if sorted(steps) != sorted(
-                i for i, a in enumerate(alpha) for _ in range(a)):
-            raise ValueError("path does not spell out alpha")
     first = steps[0]
     A: dict[int, Series] = {1: P.diff(unit_exp(P.dim, first))}
     for l in steps[1:]:

@@ -9,14 +9,6 @@ class DimensionMismatch(GevreyLabError):
     """Two values live in different ambient dimensions."""
 
 
-class NonNilpotentSubstitution(GevreyLabError):
-    """A substitution image has a nonzero constant term."""
-
-
-class NotAUnit(GevreyLabError):
-    """Inversion of a series whose constant term is zero."""
-
-
 class DivisibilityViolation(GevreyLabError):
     """Exact division failed; carries the lowest-degree failing monomial."""
 
@@ -85,9 +77,9 @@ class SemanticError(GevreyLabError):
 
 
 class InputError(GevreyLabError):
-    """A command-line input other than the problem text is unusable: an
-    unreadable file, a malformed norms table, an unknown example or a bad
-    parameter."""
+    """A command-line input other than the problem text is unusable (an
+    unreadable file, a malformed norms table, an unknown example, a bad
+    parameter), or the problem lacks what the requested stage needs."""
 
     def __init__(self, code, message):
         self.code = code

@@ -17,13 +17,7 @@ from fractions import Fraction
 from math import comb, inf
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DivisibilityViolation,
-    NonNilpotentSubstitution,
-    NotAUnit,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, DivisibilityViolation, SingularMatrix
 
 Exponent = tuple[int, ...]
 Rational = Fraction | int
@@ -168,12 +162,6 @@ class Series:
             return INFINITE
         return min(sum(e) for e in self.terms)
 
-    def degree(self):
-        """Largest stored total degree, INFINITE-free; -1 for the zero series."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def homogeneous(self, n: int) -> "Series":
         return Series(self.dim, self.trunc,
                       {e: c for e, c in self.terms.items() if sum(e) == n})
@@ -275,66 +263,7 @@ class Series:
             terms[exp_sub(e, alpha)] = c * factor
         return Series(self.dim, trunc, terms)
 
-    def substitute(self, images: Sequence["Series"]) -> "Series":
-        """Compose with images phi_1..phi_d, each with zero constant term."""
-        if len(images) != self.dim:
-            raise DimensionMismatch(f"{len(images)} images for dimension {self.dim}")
-        for g in images:
-            if g.constant_term() != 0:
-                raise NonNilpotentSubstitution(
-                    "substitution image has nonzero constant term")
-        out_dim = images[0].dim
-        trunc = min([self.trunc] + [g.trunc for g in images])
-        # cache powers of each image
-        powers: list[dict[int, Series]] = [
-            {0: Series.constant(out_dim, trunc, 1)} for _ in images
-        ]
-
-        def power(i: int, n: int) -> Series:
-            cache = powers[i]
-            if n not in cache:
-                cache[n] = (power(i, n - 1) * images[i]).truncate(trunc)
-            return cache[n]
-
-        out = Series.zero(out_dim, trunc)
-        for e, c in self.terms.items():
-            term = Series.constant(out_dim, trunc, c)
-            for i, exp in enumerate(e):
-                if exp:
-                    term = term * power(i, exp)
-            out = out + term
-        return out.with_trunc(trunc)
-
-    def linear_change(self, matrix: Sequence[Sequence[Rational]]) -> "Series":
-        """f(Mx) for an invertible rational d x d matrix M."""
-        m = [[Fraction(v) for v in row] for row in matrix]
-        if len(m) != self.dim or any(len(row) != self.dim for row in m):
-            raise DimensionMismatch("matrix shape does not match dimension")
-        if _det(m) == 0:
-            raise SingularMatrix("change-of-variables matrix is singular")
-        images = [
-            Series(self.dim, self.trunc,
-                   {unit_exp(self.dim, j): m[i][j] for j in range(self.dim)})
-            for i in range(self.dim)
-        ]
-        return self.substitute(images)
-
-    # -- division and inversion ---------------------------------------------
-
-    def invert_unit(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise NotAUnit("constant term is zero")
-        # u = c0 (1 - w) with o(w) >= 1; 1/u = (1/c0) sum w^n
-        w = (Series.constant(self.dim, self.trunc, 1)
-             - self.scale(Fraction(1, 1) / c0)).truncate(self.trunc)
-        out = Series.constant(self.dim, self.trunc, 1)
-        wp = w
-        while not wp.is_zero and wp.order() <= self.trunc:
-            out = out + wp
-            wp = (wp * w).truncate(self.trunc)
-        return out.scale(Fraction(1, 1) / c0).truncate(self.trunc)
+    # -- division -----------------------------------------------------------
 
     def divide_exact(self, b: "Series") -> "Series":
         """Graded exact division a = b*q, certified to a.trunc - o(b).
@@ -507,11 +436,10 @@ def _det(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def invert_rational_matrix(m: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Exact inverse over Q; raises SingularMatrix when not invertible."""
-    n = len(m)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
+def gauss_jordan(a: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+    """Reduce the augmented rows [A | B], with A of size n x n, in place and
+    return the block right of A, which then holds A^-1 B.  Raises
+    SingularMatrix when A is singular over Q."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -526,6 +454,14 @@ def invert_rational_matrix(m: Sequence[Sequence[Rational]]) -> list[list[Fractio
     return [row[n:] for row in a]
 
 
+def invert_rational_matrix(m: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
+    """Exact inverse over Q; raises SingularMatrix when not invertible."""
+    n = len(m)
+    return gauss_jordan(
+        [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)], n)
+
+
 class SeriesMatrix:
     """Dense grid of Series sharing dim and trunc."""
 
@@ -538,16 +474,6 @@ class SeriesMatrix:
         dims = {s.dim for row in self.entries for s in row}
         if len(dims) > 1:
             raise DimensionMismatch("matrix entries disagree on dim")
-
-    @classmethod
-    def identity(cls, n: int, dim: int, trunc: int) -> "SeriesMatrix":
-        return cls([[Series.constant(dim, trunc, int(i == j)) for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
-    def from_rational(cls, m: Sequence[Sequence[Rational]], dim: int,
-                      trunc: int) -> "SeriesMatrix":
-        return cls([[Series.constant(dim, trunc, v) for v in row] for row in m])
 
     @property
     def dim(self) -> int:
@@ -564,26 +490,6 @@ class SeriesMatrix:
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.entries, other.entries)
         ])
-
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix([
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
-
-    def matmul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix shapes do not compose")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for l in range(1, self.cols):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
 
     def apply(self, vec: Sequence[Series]) -> list[Series]:
         if self.cols != len(vec):

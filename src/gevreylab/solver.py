@@ -27,6 +27,7 @@ from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_firs
 from .errors import (
     DivisibilityViolation,
     InconclusiveBound,
+    InputError,
     PoincareViolation,
     SingularLinearPart,
     SingularMatrix,
@@ -42,6 +43,7 @@ from .series import (
     exp_le,
     exp_sub,
     falling_factorial,
+    gauss_jordan,
     invert_rational_matrix,
     iter_exponents,
 )
@@ -145,43 +147,51 @@ def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
 # exact inverses of series matrices
 
 def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
-    """Exact inverse of a matrix with invertible constant part: factor out
-    the constant part and sum the finite Neumann tail of the remainder."""
-    n = M.rows
-    dim = M.dim
+    """Exact inverse of a matrix with invertible constant part M(0),
+    solved degree by degree: X_0 = M(0)^-1 and
+    X_m = sum_{d=1..m} K_d X_{m-d}, where K_d = -M(0)^-1 N_d and N_d is
+    the degree-d part of M - M(0).  Every entry is certified to the
+    least trunc T among the entries of M."""
+    n, dim = M.rows, M.dim
     trunc = min(s.trunc for row in M.entries for s in row)
     try:
         inv0 = invert_rational_matrix(M.constant_part())
     except SingularMatrix as exc:
         raise SingularLinearPart(str(exc)) from exc
-    M0inv = SeriesMatrix.from_rational(inv0, dim, trunc)
-    # M = M0 (I + M0^-1 M1)  =>  M^-1 = sum (-M0^-1 M1)^i  M0^-1
-    M1 = M - SeriesMatrix.from_rational(
-        [[Fraction(v) for v in row] for row in M.constant_part()], dim, trunc)
-    R = _mat_neg(M0inv.matmul(M1))
-    out = SeriesMatrix.identity(n, dim, trunc)
-    power = R
-    while not _mat_is_zero(power) and _mat_order(power) <= trunc:
-        out = out + power
-        power = _mat_truncate(power.matmul(R), trunc)
-    return _mat_truncate(out.matmul(M0inv), trunc)
-
-
-def _mat_neg(M: SeriesMatrix) -> SeriesMatrix:
-    return SeriesMatrix([[-s for s in row] for row in M.entries])
-
-
-def _mat_is_zero(M: SeriesMatrix) -> bool:
-    return all(s.is_zero for row in M.entries for s in row)
-
-
-def _mat_order(M: SeriesMatrix) -> int:
-    orders = [s.order() for row in M.entries for s in row if not s.is_zero]
-    return min(orders) if orders else 0
-
-
-def _mat_truncate(M: SeriesMatrix, trunc: int) -> SeriesMatrix:
-    return SeriesMatrix([[s.truncate(trunc) for s in row] for row in M.entries])
+    # the terms of K_d, gathered in one pass over the terms of M
+    K_terms: dict[int, list[list[dict[Exponent, Fraction]]]] = {}
+    for l, row in enumerate(M.entries):
+        for j, s in enumerate(row):
+            for e, c in s.terms.items():
+                d = sum(e)
+                if not 0 < d <= trunc:
+                    continue
+                Kd = K_terms.setdefault(
+                    d, [[{} for _ in range(n)] for _ in range(n)])
+                for i in range(n):
+                    Kd[i][j][e] = Kd[i][j].get(e, 0) - inv0[i][l] * c
+    X = [[[Series.constant(dim, trunc, v) for v in row] for row in inv0]]
+    if not K_terms:
+        return SeriesMatrix(X[0])
+    K = {d: [[Series(dim, trunc, t) for t in row] for row in Kd]
+         for d, Kd in K_terms.items()}
+    for m in range(1, trunc + 1):
+        Xm = [[Series.zero(dim, trunc) for _ in range(n)] for _ in range(n)]
+        for d, Kd in K.items():
+            if d > m:
+                continue
+            prev = X[m - d]
+            for i in range(n):
+                for l in range(n):
+                    if Kd[i][l].is_zero:
+                        continue
+                    for j in range(n):
+                        if not prev[l][j].is_zero:
+                            Xm[i][j] = Xm[i][j] + Kd[i][l] * prev[l][j]
+        X.append(Xm)
+    return SeriesMatrix([
+        [Series(dim, trunc, {e: c for Xm in X for e, c in Xm[i][j].terms.items()})
+         for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +542,9 @@ class Run:
         self.rho = rho
         self.window = window
         # headroom for the degrees that the divisions by P^m and the
-        # derivatives in the reduction cost
-        self.working = degree + 2 * problem.order + 2
+        # derivatives in the reduction cost, and never below o(P), so that
+        # re-certifying keeps P
+        self.working = max(degree + 2 * problem.order + 2, problem.P.order())
 
     @cached_property
     def spec(self) -> ProblemSpec:
@@ -551,7 +562,8 @@ class Run:
     def pexp(self) -> PExpansion:
         Lk = self.problem.operators[-1]
         if Lk is None or Lk.is_zero:
-            raise ValueError("the top operator L_k must not vanish identically")
+            raise InputError("no-top-operator",
+                             "the top operator L_k must not vanish identically")
         tail = solve_lifted(self.lifted, self.order, self.working)
         coeffs = [
             [s.truncate(min(s.trunc, self.working)) for s in vec]
@@ -574,7 +586,8 @@ class Run:
 
     @cached_property
     def residual(self) -> Vector:
-        return self.problem.with_trunc(self.certified).residual(self.summed)
+        return [s.truncate(self.certified)
+                for s in self.spec.residual(self.summed)]
 
     @cached_property
     def theoretical(self) -> Fraction:
@@ -611,7 +624,8 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     the corresponding exact rational system is built column by column and
     solved by Gaussian elimination.
     """
-    working = degree + problem.order
+    # never below o(P), so that re-certifying keeps P
+    working = max(degree + problem.order, problem.P.order())
     prob = problem.with_trunc(working)
     dim, unknowns = prob.dim, prob.unknowns
     try:
@@ -689,20 +703,9 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
 
 
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"singular at column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    """The x with matrix x = rhs over Q."""
+    a = [row[:] + [r] for row, r in zip(matrix, rhs)]
+    return [row[0] for row in gauss_jordan(a, len(matrix))]
 
 
 # ---------------------------------------------------------------------------

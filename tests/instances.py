@@ -10,16 +10,10 @@ import random
 from fractions import Fraction
 
 from gevreylab.diffops import DiffOperator
-from gevreylab.series import Series, SeriesMatrix, invert_rational_matrix
+from gevreylab.series import (Series, SeriesMatrix, invert_rational_matrix,
+                              iter_exponents)
 from gevreylab.errors import SingularMatrix
 from gevreylab.solver import ProblemSpec
-
-
-def _exponents(dim, total):
-    if dim == 1:
-        return [(total,)]
-    return [(h,) + r for h in range(total, -1, -1)
-            for r in _exponents(dim - 1, total - h)]
 
 
 def _poly(rng, dim, trunc, degree, max_terms=3, zero_const=True):
@@ -47,7 +41,7 @@ def random_admissible_problem(rng: random.Random, trunc: int = 10) -> ProblemSpe
             operators.append(None)
             continue
         terms = {}
-        for beta in _exponents(dim, j):
+        for beta in iter_exponents(dim, j):
             if rng.random() < 0.5:
                 continue
             b = _poly(rng, dim, trunc, 1, max_terms=2, zero_const=False)
@@ -55,7 +49,7 @@ def random_admissible_problem(rng: random.Random, trunc: int = 10) -> ProblemSpe
                 continue
             terms[beta] = b * Series.monomial(dim, trunc, beta)
         if j == k and not terms:
-            beta = _exponents(dim, j)[0]
+            beta = next(iter_exponents(dim, j))
             terms[beta] = Series.monomial(dim, trunc, beta)
         operators.append(DiffOperator(dim, j, terms) if terms else None)
     f = [_poly(rng, dim, trunc, 3) for _ in range(unknowns)]

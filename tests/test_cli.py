@@ -135,6 +135,21 @@ def test_solve_degree_flag(tmp_path, capsys):
         assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("P, flags, certified", [
+    ("x1", ["--order", "0"], 0),
+    ("x1", ["--degree", "0"], 0),
+    ("x1^2", ["--degree", "0"], 0),
+    ("x1^5", ["--degree", "0"], 0),
+], ids=["order-0", "degree-0", "square-degree-0", "fifth-power-degree-0"])
+def test_solve_low_degree_keeps_P(tmp_path, capsys, P, flags, certified):
+    # the certified degree, or the degree itself, is below o(P)
+    path = write(tmp_path, "p.gl", EULER.replace("P = x1", f"P = {P}"))
+    code = main(["solve", path, *flags, "--out-dir", str(tmp_path / "out")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert out[0] == f"residual vanishes through certified degree {certified}"
+
+
 def test_estimate_from_file(tmp_path, capsys):
     path = write(tmp_path, "p.gl", DOC)
     assert main(["estimate", path, "--degree", "40", "--order", "20"]) == EXIT_OK
@@ -209,12 +224,18 @@ def test_examples_run_with_param(capsys):
     ["examples", "run", "eje1", "--param", "degree"],
     ["solve", "{tmp}/p.gl", "--degree", "-1", "--out-dir", "{tmp}/out"],
     ["check", "{tmp}/p.gl", "--rho", "abc"],
+    ["solve", "{tmp}/p.gl", "--order", "-1", "--out-dir", "{tmp}/out"],
+    ["solve", "{tmp}/p.gl", "--out-dir", "{tmp}/bad.csv"],
+    ["solve", "{tmp}/no-top.gl", "--out-dir", "{tmp}/out"],
+    ["estimate", "{tmp}/no-top.gl"],
 ], ids=["check-missing", "solve-missing", "estimate-missing",
         "norms-missing", "norms-malformed", "unknown-example",
         "unknown-param", "param-not-int", "param-no-value",
-        "negative-degree", "bad-rho"])
+        "negative-degree", "bad-rho", "negative-order", "out-dir-is-file",
+        "solve-no-top-operator", "estimate-no-top-operator"])
 def test_bad_input_exits_3_with_one_line(tmp_path, capsys, argv):
     write(tmp_path, "p.gl", EULER)
+    write(tmp_path, "no-top.gl", EULER.replace("order 1", "order 2"))
     write(tmp_path, "bad.csv", "n,norm,certified_degree\n1,abc,3\n")
     code = main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err

@@ -303,34 +303,77 @@ def test_poincare_inconclusive():
 
 # -- invert_series_matrix ----------------------------------------------------
 
+def assert_inverse(M, X):
+    """M times column j of X is e_j through the least trunc T of M, and
+    every entry of X is certified to exactly T."""
+    n, dim = M.rows, M.dim
+    T = min(s.trunc for row in M.entries for s in row)
+    assert all(s.trunc == T for row in X.entries for s in row)
+    for j in range(n):
+        column = [X.entry(i, j) for i in range(n)]
+        for i, s in enumerate(M.apply(column)):
+            assert s.trunc >= T
+            assert s.truncate(T) == const(dim, T, int(i == j))
+
+
 def test_invert_identity():
-    I = SeriesMatrix.identity(2, 1, 3)
+    one, zero = const(1, 3, 1), Series.zero(1, 3)
+    I = SeriesMatrix([[one, zero], [zero, one]])
     assert invert_series_matrix(I) == I
 
 
 def test_invert_neumann():
     x = Series.variable(1, 2, 0)
-    E = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     M = SeriesMatrix([
         [const(1, 2, 1), -x],
         [Series.zero(1, 2), const(1, 2, 1)],
     ])
     inv = invert_series_matrix(M)
     assert inv.entry(0, 1) == x
-    prod = M.matmul(inv)
-    for i in range(2):
-        for j in range(2):
-            want = const(1, 2, 1) if i == j else Series.zero(1, 2)
-            assert prod.entry(i, j).truncate(2) == want
+    assert_inverse(M, inv)
 
 
 def test_invert_scalar_series():
     M = SeriesMatrix([[const(1, 4, 2) + Series.variable(1, 4, 0)]])
     inv = invert_series_matrix(M)
-    prod = M.matmul(inv).entry(0, 0).truncate(4)
-    assert prod == const(1, 4, 1)
+    assert_inverse(M, inv)
     assert inv.entry(0, 0).coeff((0,)) == Fraction(1, 2)
     assert inv.entry(0, 0).coeff((1,)) == Fraction(-1, 4)
+
+
+def _det(m):
+    """Laplace expansion, independent of the elimination under test."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _random_entry(rng, dim, trunc):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(0, 3) for _ in range(dim))
+        terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if rng.random() < 0.6:
+        terms[(0,) * dim] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Series(dim, trunc, terms)
+
+
+def test_invert_random_matrices():
+    rng = random.Random(2024)
+    inverted = singular = 0
+    while inverted < 200:
+        n, dim = rng.randint(1, 3), rng.randint(1, 3)
+        M = SeriesMatrix([[_random_entry(rng, dim, rng.randint(0, 6))
+                           for _ in range(n)] for _ in range(n)])
+        if _det(M.constant_part()) == 0:
+            with pytest.raises(SingularLinearPart):
+                invert_series_matrix(M)
+            singular += 1
+            continue
+        assert_inverse(M, invert_series_matrix(M))
+        inverted += 1
+    assert singular > 0
 
 
 def test_invert_singular():
