@@ -74,7 +74,7 @@ class DiffOperator:
             term = coef * f.diff(alpha)
             out = term if out is None else out + term
         if out is None:
-            return Series.zero(self.dim, max(f.trunc - self.order, 0))
+            return Series.zero(self.dim, max(f.trunc - self.order, -1))
         return out
 
     def star(self, P: Series) -> Series:
@@ -86,7 +86,7 @@ class DiffOperator:
             term = coef * partial_star(alpha, P)
             out = term if out is None else out + term
         if out is None:
-            return Series.zero(self.dim, max(P.trunc - 1, 0))
+            return Series.zero(self.dim, max(P.trunc - 1, -1))
         return out
 
     def sorted_terms(self):

@@ -57,7 +57,6 @@ def _doc_eje1(params) -> str:
     m, k = params["m"], params["k"]
     if m * k < m + 1:
         raise ValueError("need m*k >= m+1 for the divisibility hypothesis")
-    alpha = "(" + ",".join(["%d" % k] * 1) + ")"
     return (
         f"dim 1; unknowns 1; order {k}\n"
         f"P = x1^{m + 1}\n"

@@ -254,7 +254,7 @@ class Series:
         alpha = tuple(alpha)
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
-        trunc = max(self.trunc - sum(alpha), 0)
+        trunc = max(self.trunc - sum(alpha), -1)
         terms: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
             if not exp_le(alpha, e):
@@ -266,10 +266,12 @@ class Series:
     # -- division -----------------------------------------------------------
 
     def divide_exact(self, b: "Series") -> "Series":
-        """Graded exact division a = b*q, certified to a.trunc - o(b).
+        """Exact division a = b*q, certified to a.trunc - o(b).
 
-        Solved degree by degree against the lowest homogeneous part of ``b``;
-        raises DivisibilityViolation with the first failing monomial.
+        One long division, lowest degree first, by the grlex-largest
+        monomial of the lowest homogeneous part of ``b``; raises
+        DivisibilityViolation with the grlex-least monomial left over in the
+        first degree that does not divide.
         """
         self._check_dim(b)
         if b.is_zero:
@@ -278,23 +280,41 @@ class Series:
         low = [e for e in self.terms if sum(e) < omega]
         if low:
             raise DivisibilityViolation(min(low, key=grlex_key))
-        b_low = b.homogeneous(omega)
-        trunc = self.trunc - omega
-        if trunc < 0:
-            return Series.zero(self.dim, 0)
-        q_terms: dict[Exponent, Fraction] = {}
-        q_homog: list[Series] = []
-        for m in range(trunc + 1):
-            rhs = self.homogeneous(omega + m)
-            for i in range(1, m + 1):
-                part = b.homogeneous(omega + i)
-                if part.is_zero or q_homog[m - i].is_zero:
+        top = self.trunc
+        if top < omega:
+            return Series.zero(self.dim, -1)
+        lead = max((e for e in b.terms if sum(e) == omega), key=grlex_key)
+        c_lead = b.terms[lead]
+        rest = [(e, sum(e) - omega, v) for e, v in b.terms.items() if e != lead]
+        # the remainder, bucketed by total degree
+        rem: list[dict[Exponent, Fraction]] = [{} for _ in range(top + 1)]
+        for e, c in self.terms.items():
+            rem[sum(e)][e] = c
+        q: dict[Exponent, Fraction] = {}
+        for d in range(omega, top + 1):
+            bucket = rem[d]
+            stuck = []
+            while bucket:
+                m = max(bucket, key=grlex_key)
+                c = bucket.pop(m)
+                if not exp_le(lead, m):
+                    stuck.append(m)
                     continue
-                rhs = rhs - (part * q_homog[m - i]).homogeneous(omega + m)
-            qm = _divide_homogeneous(rhs, b_low, self.trunc)
-            q_homog.append(qm)
-            q_terms.update(qm.terms)
-        return Series(self.dim, trunc, q_terms)
+                qe = exp_sub(m, lead)
+                qc = q[qe] = c / c_lead
+                for e, shift, v in rest:
+                    if d + shift > top:
+                        continue
+                    t = exp_add(qe, e)
+                    target = rem[d + shift]
+                    nv = target.get(t, 0) - qc * v
+                    if nv:
+                        target[t] = nv
+                    else:
+                        del target[t]
+            if stuck:
+                raise DivisibilityViolation(min(stuck, key=grlex_key))
+        return Series(self.dim, top - omega, q)
 
     # -- norms --------------------------------------------------------------
 
@@ -365,41 +385,6 @@ def _product_trunc(a: Series, b: Series) -> int:
     if not candidates:
         return max(a.trunc, b.trunc)
     return min(candidates)
-
-
-def _divide_homogeneous(h: Series, g: Series, trunc: int) -> Series:
-    """Single-divisor division of homogeneous h by homogeneous g; the
-    remainder must vanish, otherwise its smallest monomial is the witness."""
-    if h.is_zero:
-        return Series(h.dim, trunc, {})
-    lead_g = max(g.terms, key=grlex_key)
-    cg = g.terms[lead_g]
-    rem = dict(h.terms)
-    q: dict[Exponent, Fraction] = {}
-    stuck: dict[Exponent, Fraction] = {}
-    while rem:
-        m = max(rem, key=grlex_key)
-        c = rem.pop(m)
-        if not exp_le(lead_g, m):
-            stuck[m] = c
-            continue
-        qe = exp_sub(m, lead_g)
-        qc = c / cg
-        q[qe] = q.get(qe, Fraction(0)) + qc
-        for e, v in g.terms.items():
-            if e == lead_g:
-                continue
-            t = exp_add(qe, e)
-            nv = rem.get(t, Fraction(0)) - qc * v
-            if nv == 0:
-                rem.pop(t, None)
-            else:
-                rem[t] = nv
-    stuck = {e: c for e, c in stuck.items() if c != 0}
-    if stuck:
-        witness = min(stuck, key=grlex_key)
-        raise DivisibilityViolation(witness)
-    return Series(h.dim, trunc, q)
 
 
 def format_rational(c: Fraction) -> str:

@@ -429,7 +429,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
             scale = comb(l, b) * falling_factorial(b, b)
             for i in range(unknowns):
                 ul = us[l][i]
-                if w and ul.trunc - w < 0 and not ul.is_zero:
+                if w and ul.trunc - w < 0:
                     raise TruncationTooSmall(
                         f"order {n}: needs degree {w} derivative of a series "
                         f"certified only to {ul.trunc}")
@@ -489,17 +489,16 @@ class PExpansion:
     def unknowns(self) -> int:
         return len(self.coeffs[0]) if self.coeffs else 0
 
-    def evaluate(self, degree: int | None = None) -> Vector:
+    def evaluate(self) -> Vector:
         """sum_n y_n P^n; certified to min over terms and the tail bound
         (order+1) * o(P) - 1."""
-        degree = self.degree if degree is None else degree
         omega = self.P.order()
         out = None
         for n, yn in enumerate(self.coeffs):
             Pn = self.P.pow(n)
             term = [yi * Pn for yi in yn]
             out = term if out is None else [a + b for a, b in zip(out, term)]
-        cert = min(degree, (len(self.coeffs)) * omega - 1,
+        cert = min(self.degree, len(self.coeffs) * omega - 1,
                    *(s.trunc for s in out))
         return [s.truncate(cert) for s in out]
 
@@ -565,10 +564,10 @@ class Run:
             raise InputError("no-top-operator",
                              "the top operator L_k must not vanish identically")
         tail = solve_lifted(self.lifted, self.order, self.working)
-        coeffs = [
+        coeffs = ([
             [s.truncate(min(s.trunc, self.working)) for s in vec]
             for vec in self.reduced.head
-        ] + tail[self.problem.order:self.order + 1]
+        ] + tail[self.problem.order:])[:self.order + 1]
         return PExpansion(self.spec.P, coeffs, self.degree, self.order)
 
     @cached_property
@@ -610,8 +609,8 @@ def solve_p_expansion(problem: ProblemSpec, order: int, degree: int) -> PExpansi
     return Run(problem, degree, order).pexp
 
 
-def evaluate(pexp: PExpansion, degree: int | None = None) -> Vector:
-    return pexp.evaluate(degree)
+def evaluate(pexp: PExpansion) -> Vector:
+    return pexp.evaluate()
 
 
 # ---------------------------------------------------------------------------

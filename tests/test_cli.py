@@ -1,6 +1,7 @@
 """End-to-end tests of the gevrey-lab command line."""
 
 import csv
+import json
 
 import pytest
 
@@ -148,6 +149,20 @@ def test_solve_low_degree_keeps_P(tmp_path, capsys, P, flags, certified):
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK
     assert out[0] == f"residual vanishes through certified degree {certified}"
+
+
+def test_solve_order_below_k(tmp_path, capsys):
+    # k = 2, yet --order 0 asks for y_0 alone
+    path = write(tmp_path, "p.gl", DOC)
+    out_dir = tmp_path / "out"
+    assert main(["solve", path, "--order", "0", "--degree", "6",
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "residual vanishes through certified degree 1"
+    solution = json.loads((out_dir / "solution.json").read_text())
+    assert solution["order"] == 0 and len(solution["coeffs"]) == 1
+    with (out_dir / "norms.csv").open(newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["n", "0"]
 
 
 def test_estimate_from_file(tmp_path, capsys):

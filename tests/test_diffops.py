@@ -53,6 +53,12 @@ def test_apply_constant_gives_zero():
     assert L.apply(const(2, 8, 9)).is_zero
 
 
+def test_zero_operator_certifies_nothing_below_its_order():
+    L = DiffOperator(1, 2, {})
+    assert L.apply(Series.variable(1, 1, 0)) == Series.zero(1, -1)
+    assert DiffOperator(1, 1, {}).star(Series.zero(1, 0)) == Series.zero(1, -1)
+
+
 def test_star_example_operator():
     L = example_L2()
     P = Series.monomial(2, 8, (1, 1))

@@ -56,8 +56,11 @@ def test_diff_examples():
 
 
 def test_diff_trunc_floor():
+    # -1 certifies nothing; 0 would claim the constant term is known
     f = Series.monomial(1, 2, (2,))
-    assert f.diff((3,)).trunc == 0
+    assert f.diff((3,)).trunc == -1
+    g = S(1, 0, {(0,): 1, (1,): 5})
+    assert g.diff((1,)) == Series.zero(1, -1)
 
 
 def test_invert_unit_constant():
@@ -97,11 +100,30 @@ def test_divide_exact_star_quotient():
 
 
 def test_divide_exact_violation():
-    a = Series.variable(2, 4, 0)
-    b = Series.variable(2, 4, 1)
-    with pytest.raises(DivisibilityViolation) as err:
-        a.divide_exact(b)
-    assert err.value.monomial == (1, 0)
+    cases = [
+        (2, {(0, 1): 1}, {(1, 0): 1}, (1, 0)),
+        # non-monomial divisors; each witness is the grlex-least monomial
+        # left over in the first degree that does not divide
+        (2, {(1, 0): 1, (0, 1): 1, (2, 0): 1},
+         {(2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 2): 1}, (3, 0)),
+        (2, {(1, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 2): -1, (3, 0): 1},
+         (3, 0)),
+        (3, {(1, 1, 0): 1, (0, 0, 2): 1},
+         {(2, 2, 0): 1, (1, 1, 2): 1, (1, 0, 1): 3}, (1, 0, 1)),
+        (2, {(1, 0): 1, (0, 1): -1, (0, 2): 1}, {(3, 0): 1, (0, 3): -1},
+         (4, 0)),
+    ]
+    for dim, b, a, witness in cases:
+        with pytest.raises(DivisibilityViolation) as err:
+            S(dim, 6, a).divide_exact(S(dim, 6, b))
+        assert err.value.monomial == witness
+        assert str(err.value) == f"not divisible at monomial {witness}"
+
+
+def test_divide_exact_below_order():
+    # a.trunc < o(b): nothing of the quotient is certified
+    a = Series.zero(2, 1)
+    assert a.divide_exact(Series.monomial(2, 4, (1, 1))) == Series.zero(2, -1)
 
 
 def test_divide_exact_unit_quotient():

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from gevreylab.diffops import DiffOperator
+from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
-                              SingularLinearPart)
+                              SingularLinearPart, TruncationTooSmall)
+from gevreylab.registry import build_document
 from gevreylab.series import Series, SeriesMatrix
-from gevreylab.solver import (LiftedEquation, ProblemSpec, build_lifted,
+from gevreylab.solver import (LiftedEquation, ProblemSpec, Run, build_lifted,
                               check_poincare, evaluate, invert_series_matrix,
                               reduce_problem, solve_direct, solve_implicit,
                               solve_lifted, solve_p_expansion)
@@ -162,6 +164,15 @@ def test_solve_lifted_zero():
     assert all(s.is_zero for vec in us for s in vec)
 
 
+def test_solve_lifted_guard_on_zero_series():
+    # u_1 is zero but certified only to degree 0, so the linear term
+    # t d_x1 u cannot produce u_2 or u_3
+    eq = LiftedEquation(1, 1, 1, scalar_matrix(1, 6, 1), [Series.zero(1, 0)],
+                        {(1, 0, (1,)): const(1, 6, 1)}, {})
+    with pytest.raises(TruncationTooSmall):
+        solve_lifted(eq, 3, 6)
+
+
 def test_solve_lifted_start_value():
     # u_k = C_k^{-1} forcing
     prob = univariate_order2()
@@ -249,6 +260,35 @@ def test_evaluate_certified_degree_cap():
     summed = evaluate(pexp)
     # beyond order N the tail starts at x-order (N+1) o(P) = 10
     assert summed[0].trunc <= 9
+
+
+def _agree_where_certified(low, high):
+    """Compare series vectors through the degree certified in ``low``;
+    returns the number of coefficients compared."""
+    compared = 0
+    for a, b in zip(low, high, strict=True):
+        assert b.trunc >= a.trunc
+        assert a.equal_upto(b, a.trunc)
+        compared += sum(1 for e in b.terms if sum(e) <= a.trunc)
+    return compared
+
+
+def test_certified_coefficients_survive_a_higher_degree():
+    # every coefficient certified at degree D and order N is the one found
+    # at D + 3 and N + 3
+    rng = random.Random(31)
+    problems = [(random_admissible_problem(rng, trunc=10), 6, 5)
+                for _ in range(20)]
+    text, _ = build_document("eje3", {"degree": 10, "order": 5})
+    problems.append((parse_problem(text).spec, 10, 5))
+    compared = 0
+    for prob, D, order in problems:
+        low, high = Run(prob, D, order), Run(prob, D + 3, order + 3)
+        for a, b in zip(low.pexp.coeffs, high.pexp.coeffs):
+            compared += _agree_where_certified(a, b)
+        compared += _agree_where_certified(low.summed, high.summed)
+        compared += _agree_where_certified(low.direct, high.direct)
+    assert compared > 300
 
 
 # -- check_poincare ----------------------------------------------------------
