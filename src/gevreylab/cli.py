@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .diffops import check_divisibility
-from .dsl import _format_series, parse_problem
+from .dsl import parse_problem
 from .errors import (GevreyLabError, InconclusiveBound, InputError, ParseError,
                      RegressionMismatch, SemanticError)
 from .gevrey import estimate_order
@@ -75,7 +75,7 @@ def cmd_check(args) -> int:
                   f"(witness monomial {verdict.witnesses[j]})")
         else:
             q = verdict.quotients[j]
-            print(f"  L_{j}*(P) = P * ({_format_series(q)})")
+            print(f"  L_{j}*(P) = P * ({q})")
     divergent = bool(verdict) and lk_ok
     if divergent:
         print(f"divergent route applies: unique formal solution, "

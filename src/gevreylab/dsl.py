@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partialmethod
 
 from .diffops import DiffOperator
 from .errors import ParseError, SemanticError
-from .series import Series, SeriesMatrix, format_rational, grlex_key
+from .series import (Series, SeriesMatrix, format_monomial, format_rational,
+                     format_terms, grlex_key)
 from .solver import ProblemSpec, Run
 
 _TOKEN = re.compile(r"""
@@ -138,29 +140,19 @@ class _Parser:
     def _int(self) -> int:
         return int(self.expect("num").text)
 
-    def stmt_dim(self):
+    def _stmt_size(self, field: str, code: str):
+        """``dim N``, ``unknowns N`` or ``order N``, with N >= 1."""
         self.next()
-        self.dim = self._int()
-        if self.dim < 1:
-            raise SemanticError(self.tokens[self.pos - 1].line, "bad-dim",
-                                "dim must be >= 1")
+        value = self._int()
+        if value < 1:
+            raise SemanticError(self.tokens[self.pos - 1].line, code,
+                                f"{field} must be >= 1")
+        setattr(self, field, value)
         self.end_statement()
 
-    def stmt_unknowns(self):
-        self.next()
-        self.unknowns = self._int()
-        if self.unknowns < 1:
-            raise SemanticError(self.tokens[self.pos - 1].line, "bad-dim",
-                                "unknowns must be >= 1")
-        self.end_statement()
-
-    def stmt_order(self):
-        self.next()
-        self.order = self._int()
-        if self.order < 1:
-            raise SemanticError(self.tokens[self.pos - 1].line, "bad-order",
-                                "order must be >= 1")
-        self.end_statement()
+    stmt_dim = partialmethod(_stmt_size, "dim", "bad-dim")
+    stmt_unknowns = partialmethod(_stmt_size, "unknowns", "bad-dim")
+    stmt_order = partialmethod(_stmt_size, "order", "bad-order")
 
     def stmt_P(self):
         tok = self.next()
@@ -376,11 +368,11 @@ class ProblemDocument:
         spec = self.spec
         d, N = spec.dim, spec.unknowns
         lines = [f"dim {d}; unknowns {N}; order {spec.order}"]
-        lines.append(f"P = {_format_series(spec.P)}")
+        lines.append(f"P = {spec.P}")
         for pos, L in enumerate(spec.operators):
             if L is None or L.is_zero:
                 continue
-            parts = [f"({','.join(map(str, a))}) -> {_format_series(c)}"
+            parts = [f"({','.join(map(str, a))}) -> {c}"
                      for a, c in L.sorted_terms()]
             lines.append(f"L {pos + 1} : " + "; ".join(parts))
         for i in range(N):
@@ -392,20 +384,6 @@ class ProblemDocument:
                     if name in ("rho", "window") else str(value)
                 lines.append(f"option {name} = {text}")
         return "\n".join(lines) + "\n"
-
-
-def _format_series(s: Series) -> str:
-    if s.is_zero:
-        return "0"
-    parts = []
-    for e, c in s.sorted_terms():
-        mono = "*".join(
-            f"x{i + 1}" + (f"^{p}" if p > 1 else "")
-            for i, p in enumerate(e) if p
-        )
-        coef = format_rational(c)
-        parts.append(f"{coef}*{mono}" if mono else coef)
-    return " + ".join(parts)
 
 
 def _format_F(spec: ProblemSpec, i: int) -> str:
@@ -422,24 +400,14 @@ def _format_F(spec: ProblemSpec, i: int) -> str:
         ye = tuple(int(q == col) for q in range(N))
         for e, c in spec.A.entry(i, col).terms.items():
             add(e, ye, c)
-    for gamma, vec in sorted(spec.H.items()):
+    for gamma, vec in spec.H.items():
         for e, c in vec[i].terms.items():
             add(e, tuple(gamma), c)
-    terms = {k: v for k, v in terms.items() if v != 0}
-    if not terms:
-        return "0"
-    parts = []
-    for (xe, ye), c in sorted(
-            terms.items(),
-            key=lambda kv: (grlex_key(kv[0][1]), grlex_key(kv[0][0]))):
-        factors = [f"x{q + 1}" + (f"^{p}" if p > 1 else "")
-                   for q, p in enumerate(xe) if p]
-        factors += [f"y{q + 1}" + (f"^{p}" if p > 1 else "")
-                    for q, p in enumerate(ye) if p]
-        mono = "*".join(factors)
-        coef = format_rational(c)
-        parts.append(f"{coef}*{mono}" if mono else coef)
-    return " + ".join(parts)
+    ordered = sorted(((xy, c) for xy, c in terms.items() if c != 0),
+                     key=lambda kv: (grlex_key(kv[0][1]), grlex_key(kv[0][0])))
+    return format_terms(
+        ("*".join(filter(None, (format_monomial(xe), format_monomial(ye, "y")))),
+         c) for (xe, ye), c in ordered)
 
 
 def parse_problem(text: str) -> ProblemDocument:

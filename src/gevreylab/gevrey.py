@@ -1,9 +1,9 @@
 """Gevrey-order prediction and measurement.
 
 The theoretical side reads the order straight off the term structure of a
-lifted equation: each right-hand term t^(j+b) d_t^b d_alpha carries the
-weight max(0, (b + |alpha| - p) / j) and the equation's order is the
-largest weight present.
+lifted equation: against the left side B u, of (t d_t)-order 0, each
+right-hand term t^(j+b) d_t^b d_alpha carries the weight (b + |alpha|) / j,
+and the equation's order is the largest weight present.
 
 The empirical side fits the growth model ||y_n|| ~ C A^n (n!)^s to exact
 coefficient norms, and checks coefficient bounds of monomial-Gevrey type
@@ -21,38 +21,11 @@ from .series import Exponent, Series, exp_degree, format_rational
 from .solver import LiftedEquation
 
 
-class TermSignature:
-    """A right-hand term t^(j+b) d_t^b d_alpha against a left side of
-    (t d_t)-order p."""
-
-    __slots__ = ("j", "b", "alpha", "p")
-
-    def __init__(self, j: int, b: int, alpha: Exponent, p: int):
-        if j < 1:
-            raise ValueError("t-power j must be >= 1")
-        if b < 0 or p < 0 or any(a < 0 for a in alpha):
-            raise ValueError("negative derivative powers")
-        self.j = j
-        self.b = b
-        self.alpha = tuple(alpha)
-        self.p = p
-
-    def __repr__(self):
-        return f"TermSignature(j={self.j}, b={self.b}, alpha={self.alpha}, p={self.p})"
-
-
-def term_order(sig: TermSignature) -> Fraction:
-    """max(0, (b + |alpha| - p) / j)."""
-    value = Fraction(sig.b + exp_degree(sig.alpha) - sig.p, sig.j)
-    return max(Fraction(0), value)
-
-
 def theoretical_order(eq: LiftedEquation) -> Fraction:
-    """Largest term weight over the linear terms with a coefficient that is
-    nonzero within its certified degree.  The left side B u of a lifted
-    equation has (t d_t)-order p = 0."""
+    """Largest weight (b + |alpha|) / j over the linear terms with a
+    coefficient that is nonzero within its certified degree."""
     orders = [
-        term_order(TermSignature(j, b, alpha, 0))
+        Fraction(b + exp_degree(alpha), j)
         for (j, b, alpha), g in eq.linear.items()
         if not g.is_zero
     ]

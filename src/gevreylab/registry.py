@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError, RegressionMismatch
 from .gevrey import monomial_gevrey_fit
-from .series import iter_exponents
+from .series import format_monomial, iter_exponents
 
 
 def eje3_table(upto: int) -> list[Fraction]:
@@ -40,6 +40,17 @@ def eje1_table(m: int, k: int, upto_j: int) -> list[Fraction]:
                         math.factorial((j - 1) * m * k))
         a.append(a[-1] * step)
     return a
+
+
+def _compare_coefficients(name, y, expected, label="coefficient at {}"):
+    """Raise RegressionMismatch at the first exponent e where y and the
+    ``expected`` map (absent means 0) differ, named by ``label.format(e)``."""
+    for e in sorted(set(y.terms) | set(expected)):
+        got = y.coeff(e)
+        want = expected.get(e, Fraction(0))
+        if got != want:
+            raise RegressionMismatch(
+                name, f"{label.format(e)}: got {got}, expected {want}")
 
 
 class ExampleEntry:
@@ -76,12 +87,7 @@ def _verify_eje1(params, report):
         e = j * m * k + k
         if e <= y.trunc:
             expected[(e,)] = c
-    for e in sorted(set(y.terms) | set(expected)):
-        got = y.coeff(e)
-        want = expected.get(e, Fraction(0))
-        if got != want:
-            raise RegressionMismatch(
-                "eje1", f"coefficient of x1^{e[0]}: got {got}, expected {want}")
+    _compare_coefficients("eje1", y, expected, "coefficient of x1^{0[0]}")
     if report["theoretical"] != k:
         raise RegressionMismatch(
             "eje1", f"theoretical order {report['theoretical']} != {k}")
@@ -149,12 +155,7 @@ def _verify_ejeLast(params, report):
         while n + 1 + n <= y.trunc:
             expected[(n + 1, n)] = Fraction(math.factorial(n))
             n += 1
-        for e in sorted(set(y.terms) | set(expected)):
-            got = y.coeff(e)
-            want = expected.get(e, Fraction(0))
-            if got != want:
-                raise RegressionMismatch(
-                    "ejeLast", f"coefficient at {e}: got {got}, expected {want}")
+        _compare_coefficients("ejeLast", y, expected)
         est = report["estimate"]
         if est is not None and abs(est.fitted_order - 1) > 0.15:
             raise RegressionMismatch(
@@ -165,15 +166,11 @@ def _doc_eje4(params) -> str:
     alpha = params["alpha"]
     k = params["k"]
     d = len(alpha)
-    mono = "*".join(
-        f"x{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(alpha) if a)
-    lines = [f"dim {d}; unknowns 1; order {k}", f"P = {mono}"]
+    lines = [f"dim {d}; unknowns 1; order {k}",
+             f"P = {format_monomial(alpha)}"]
     for j in range(1, k + 1):
-        terms = []
-        for beta in iter_exponents(d, j):
-            bm = "*".join(f"x{i + 1}" + (f"^{b}" if b > 1 else "")
-                          for i, b in enumerate(beta) if b)
-            terms.append(f"({','.join(map(str, beta))}) -> {bm}")
+        terms = [f"({','.join(map(str, beta))}) -> {format_monomial(beta)}"
+                 for beta in iter_exponents(d, j)]
         lines.append(f"L {j} : " + "; ".join(terms))
     xsum = " + ".join(f"x{i + 1}" for i in range(d))
     lines.append(f"F 1 = -1*y1 + {xsum}")
@@ -202,12 +199,7 @@ def _verify_eje4(params, report):
             expected[(n, n + 1)] = val
             val = val * (-(2 * n + 1))
             n += 1
-        for e in sorted(set(y.terms) | set(expected)):
-            got = y.coeff(e)
-            want = expected.get(e, Fraction(0))
-            if got != want:
-                raise RegressionMismatch(
-                    "eje4", f"coefficient at {e}: got {got}, expected {want}")
+        _compare_coefficients("eje4", y, expected)
 
 
 ENTRIES = {

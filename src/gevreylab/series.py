@@ -98,7 +98,7 @@ def falling_factorial(n: int, j: int) -> int:
 class Series:
     """Immutable truncated power series; all coefficients exact rationals."""
 
-    __slots__ = ("dim", "trunc", "terms", "_hash")
+    __slots__ = ("dim", "trunc", "terms")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping[Exponent, Rational] = ()):
         if dim < 1:
@@ -118,7 +118,6 @@ class Series:
             if coef != 0:
                 clean[exp] = coef
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         if name in ("dim", "trunc") and hasattr(self, "terms"):
@@ -350,27 +349,16 @@ class Series:
         return (self.dim == other.dim and self.trunc == other.trunc
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.dim, self.trunc, frozenset(self.terms.items()))))
-        return self._hash
+    def __str__(self):
+        """The text form the problem documents use, e.g. 2*x1^2*x2 + -1/3."""
+        return format_terms((format_monomial(e), c)
+                            for e, c in self.sorted_terms())
 
     def __repr__(self):
-        if self.is_zero:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.sorted_terms()[:8]:
-                mono = "*".join(
-                    f"x{i + 1}^{p}" if p > 1 else f"x{i + 1}"
-                    for i, p in enumerate(e) if p
-                )
-                parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-            body = " + ".join(parts)
-            if len(self.terms) > 8:
-                body += " + ..."
+        body = format_terms((format_monomial(e), c)
+                            for e, c in self.sorted_terms()[:8])
+        if len(self.terms) > 8:
+            body += " + ..."
         return f"Series({body}; trunc={self.trunc})"
 
 
@@ -393,6 +381,19 @@ def format_rational(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+def format_monomial(e: Sequence[int], var: str = "x") -> str:
+    """x1^2*x3 for the exponent (2, 0, 1); the empty string for 0."""
+    return "*".join(f"{var}{i + 1}" + (f"^{p}" if p > 1 else "")
+                    for i, p in enumerate(e) if p)
+
+
+def format_terms(pairs: Iterable[tuple[str, Rational]]) -> str:
+    """c1*m1 + c2*m2 + ... for (monomial text, coefficient) pairs, "0" for
+    none; a constant term shows its coefficient alone."""
+    return " + ".join(format_rational(c) + (f"*{m}" if m else "")
+                      for m, c in pairs) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from itertools import product
 from typing import Sequence
 
 from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_first
@@ -224,26 +224,23 @@ def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vecto
 
 
 def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
-                    trunc: int) -> tuple[Vector, SeriesMatrix, PolyMap]:
-    """Re-expand H(x, y0 + w) in w: constant part, linear part, tail."""
-    const = [Series.zero(dim, trunc) for _ in range(unknowns)]
+                    trunc: int) -> tuple[SeriesMatrix, PolyMap]:
+    """Re-expand H(x, y0 + w) - H(x, y0) in w: linear part, tail."""
     lin = [[Series.zero(dim, trunc) for _ in range(unknowns)]
            for _ in range(unknowns)]
     tail: PolyMap = {}
     for gamma, vec in H.items():
-        deltas = _sub_multi_indices(gamma)
-        for delta in deltas:
+        for delta in product(*(range(g + 1) for g in gamma)):
+            wdeg = sum(delta)
+            if wdeg == 0:
+                continue
             factor = Series.constant(dim, trunc, exp_binomial(gamma, delta))
             for i, (g, d) in enumerate(zip(gamma, delta)):
                 if g - d:
                     factor = factor * y0[i].pow(g - d)
             if factor.is_zero:
                 continue
-            wdeg = sum(delta)
-            if wdeg == 0:
-                for i in range(unknowns):
-                    const[i] = const[i] + vec[i] * factor
-            elif wdeg == 1:
+            if wdeg == 1:
                 col = delta.index(1)
                 for i in range(unknowns):
                     lin[i][col] = lin[i][col] + vec[i] * factor
@@ -252,18 +249,9 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     delta, [Series.zero(dim, trunc) for _ in range(unknowns)])
                 for i in range(unknowns):
                     cur[i] = cur[i] + vec[i] * factor
-                tail[delta] = cur
     tail = {g: v for g, v in tail.items()
             if any(not s.is_zero for s in v)}
-    return const, SeriesMatrix(lin), tail
-
-
-def _sub_multi_indices(gamma: tuple[int, ...]):
-    """All delta with 0 <= delta <= gamma componentwise."""
-    if len(gamma) == 1:
-        return [(i,) for i in range(gamma[0] + 1)]
-    rest = _sub_multi_indices(gamma[1:])
-    return [(i,) + r for i in range(gamma[0] + 1) for r in rest]
+    return SeriesMatrix(lin), tail
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +283,10 @@ def reduce_problem(problem: ProblemSpec, degree: int) -> ReducedProblem:
         raise DivisibilityViolation(
             monomial, f"P does not divide L_{j}*(P); witness {monomial}")
     y0 = solve_implicit(problem.f, problem.A, problem.H, degree)
-    g = _neg_weighted_lhs(problem, y0)
-    const, A0, H_cur = _shift_poly_map(problem.H, y0, dim, unknowns, degree)
-    # H(x, y0 + w) - H(x, y0) = A0 w + H_cur(x, w); the constant part re-sums
-    # to H(x, y0) and cancels against the implicit equation.
+    g = [-s for s in problem.lhs(y0)]
+    # H(x, y0 + w) - H(x, y0) = A0 w + H_cur(x, w); H(x, y0) cancels
+    # against the implicit equation.
+    A0, H_cur = _shift_poly_map(problem.H, y0, dim, unknowns, degree)
     B_cur = problem.A + A0
     head = [y0]
     for m in range(1, k):
@@ -309,16 +297,11 @@ def reduce_problem(problem: ProblemSpec, degree: int) -> ReducedProblem:
         ym = solve_implicit(f_m, B_cur, H_m, degree)
         head.append(ym)
         ymPm = [yi * Pm for yi in ym]
-        g = _neg_weighted_lhs(problem, ymPm)
-        _, A_m, H_cur = _shift_poly_map(H_cur, ymPm, dim, unknowns, degree)
+        g = [-s for s in problem.lhs(ymPm)]
+        A_m, H_cur = _shift_poly_map(H_cur, ymPm, dim, unknowns, degree)
         B_cur = B_cur + A_m
     h = [gi.divide_exact(P.pow(k)) for gi in g]
     return ReducedProblem(problem, head, B_cur, H_cur, h, verdict.quotients)
-
-
-def _neg_weighted_lhs(problem: ProblemSpec, y: Vector) -> Vector:
-    """-sum_j P^j L_j(y)."""
-    return [-s for s in problem.lhs(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +406,10 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
             rhs = [r + f for r, f in zip(rhs, eq.forcing)]
         for (j, b, alpha), g in eq.linear.items():
             l = n - j
-            if l < k or l > n - 1 or comb(l, b) == 0:
+            if l < k or b > l:
                 continue
             w = exp_degree(alpha)
-            scale = comb(l, b) * falling_factorial(b, b)
+            scale = falling_factorial(l, b)
             for i in range(unknowns):
                 ul = us[l][i]
                 if w and ul.trunc - w < 0:
@@ -564,10 +547,7 @@ class Run:
             raise InputError("no-top-operator",
                              "the top operator L_k must not vanish identically")
         tail = solve_lifted(self.lifted, self.order, self.working)
-        coeffs = ([
-            [s.truncate(min(s.trunc, self.working)) for s in vec]
-            for vec in self.reduced.head
-        ] + tail[self.problem.order:])[:self.order + 1]
+        coeffs = (self.reduced.head + tail[self.problem.order:])[:self.order + 1]
         return PExpansion(self.spec.P, coeffs, self.degree, self.order)
 
     @cached_property
@@ -646,10 +626,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     for n in range(1, degree + 1):
         hy = eval_poly_map(prob.H, y, dim, unknowns)
         resid = [la - fi - hi for la, fi, hi in zip(lin_acc, prob.f, hy)]
-        rhs_vec = []
-        for s in resid:
-            comp = s.homogeneous(n)
-            rhs_vec.append(comp)
+        rhs_vec = [s.homogeneous(n) for s in resid]
         if raises_degree:
             monos = {m for s in rhs_vec for m in s.terms}
             delta = [dict() for _ in range(unknowns)]
@@ -661,39 +638,33 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                     if c:
                         delta[i][m] = c
             delta = [Series(dim, working, t) for t in delta]
-            y = [a + b for a, b in zip(y, delta)]
-            upd = [a - b for a, b in
-                   zip(prob.lhs(delta), prob.A.apply(delta))]
-            lin_acc = [a + b for a, b in zip(lin_acc, upd)]
-            continue
-        monos = list(iter_exponents(dim, n))
-        size = unknowns * len(monos)
-        index = {(i, m): i * len(monos) + c
-                 for i in range(unknowns) for c, m in enumerate(monos)}
-        matrix = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(unknowns):
-            for c, m in enumerate(monos):
-                basis = [Series.zero(dim, working)] * unknowns
-                basis[i] = Series.monomial(dim, working, m)
-                col_vec = [a - b for a, b in
-                           zip(prob.lhs(basis), prob.A.apply(basis))]
-                col = index[(i, m)]
-                for i2 in range(unknowns):
-                    for e, cval in col_vec[i2].homogeneous(n).terms.items():
-                        matrix[index[(i2, e)]][col] += cval
-        rhs_flat = [Fraction(0)] * size
-        for i in range(unknowns):
-            for e, cval in rhs_vec[i].terms.items():
-                rhs_flat[index[(i, e)]] = -cval
-        try:
-            sol = _solve_linear(matrix, rhs_flat)
-        except SingularMatrix as exc:
-            raise SingularLinearPart(
-                f"degree-{n} linear system is singular") from exc
-        delta = []
-        for i in range(unknowns):
-            terms = {m: sol[index[(i, m)]] for m in monos}
-            delta.append(Series(dim, working, terms))
+        else:
+            monos = list(iter_exponents(dim, n))
+            size = unknowns * len(monos)
+            index = {(i, m): i * len(monos) + c
+                     for i in range(unknowns) for c, m in enumerate(monos)}
+            matrix = [[Fraction(0)] * size for _ in range(size)]
+            for i in range(unknowns):
+                for c, m in enumerate(monos):
+                    basis = [Series.zero(dim, working)] * unknowns
+                    basis[i] = Series.monomial(dim, working, m)
+                    col_vec = [a - b for a, b in
+                               zip(prob.lhs(basis), prob.A.apply(basis))]
+                    col = index[(i, m)]
+                    for i2 in range(unknowns):
+                        for e, cval in col_vec[i2].homogeneous(n).terms.items():
+                            matrix[index[(i2, e)]][col] += cval
+            rhs_flat = [Fraction(0)] * size
+            for i in range(unknowns):
+                for e, cval in rhs_vec[i].terms.items():
+                    rhs_flat[index[(i, e)]] = -cval
+            try:
+                sol = _solve_linear(matrix, rhs_flat)
+            except SingularMatrix as exc:
+                raise SingularLinearPart(
+                    f"degree-{n} linear system is singular") from exc
+            delta = [Series(dim, working, {m: sol[index[(i, m)]] for m in monos})
+                     for i in range(unknowns)]
         y = [a + b for a, b in zip(y, delta)]
         upd = [a - b for a, b in
                zip(prob.lhs(delta), prob.A.apply(delta))]

@@ -1,40 +1,33 @@
 """Tests for the order prediction and the growth-rate estimators."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from gevreylab.errors import EmptyTermSet, InsufficientData, NonPositiveNorm
-from gevreylab.gevrey import (GevreyEstimate, TermSignature, estimate_order,
-                              monomial_gevrey_fit, term_order,
-                              theoretical_order)
+from gevreylab.gevrey import (GevreyEstimate, estimate_order,
+                              monomial_gevrey_fit, theoretical_order)
 from gevreylab.series import Series
 from gevreylab.solver import LiftedEquation, build_lifted, reduce_problem
 
 from test_solver import univariate_order2, bivariate_order2
 
 
-def test_term_order_examples():
-    assert term_order(TermSignature(1, 1, (0,), 0)) == 1
-    assert term_order(TermSignature(2, 2, (1, 1), 0)) == 2
-    assert term_order(TermSignature(2, 0, (1, 0), 0)) == Fraction(1, 2)
-    assert term_order(TermSignature(3, 0, (0,), 1)) == 0
-    assert term_order(TermSignature(1, 0, (2,), 3)) == 0
+def test_theoretical_order_term_weights():
+    # each term t^(j+b) d_t^b d_alpha weighs (b + |alpha|) / j
+    def order_of(*keys):
+        dim = len(keys[0][2])
+        one = Series.constant(dim, 8, 1)
+        return theoretical_order(LiftedEquation(
+            dim, 1, 1, None, [Series.zero(dim, 8)],
+            {key: one for key in keys}, {}))
 
-
-def test_term_order_monotone():
-    rng = random.Random(5)
-    for _ in range(100):
-        j = rng.randint(1, 4)
-        b = rng.randint(0, 3)
-        alpha = (rng.randint(0, 3),)
-        p = rng.randint(0, 2)
-        base = term_order(TermSignature(j, b, alpha, p))
-        assert term_order(TermSignature(j, b + 1, alpha, p)) >= base
-        assert term_order(TermSignature(j, b, (alpha[0] + 1,), p)) >= base
-        assert term_order(TermSignature(j + 1, b, alpha, p)) <= base or base == 0
+    assert order_of((1, 1, (0,))) == 1
+    assert order_of((2, 0, (1, 0))) == Fraction(1, 2)
+    assert order_of((2, 2, (1, 1))) == 2
+    assert order_of((2, 0, (1, 0)), (2, 2, (1, 1))) == 2
+    assert order_of((2, 2, (1, 1)), (2, 0, (1, 0))) == 2
 
 
 def test_theoretical_order_examples():
