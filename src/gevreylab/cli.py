@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 check failure, 3 unusable input (a parse or
 semantic error in the problem document, a document without the top
 operator L_k for solve or estimate, an unreadable or malformed input
 file, an --out-dir that cannot be created, an unknown example, a bad
---param, --degree, --order or --rho value), 4
+--param, --degree, --order, --rho or --poincare-bound value), 4
 solver error.  Exits 3 and 4 print a one-line ``error[...]`` diagnostic
 on stderr.
 """
@@ -60,10 +60,15 @@ def _load_run(args) -> Run:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError("bad-option",
                              f"--rho {args.rho!r} is not a rational p/q") from exc
+        if doc.options["rho"] <= 0:
+            raise InputError("bad-option", f"--rho {args.rho!r} must be positive")
     return doc.run()
 
 
 def cmd_check(args) -> int:
+    if args.poincare_bound is not None and args.poincare_bound < 0:
+        raise InputError("bad-option",
+                         "--poincare-bound must be a non-negative integer")
     spec = _load_run(args).spec
     verdict = check_divisibility(spec.P, spec.operators)
     lk = spec.operators[-1]

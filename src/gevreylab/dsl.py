@@ -216,6 +216,9 @@ class _Parser:
                                     f"option {name} must be a non-negative integer")
             self.options[name] = int(value)
         else:
+            if name == "rho" and value <= 0:
+                raise SemanticError(name_tok.line, "bad-option",
+                                    "option rho must be positive")
             self.options[name] = value
         self.end_statement()
 

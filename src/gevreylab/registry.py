@@ -66,8 +66,9 @@ class ExampleEntry:
 
 def _doc_eje1(params) -> str:
     m, k = params["m"], params["k"]
-    if m * k < m + 1:
-        raise ValueError("need m*k >= m+1 for the divisibility hypothesis")
+    if m < 1 or m * k < m + 1:
+        raise InputError("param", "eje1 needs m >= 1 and m*k >= m+1 "
+                                  "(the divisibility hypothesis)")
     return (
         f"dim 1; unknowns 1; order {k}\n"
         f"P = x1^{m + 1}\n"
@@ -165,6 +166,9 @@ def _verify_ejeLast(params, report):
 def _doc_eje4(params) -> str:
     alpha = params["alpha"]
     k = params["k"]
+    if not alpha or min(alpha) < 0 or sum(alpha) < 1:
+        raise InputError("param", "eje4 needs a non-empty alpha with entries "
+                                  ">= 0 and |alpha| >= 1")
     d = len(alpha)
     lines = [f"dim {d}; unknowns 1; order {k}",
              f"P = {format_monomial(alpha)}"]
@@ -240,6 +244,10 @@ def build_document(name: str, overrides: dict | None = None) -> tuple[str, dict]
         if unknown:
             raise InputError(
                 "param", f"unknown parameters for {name}: {sorted(unknown)}")
+        for key, value in overrides.items():
+            if isinstance(value, int) != isinstance(params[key], int):
+                raise InputError("param", f"{name}: {key} takes a value like "
+                                          f"{params[key]!r}")
         params.update(overrides)
     if "alpha" in params:
         params["alpha"] = tuple(params["alpha"])

@@ -265,7 +265,8 @@ class Series:
     # -- division -----------------------------------------------------------
 
     def divide_exact(self, b: "Series") -> "Series":
-        """Exact division a = b*q, certified to a.trunc - o(b).
+        """Exact division a = b*q, certified to a.trunc - o(b) and, since
+        q' - q = q (b - b') / b', to b.trunc - o(b) + o(q).
 
         One long division, lowest degree first, by the grlex-largest
         monomial of the lowest homogeneous part of ``b``; raises
@@ -313,7 +314,10 @@ class Series:
                         del target[t]
             if stuck:
                 raise DivisibilityViolation(min(stuck, key=grlex_key))
-        return Series(self.dim, top - omega, q)
+        trunc = top - omega
+        if q:
+            trunc = min(trunc, b.trunc - omega + min(map(sum, q)))
+        return Series(self.dim, trunc, q)
 
     # -- norms --------------------------------------------------------------
 

@@ -243,13 +243,28 @@ def test_examples_run_with_param(capsys):
     ["solve", "{tmp}/p.gl", "--out-dir", "{tmp}/bad.csv"],
     ["solve", "{tmp}/no-top.gl", "--out-dir", "{tmp}/out"],
     ["estimate", "{tmp}/no-top.gl"],
+    ["examples", "run", "eje1", "--param", "k=0"],
+    ["examples", "run", "eje1", "--param", "m=0"],
+    ["examples", "run", "eje1", "--param", "k=1"],
+    ["examples", "run", "eje1", "--param", "m=(1,2)"],
+    ["examples", "run", "eje4", "--param", "alpha=()"],
+    ["examples", "run", "eje4", "--param", "alpha=(1,-1)"],
+    ["examples", "run", "eje4", "--param", "alpha=3"],
+    ["estimate", "{tmp}/p.gl", "--rho=-1/2"],
+    ["estimate", "{tmp}/p.gl", "--rho", "0"],
+    ["estimate", "{tmp}/rho.gl"],
+    ["check", "{tmp}/p.gl", "--poincare-bound", "-3"],
 ], ids=["check-missing", "solve-missing", "estimate-missing",
         "norms-missing", "norms-malformed", "unknown-example",
         "unknown-param", "param-not-int", "param-no-value",
         "negative-degree", "bad-rho", "negative-order", "out-dir-is-file",
-        "solve-no-top-operator", "estimate-no-top-operator"])
+        "solve-no-top-operator", "estimate-no-top-operator",
+        "eje1-k0", "eje1-m0", "eje1-k1", "eje1-m-tuple", "eje4-empty-alpha",
+        "eje4-negative-alpha", "eje4-alpha-int", "negative-rho", "zero-rho",
+        "negative-option-rho", "negative-poincare-bound"])
 def test_bad_input_exits_3_with_one_line(tmp_path, capsys, argv):
     write(tmp_path, "p.gl", EULER)
+    write(tmp_path, "rho.gl", EULER + "option rho = -1/2\n")
     write(tmp_path, "no-top.gl", EULER.replace("order 1", "order 2"))
     write(tmp_path, "bad.csv", "n,norm,certified_degree\n1,abc,3\n")
     code = main([a.format(tmp=tmp_path) for a in argv])

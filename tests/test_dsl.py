@@ -193,6 +193,15 @@ def test_error_unknown_option():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+def test_error_nonpositive_rho(value):
+    text = (_head() + "P = x1\nL 1 : (1,) -> 1\nF 1 = y1 + x1\n"
+            f"option rho = {value}\n")
+    with pytest.raises(SemanticError) as err:
+        parse_problem(text)
+    assert err.value.code == "bad-option" and err.value.line == 5
+
+
 def test_error_zero_denominator():
     text = _head() + "P = x1\nL 1 : (1,) -> 1/0\nF 1 = y1 + x1\n"
     with pytest.raises(SemanticError) as err:

@@ -126,6 +126,13 @@ def test_divide_exact_below_order():
     assert a.divide_exact(Series.monomial(2, 4, (1, 1))) == Series.zero(2, -1)
 
 
+def test_divide_exact_below_divisor_trunc():
+    # b = x1 + O(x1^2) could be x1 + x1^2, whose quotient 1 - x1 + ... of
+    # x1 agrees with 1 through degree 0 only
+    q = Series(1, 5, {(1,): 1}).divide_exact(Series(1, 1, {(1,): 1}))
+    assert q == Series(1, 0, {(0,): 1})
+
+
 def test_divide_exact_unit_quotient():
     # germ-style division where the quotient is an infinite unit series
     one = Series.constant(2, 6, 1)

@@ -1,0 +1,137 @@
+"""Certified degrees survive tail perturbation.
+
+``trunc = T`` promises that every coefficient up to total degree T is
+exact, whatever the unknown terms above each input's ``trunc`` are.  So a
+kernel is sound exactly when adding random terms above every input's
+``trunc`` leaves its output unchanged through the output's ``trunc``.
+"""
+
+import random
+from fractions import Fraction
+
+from gevreylab.diffops import DiffOperator
+from gevreylab.errors import DivisibilityViolation, SingularLinearPart
+from gevreylab.series import Series, SeriesMatrix, iter_exponents
+from gevreylab.solver import invert_series_matrix
+
+DRAWS = 250
+
+
+def _terms(rng, dim, lo, hi, count):
+    """``count`` random terms of total degree lo..hi."""
+    out = {}
+    for _ in range(count):
+        e = rng.choice(list(iter_exponents(dim, rng.randint(lo, hi))))
+        out[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return out
+
+
+def _series(rng, dim):
+    trunc = rng.randint(0, 5)
+    return Series(dim, trunc, _terms(rng, dim, 0, trunc, rng.randint(0, 5)))
+
+
+def _nonzero_series(rng, dim):
+    s = _series(rng, dim)
+    return Series.constant(dim, s.trunc, 1) if s.is_zero else s
+
+
+def _perturb(rng, s):
+    """s plus random terms of degree trunc+1..trunc+3, certified to trunc+3."""
+    tail = _terms(rng, s.dim, s.trunc + 1, s.trunc + 3, rng.randint(1, 4))
+    return Series(s.dim, s.trunc + 3, {**s.terms, **tail})
+
+
+def _alpha(rng, dim, order):
+    return rng.choice(list(iter_exponents(dim, order)))
+
+
+# each case draws a list of input series and the kernel on such a list,
+# which returns a list of output series
+def _mul(rng, dim):
+    return [_series(rng, dim), _series(rng, dim)], lambda a, b: [a * b]
+
+
+def _add(rng, dim):
+    return [_series(rng, dim), _series(rng, dim)], lambda a, b: [a + b]
+
+
+def _diff(rng, dim):
+    alpha = _alpha(rng, dim, rng.randint(0, 2))
+    return [_series(rng, dim)], lambda a: [a.diff(alpha)]
+
+
+def _divide_exact(rng, dim):
+    # a dividend that is a multiple of b through its own trunc
+    b, q = _nonzero_series(rng, dim), _series(rng, dim)
+    product = Series(dim, 20, b.terms) * Series(dim, 20, q.terms)
+    a = Series(dim, rng.randint(0, 5), product.terms)
+    return [a, b], lambda a, b: [a.divide_exact(b)]
+
+
+def _unflatten(entries, n):
+    return SeriesMatrix([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _invert_series_matrix(rng, dim):
+    n = rng.randint(1, 2)
+    entries = [_series(rng, dim) for _ in range(n * n)]
+    return entries, lambda *m: [s for row in invert_series_matrix(
+        _unflatten(m, n)).entries for s in row]
+
+
+def _matrix_apply(rng, dim):
+    n = rng.randint(1, 2)
+    inputs = [_series(rng, dim) for _ in range(n * n + n)]
+    return inputs, lambda *s: _unflatten(s[:n * n], n).apply(s[n * n:])
+
+
+def _operator(rng, dim):
+    # DiffOperator drops a zero coefficient as an absent term, whatever
+    # its trunc, so the coefficients drawn here are nonzero
+    order = rng.randint(1, 2)
+    alphas = list(iter_exponents(dim, order))
+    chosen = rng.sample(alphas, rng.randint(1, len(alphas)))
+    return [_nonzero_series(rng, dim) for _ in chosen], lambda *c: DiffOperator(
+        dim, order, dict(zip(chosen, c)))
+
+
+def _operator_apply(rng, dim):
+    coeffs, make = _operator(rng, dim)
+    return coeffs + [_series(rng, dim)], lambda *s: [
+        make(*s[:-1]).apply(s[-1])]
+
+
+def _star(rng, dim):
+    coeffs, make = _operator(rng, dim)
+    return coeffs + [_series(rng, dim)], lambda *s: [make(*s[:-1]).star(s[-1])]
+
+
+KERNELS = {
+    "Series.__mul__": _mul,
+    "Series.__add__": _add,
+    "Series.diff": _diff,
+    "Series.divide_exact": _divide_exact,
+    "invert_series_matrix": _invert_series_matrix,
+    "SeriesMatrix.apply": _matrix_apply,
+    "DiffOperator.apply": _operator_apply,
+    "DiffOperator.star": _star,
+}
+
+
+def test_certified_degrees_survive_tail_perturbation():
+    rng = random.Random(20211)
+    for name, draw in KERNELS.items():
+        checked = 0
+        for _ in range(DRAWS):
+            inputs, kernel = draw(rng, rng.randint(1, 2))
+            try:
+                out = kernel(*inputs)
+                perturbed = kernel(*[_perturb(rng, s) for s in inputs])
+            except (DivisibilityViolation, SingularLinearPart):
+                continue
+            for o, p in zip(out, perturbed):
+                assert o.equal_upto(p, o.trunc), (
+                    f"{name} over-claims: {inputs} -> {o}, perturbed {p}")
+            checked += 1
+        assert checked >= DRAWS // 3, name
