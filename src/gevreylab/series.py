@@ -354,7 +354,7 @@ class Series:
                 and self.terms == other.terms)
 
     def __str__(self):
-        """The text form the problem documents use, e.g. 2*x1^2*x2 + -1/3."""
+        """The text form the problem documents use, e.g. -1/3 + 2*x1^2*x2."""
         return format_terms((format_monomial(e), c)
                             for e, c in self.sorted_terms())
 
