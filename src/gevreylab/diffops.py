@@ -57,13 +57,14 @@ class DiffOperator:
                 raise ValueError(f"|{alpha}| != operator order {order}")
             if coef.dim != dim:
                 raise DimensionMismatch("coefficient dim mismatch")
-            if not coef.is_zero:
-                clean[alpha] = coef
+            clean[alpha] = coef
         self.terms = clean
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        """Every coefficient is zero; a zero coefficient stays a term, since
+        its trunc still bounds what apply and star certify."""
+        return all(c.is_zero for c in self.terms.values())
 
     def apply(self, f: Series) -> Series:
         """sum_alpha a_alpha * d_alpha(f)."""
@@ -91,11 +92,6 @@ class DiffOperator:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return (self.dim, self.order, self.terms) == (other.dim, other.order, other.terms)
 
     def __repr__(self):
         return f"DiffOperator(order={self.order}, terms={len(self.terms)})"

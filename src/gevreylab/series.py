@@ -188,8 +188,7 @@ class Series:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> "Series":
-        other = self._coerce(other)
+    def __add__(self, other: "Series") -> "Series":
         self._check_dim(other)
         trunc = min(self.trunc, other.trunc)
         terms = dict(self.terms)
@@ -197,27 +196,17 @@ class Series:
             terms[e] = terms.get(e, Fraction(0)) + c
         return Series(self.dim, trunc, terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self) -> "Series":
         return Series(self.dim, self.trunc, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "Series":
-        return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+    def __sub__(self, other: "Series") -> "Series":
+        return self.__add__(-other)
 
     def scale(self, c: Rational) -> "Series":
         c = Fraction(c)
-        if c == 0:
-            return Series(self.dim, self.trunc, {})
         return Series(self.dim, self.trunc, {e: c * v for e, v in self.terms.items()})
 
-    def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
         trunc = _product_trunc(self, other)
         terms: dict[Exponent, Fraction] = {}
@@ -230,9 +219,6 @@ class Series:
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
         return Series(self.dim, trunc, terms)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def pow(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative power")
@@ -240,11 +226,6 @@ class Series:
         for _ in range(n):
             out = out * self
         return out
-
-    def _coerce(self, other) -> "Series":
-        if isinstance(other, Series):
-            return other
-        return Series.constant(self.dim, self.trunc, other)
 
     # -- calculus -----------------------------------------------------------
 

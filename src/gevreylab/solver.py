@@ -40,12 +40,12 @@ from .series import (
     _det,
     exp_binomial,
     exp_degree,
-    exp_le,
     exp_sub,
     falling_factorial,
     gauss_jordan,
     invert_rational_matrix,
     iter_exponents,
+    unit_exp,
 )
 
 Vector = list[Series]
@@ -226,13 +226,10 @@ def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vecto
 def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     trunc: int) -> tuple[SeriesMatrix, PolyMap]:
     """Re-expand H(x, y0 + w) - H(x, y0) in w: linear part, tail."""
-    lin = [[Series.zero(dim, trunc) for _ in range(unknowns)]
-           for _ in range(unknowns)]
-    tail: PolyMap = {}
+    shifted: PolyMap = {}
     for gamma, vec in H.items():
         for delta in product(*(range(g + 1) for g in gamma)):
-            wdeg = sum(delta)
-            if wdeg == 0:
+            if not any(delta):
                 continue
             factor = Series.constant(dim, trunc, exp_binomial(gamma, delta))
             for i, (g, d) in enumerate(zip(gamma, delta)):
@@ -240,18 +237,14 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     factor = factor * y0[i].pow(g - d)
             if factor.is_zero:
                 continue
-            if wdeg == 1:
-                col = delta.index(1)
-                for i in range(unknowns):
-                    lin[i][col] = lin[i][col] + vec[i] * factor
-            else:
-                cur = tail.setdefault(
-                    delta, [Series.zero(dim, trunc) for _ in range(unknowns)])
-                for i in range(unknowns):
-                    cur[i] = cur[i] + vec[i] * factor
-    tail = {g: v for g, v in tail.items()
-            if any(not s.is_zero for s in v)}
-    return SeriesMatrix(lin), tail
+            cur = shifted.setdefault(
+                delta, [Series.zero(dim, trunc) for _ in range(unknowns)])
+            for i in range(unknowns):
+                cur[i] = cur[i] + vec[i] * factor
+    zero = [Series.zero(dim, trunc)] * unknowns
+    cols = [shifted.pop(unit_exp(unknowns, j), zero) for j in range(unknowns)]
+    return SeriesMatrix(list(zip(*cols))), {
+        g: v for g, v in shifted.items() if any(not s.is_zero for s in v)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +275,24 @@ def reduce_problem(problem: ProblemSpec, degree: int) -> ReducedProblem:
         j, monomial = sorted(verdict.witnesses.items())[0]
         raise DivisibilityViolation(
             monomial, f"P does not divide L_{j}*(P); witness {monomial}")
-    y0 = solve_implicit(problem.f, problem.A, problem.H, degree)
-    g = [-s for s in problem.lhs(y0)]
-    # H(x, y0 + w) - H(x, y0) = A0 w + H_cur(x, w); H(x, y0) cancels
-    # against the implicit equation.
-    A0, H_cur = _shift_poly_map(problem.H, y0, dim, unknowns, degree)
-    B_cur = problem.A + A0
-    head = [y0]
-    for m in range(1, k):
+    # after y_0 .. y_{m-1}, the tail w solves sum_j P^j L_j(w) = g + B w +
+    # H(x, w) with P^m | g, and y_m solves the implicit equation of that
+    # right side at w = y_m P^m, divided by P^m
+    g, B, H = problem.f, problem.A, problem.H
+    head = []
+    for m in range(k):
         Pm = P.pow(m)
-        f_m = [gi.divide_exact(Pm) for gi in g]
-        H_m = {gamma: [c * Pm.pow(sum(gamma) - 1) for c in vec]
-               for gamma, vec in H_cur.items()}
-        ym = solve_implicit(f_m, B_cur, H_m, degree)
+        ym = solve_implicit(
+            [gi.divide_exact(Pm) for gi in g], B,
+            {gamma: [c * Pm.pow(sum(gamma) - 1) for c in vec]
+             for gamma, vec in H.items()}, degree)
         head.append(ym)
         ymPm = [yi * Pm for yi in ym]
         g = [-s for s in problem.lhs(ymPm)]
-        A_m, H_cur = _shift_poly_map(H_cur, ymPm, dim, unknowns, degree)
-        B_cur = B_cur + A_m
+        Am, H = _shift_poly_map(H, ymPm, dim, unknowns, degree)
+        B = B + Am
     h = [gi.divide_exact(P.pow(k)) for gi in g]
-    return ReducedProblem(problem, head, B_cur, H_cur, h, verdict.quotients)
+    return ReducedProblem(problem, head, B, H, h, verdict.quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +304,14 @@ class LiftedEquation:
     ``linear`` maps (j, b, alpha) -> scalar series coefficient of the right
     side term  g * t^(j+b) d_t^b d_alpha;  j >= 1 always, so the order-n
     recurrence only consults strictly lower orders.  ``nonlinear`` maps
-    (j, gamma) -> vector coefficient of t^j u^gamma, |gamma| >= 2.
+    gamma -> vector coefficient of u^gamma, |gamma| >= 2.
     """
 
     __slots__ = ("dim", "unknowns", "k", "B", "forcing", "linear", "nonlinear")
 
     def __init__(self, dim: int, unknowns: int, k: int, B: SeriesMatrix,
                  forcing: Vector, linear: dict[tuple[int, int, Exponent], Series],
-                 nonlinear: dict[tuple[int, tuple[int, ...]], Vector]):
+                 nonlinear: PolyMap):
         for (j, b, alpha) in linear:
             if j < 1:
                 raise ValueError("linear terms need a strictly positive t-power")
@@ -339,16 +330,11 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     problem = reduced.problem
     P = problem.P
     dim, unknowns, k = problem.dim, problem.unknowns, problem.order
-    zero_alpha = (0,) * dim
     linear: dict[tuple[int, int, Exponent], Series] = {}
 
     def put(key, series):
-        if series.is_zero:
-            return
-        if key in linear:
-            linear[key] = linear[key] + series
-        else:
-            linear[key] = series
+        if not series.is_zero:
+            linear[key] = linear[key] + series if key in linear else series
 
     tables: dict[Exponent, object] = {}
 
@@ -359,29 +345,22 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
 
     for pos, L in enumerate(problem.operators):
         j = pos + 1
-        if L is not None and not L.is_zero:
+        if L is None or L.is_zero:
+            continue
+        for alpha, coef in L.terms.items():
+            put((j, 0, alpha), coef)
+        put((1, j, (0,) * dim), reduced.phis[j])
+        # Leibniz: d_alpha(P^n u) = sum_beta C(alpha, beta) d_beta(P^n)
+        # d_(alpha-beta) u, and d_beta(P^n) = sum_{1<=l<=|beta|}
+        # n!/(n-l)! A_{beta,l} P^(n-l)
+        for l in range(1, j):
             for alpha, coef in L.terms.items():
-                put((j, 0, alpha), coef)
-            phi = reduced.phis.get(j)
-            if phi is not None and not phi.is_zero:
-                put((1, j, zero_alpha), phi)
-            for l in range(1, j):
-                acc = None
-                for alpha, coef in L.terms.items():
-                    term = coef * A_coeff(alpha, l)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    put((j - l, l, zero_alpha), acc)
-                for alpha, coef in L.terms.items():
-                    for mm in range(l, j):
-                        for beta in iter_exponents(dim, mm):
-                            if not exp_le(beta, alpha) or beta == alpha:
-                                continue
-                            c = (coef * A_coeff(beta, l)).scale(
-                                exp_binomial(alpha, beta))
-                            put((j - l, l, exp_sub(alpha, beta)), c)
-    nonlinear = {(0, gamma): [-s for s in vec]
-                 for gamma, vec in reduced.H.items()}
+                for beta in product(*(range(a + 1) for a in alpha)):
+                    if sum(beta) >= l:
+                        put((j - l, l, exp_sub(alpha, beta)),
+                            (coef * A_coeff(beta, l)).scale(
+                                exp_binomial(alpha, beta)))
+    nonlinear = {gamma: [-s for s in vec] for gamma, vec in reduced.H.items()}
     forcing = [-s for s in reduced.h]
     return LiftedEquation(dim, unknowns, k, reduced.B, forcing, linear,
                           nonlinear)
@@ -394,6 +373,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
+    products = {((), 0): Series.constant(dim, degree, 1)}
     Binv = None
     for n in range(k, order + 1):
         if Binv is None:
@@ -418,9 +398,9 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                         f"certified only to {ul.trunc}")
                 term = (g * ul.diff(alpha)).scale(scale)
                 rhs[i] = rhs[i] + term
-        for (j, gamma), vec in eq.nonlinear.items():
-            target = n - j
-            conv = _tail_monomial_coeff(us, gamma, target, k, dim, degree)
+        for gamma, vec in eq.nonlinear.items():
+            factors = tuple(i for i, g in enumerate(gamma) for _ in range(g))
+            conv = _tail_monomial_coeff(us, factors, n, k, products)
             if conv is None or conv.is_zero:
                 continue
             for i in range(unknowns):
@@ -429,28 +409,29 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     return us
 
 
-def _tail_monomial_coeff(us: list[Vector], gamma: Sequence[int], target: int,
-                         k: int, dim: int, degree: int) -> Series | None:
-    """Coefficient of t^target in prod_i (sum_{l>=k} u_{l,i} t^l)^gamma_i."""
-    factors = [i for i, g in enumerate(gamma) for _ in range(g)]
-    if target < k * len(factors):
-        return None
-    states: dict[int, Series] = {0: Series.constant(dim, degree, 1)}
-    for pos, i in enumerate(factors):
-        remaining = len(factors) - pos - 1
-        new: dict[int, Series] = {}
-        for deg, val in states.items():
-            for l in range(k, target - deg - k * remaining + 1):
-                if l >= len(us):
-                    break
-                u = us[l][i]
-                if u.is_zero:
-                    continue
-                nd = deg + l
-                term = val * u
-                new[nd] = new[nd] + term if nd in new else term
-        states = new
-    return states.get(target)
+def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
+                         k: int, products: dict) -> Series | None:
+    """Coefficient of t^m in prod_r (sum_{l>=k} u_{l,factors[r]} t^l), or
+    None when no term reaches t^m: the sum over l of the head's coefficient
+    of t^(m-l) times u_{l,factors[-1]}.  Cached in ``products`` by
+    (factors, m) from the empty product, 1 at ((), 0); a coefficient reads
+    only u_l with l <= m - k, so it is final once formed."""
+    key = (factors, m)
+    if key in products:
+        return products[key]
+    head, i = factors[:-1], factors[-1]
+    out = None
+    # the head's product starts at t^(k |head|); the empty one is t^0 alone
+    for d in range(k * len(head), (m - k if head else 0) + 1):
+        u = us[m - d][i]
+        if u.is_zero:
+            continue
+        prev = _tail_monomial_coeff(us, head, d, k, products)
+        if prev is not None:
+            term = prev * u
+            out = term if out is None else out + term
+    products[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +449,15 @@ class PExpansion:
         self.degree = degree
         self.order = order
 
-    @property
-    def unknowns(self) -> int:
-        return len(self.coeffs[0]) if self.coeffs else 0
-
     def evaluate(self) -> Vector:
         """sum_n y_n P^n; certified to min over terms and the tail bound
         (order+1) * o(P) - 1."""
         omega = self.P.order()
         out = None
+        Pn = self.P.pow(0)
         for n, yn in enumerate(self.coeffs):
-            Pn = self.P.pow(n)
+            if n:
+                Pn = Pn * self.P
             term = [yi * Pn for yi in yn]
             out = term if out is None else [a + b for a, b in zip(out, term)]
         cert = min(self.degree, len(self.coeffs) * omega - 1,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import gevreylab.cli
+import gevreylab.registry
 import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 
@@ -225,6 +226,27 @@ def test_examples_run_with_param(capsys):
                  "--param", "degree=20", "--param", "order=8"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS eje1" in out and "'degree': 20" in out
+
+
+def test_examples_run_reports_a_regression(capsys, monkeypatch):
+    real = gevreylab.registry.eje3_table
+
+    def altered(upto):
+        table = real(upto)
+        table[2] += 1
+        return table
+
+    monkeypatch.setattr(gevreylab.registry, "eje3_table", altered)
+    assert main(["examples", "run", "eje3"]) == EXIT_CHECK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("FAIL eje3: coefficient of (x1 x2)^2: got -1, ")
+
+
+def test_estimate_shows_rational_rho(tmp_path, capsys):
+    path = write(tmp_path, "p.gl", DOC + "option rho = 1/3\n")
+    assert main(["estimate", path, "--degree", "40", "--order", "20"]) == EXIT_OK
+    assert "rho 1/3)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -98,6 +98,24 @@ def test_fuzzed_documents_roundtrip():
         assert parse_problem(canon).serialize() == canon
 
 
+def test_parenthesised_polynomial_roundtrip():
+    text = ("dim 2; unknowns 1; order 1\nP = x1\nL 1 : (1,0) -> x1\n"
+            "F 1 = -1*y1 + (x1 + x2)^2\n")
+    doc = parse_problem(text)
+    assert doc.spec.f[0].terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    canon = doc.serialize()
+    assert "F 1 = " in canon and "(x1" not in canon
+    assert parse_problem(canon).serialize() == canon
+
+
+def test_rational_rho_is_kept():
+    doc = parse_problem(DOC + "option rho = 1/3\n")
+    assert doc.options["rho"] == Fraction(1, 3)
+    canon = doc.serialize()
+    assert "option rho = 1/3\n" in canon
+    assert parse_problem(canon).options == doc.options
+
+
 # -- malformed documents -----------------------------------------------------
 
 def _head(**over):

@@ -144,6 +144,14 @@ def test_divide_exact_unit_quotient():
     assert (b * q).equal_upto(a, q.trunc)
 
 
+def test_equal_upto():
+    a = S(1, 4, {(1,): 1, (2,): 3})
+    b = S(1, 4, {(1,): 1, (2,): 2})
+    assert a.equal_upto(b, 1)
+    assert not a.equal_upto(b, 2)
+    assert not a.equal_upto(S(1, 4), 1)
+
+
 def test_order():
     f = Series.monomial(2, 5, (2, 0)) + Series.monomial(2, 5, (0, 3))
     assert f.order() == 2

@@ -3,16 +3,19 @@ oracle, and the Poincare checker."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gevreylab.diffops import DiffOperator
 from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
-                              SingularLinearPart, TruncationTooSmall)
+                              PoincareViolation, SingularLinearPart,
+                              TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import Series, SeriesMatrix
-from gevreylab.solver import (LiftedEquation, ProblemSpec, Run, build_lifted,
+from gevreylab.series import Series, SeriesMatrix, iter_exponents
+from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
+                              _tail_monomial_coeff, build_lifted,
                               check_poincare, evaluate, invert_series_matrix,
                               reduce_problem, solve_direct, solve_implicit,
                               solve_lifted, solve_p_expansion)
@@ -142,7 +145,7 @@ def test_build_lifted_k1_structure():
     assert eq.linear[(1, 0, (1,))] == Series.variable(1, trunc, 0)
     # phi = L_1*(x^2)/x^2 = 2x * x / x^2 = 2
     assert eq.linear[(1, 1, (0,))].constant_term() == 2
-    assert set(eq.nonlinear) == {(0, (2,))}
+    assert set(eq.nonlinear) == {(2,)}
     assert eq.k == 1
 
 
@@ -182,6 +185,56 @@ def test_solve_lifted_start_value():
     assert all(s.is_zero for s in us[0]) and all(s.is_zero for s in us[1])
     want = invert_series_matrix(eq.B).apply(eq.forcing)
     assert us[2][0].equal_upto(want[0], min(us[2][0].trunc, want[0].trunc))
+
+
+def test_solve_lifted_singular_B0_is_a_poincare_violation():
+    # documents cannot reach this, since the reduction keeps B(0) = A(0)
+    eq = LiftedEquation(1, 1, 2, SeriesMatrix([[Series.variable(1, 6, 0)]]),
+                        [Series.variable(1, 6, 0)], {}, {})
+    with pytest.raises(PoincareViolation) as err:
+        solve_lifted(eq, 4, 6)
+    assert err.value.n == 2
+
+
+def test_tail_monomial_coeff_matches_composition_sum():
+    # the cached prefix recurrence against the plain sum over compositions
+    # l_1 + ... + l_r = n, l_i >= k, of u_{l_1,i_1} ... u_{l_r,i_r}
+    rng = random.Random(4242)
+    for _ in range(40):
+        dim, unknowns, k = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        top = 3 * k + 3
+        us = [[Series.zero(dim, 8)] * unknowns for _ in range(k)]
+        for _ in range(k, top):
+            vec = []
+            for _ in range(unknowns):
+                trunc = rng.randint(2, 8)
+                terms = {rng.choice(list(iter_exponents(dim, rng.randint(0, 3)))):
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 3))}
+                vec.append(Series(dim, trunc, terms))
+            us.append(vec)
+        gammas = [g for g in product(range(4), repeat=unknowns)
+                  if 2 <= sum(g) <= 3]
+        products = {((), 0): Series.constant(dim, 8, 1)}
+        for n in range(k, top):
+            for gamma in rng.sample(gammas, min(2, len(gammas))):
+                factors = tuple(i for i, g in enumerate(gamma)
+                                for _ in range(g))
+                got = _tail_monomial_coeff(us, factors, n, k, products)
+                want = None
+                for ls in product(range(k, n + 1), repeat=len(factors)):
+                    if sum(ls) != n or any(us[l][i].is_zero
+                                           for l, i in zip(ls, factors)):
+                        continue
+                    term = Series.constant(dim, 8, 1)
+                    for l, i in zip(ls, factors):
+                        term = term * us[l][i]
+                    want = term if want is None else want + term
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.trunc >= want.trunc
+                    assert got.equal_upto(want, want.trunc)
 
 
 # -- the two full solvers ----------------------------------------------------

@@ -8,13 +8,19 @@ kernel is sound exactly when adding random terms above every input's
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from gevreylab.diffops import DiffOperator
-from gevreylab.errors import DivisibilityViolation, SingularLinearPart
+from gevreylab.diffops import DiffOperator, faadibruno
+from gevreylab.errors import (DivisibilityViolation, SingularLinearPart,
+                              TruncationTooSmall)
 from gevreylab.series import Series, SeriesMatrix, iter_exponents
-from gevreylab.solver import invert_series_matrix
+from gevreylab.solver import (LiftedEquation, Run, invert_series_matrix,
+                              solve_implicit, solve_lifted)
 
-DRAWS = 250
+from instances import random_admissible_problem
+
+KERNEL_DRAWS = 250
+SOLVER_DRAWS = 40
 
 
 def _terms(rng, dim, lo, hi, count):
@@ -87,12 +93,10 @@ def _matrix_apply(rng, dim):
 
 
 def _operator(rng, dim):
-    # DiffOperator drops a zero coefficient as an absent term, whatever
-    # its trunc, so the coefficients drawn here are nonzero
     order = rng.randint(1, 2)
     alphas = list(iter_exponents(dim, order))
     chosen = rng.sample(alphas, rng.randint(1, len(alphas)))
-    return [_nonzero_series(rng, dim) for _ in chosen], lambda *c: DiffOperator(
+    return [_series(rng, dim) for _ in chosen], lambda *c: DiffOperator(
         dim, order, dict(zip(chosen, c)))
 
 
@@ -107,6 +111,58 @@ def _star(rng, dim):
     return coeffs + [_series(rng, dim)], lambda *s: [make(*s[:-1]).star(s[-1])]
 
 
+def _faadibruno(rng, dim):
+    alpha = _alpha(rng, dim, rng.randint(1, 3))
+    return [_series(rng, dim)], lambda P: [
+        faadibruno(P, alpha).coefficient(j) for j in range(1, sum(alpha) + 1)]
+
+
+def _solve_implicit(rng, dim):
+    # f(0) = 0 and a unit diagonal in A(0), so that y(0) = 0 and A(0) is
+    # mostly invertible
+    n = rng.randint(1, 2)
+    f = [Series(dim, s.trunc, {e: c for e, c in s.terms.items() if any(e)})
+         for s in (_series(rng, dim) for _ in range(n))]
+    A = [_series(rng, dim) for _ in range(n * n)]
+    for i in range(n):
+        A[i * n + i] = A[i * n + i] + Series.constant(dim, A[i * n + i].trunc, 1)
+    gammas = [g for g in product(range(3), repeat=n) if sum(g) >= 2]
+    gammas = rng.sample(gammas, rng.randint(0, min(2, len(gammas))))
+    H = [_series(rng, dim) for _ in range(n * len(gammas))]
+    degree = rng.randint(0, 5)
+
+    def kernel(*s):
+        h = {g: list(s[n + n * n + c * n:n + n * n + (c + 1) * n])
+             for c, g in enumerate(gammas)}
+        return solve_implicit(list(s[:n]), _unflatten(s[n:n + n * n], n), h,
+                              degree)
+    return f + A + H, kernel
+
+
+def _solve_lifted(rng, _dim):
+    # the lifted equation of a random admissible problem: its forcing, B and
+    # the linear and nonlinear coefficients are the inputs
+    run = Run(random_admissible_problem(rng), rng.randint(2, 5),
+              rng.randint(2, 6))
+    eq = run.lifted
+    n, keys = eq.unknowns, list(eq.linear)
+    gammas = list(eq.nonlinear)
+    inputs = (eq.forcing + [s for row in eq.B.entries for s in row]
+              + [eq.linear[key] for key in keys]
+              + [s for g in gammas for s in eq.nonlinear[g]])
+
+    def kernel(*s):
+        at = n + n * n + len(keys)
+        lifted = LiftedEquation(
+            eq.dim, n, eq.k, _unflatten(s[n:n + n * n], n), list(s[:n]),
+            dict(zip(keys, s[n + n * n:at])),
+            {g: list(s[at + c * n:at + (c + 1) * n])
+             for c, g in enumerate(gammas)})
+        return [u for vec in solve_lifted(lifted, run.order, run.working)
+                for u in vec]
+    return inputs, kernel
+
+
 KERNELS = {
     "Series.__mul__": _mul,
     "Series.__add__": _add,
@@ -116,22 +172,39 @@ KERNELS = {
     "SeriesMatrix.apply": _matrix_apply,
     "DiffOperator.apply": _operator_apply,
     "DiffOperator.star": _star,
+    "faadibruno": _faadibruno,
 }
+
+SOLVERS = {
+    "solve_implicit": _solve_implicit,
+    "solve_lifted": _solve_lifted,
+}
+
+
+def _check_survives(rng, name, draw, draws):
+    checked = 0
+    for _ in range(draws):
+        inputs, kernel = draw(rng, rng.randint(1, 2))
+        try:
+            out = kernel(*inputs)
+            perturbed = kernel(*[_perturb(rng, s) for s in inputs])
+        except (DivisibilityViolation, SingularLinearPart,
+                TruncationTooSmall):
+            continue
+        for o, p in zip(out, perturbed):
+            assert o.equal_upto(p, o.trunc), (
+                f"{name} over-claims: {inputs} -> {o}, perturbed {p}")
+        checked += 1
+    assert checked >= draws // 3, name
 
 
 def test_certified_degrees_survive_tail_perturbation():
     rng = random.Random(20211)
     for name, draw in KERNELS.items():
-        checked = 0
-        for _ in range(DRAWS):
-            inputs, kernel = draw(rng, rng.randint(1, 2))
-            try:
-                out = kernel(*inputs)
-                perturbed = kernel(*[_perturb(rng, s) for s in inputs])
-            except (DivisibilityViolation, SingularLinearPart):
-                continue
-            for o, p in zip(out, perturbed):
-                assert o.equal_upto(p, o.trunc), (
-                    f"{name} over-claims: {inputs} -> {o}, perturbed {p}")
-            checked += 1
-        assert checked >= DRAWS // 3, name
+        _check_survives(rng, name, draw, KERNEL_DRAWS)
+
+
+def test_solver_certified_degrees_survive_tail_perturbation():
+    rng = random.Random(20212)
+    for name, draw in SOLVERS.items():
+        _check_survives(rng, name, draw, SOLVER_DRAWS)
