@@ -178,18 +178,17 @@ class DivisibilityVerdict:
 
 def check_divisibility(P: Series, operators: Sequence[DiffOperator | None]) -> DivisibilityVerdict:
     """For each operator L_j (j = position + 1), try the exact division
-    L_j*(P) / P.  Identically zero operators pass trivially with quotient 0."""
+    L_j*(P) / P.  An absent operator passes trivially with quotient 0; one
+    whose coefficients are zero through their trunc is divided like any
+    other, since its quotient is certified only as far as they are."""
     quotients: dict[int, Series] = {}
     witnesses: dict[int, Exponent] = {}
     for pos, L in enumerate(operators):
         j = pos + 1
-        if L is None or L.is_zero:
+        if L is None:
             quotients[j] = Series.zero(P.dim, P.trunc)
             continue
         starred = L.star(P)
-        if starred.is_zero:
-            quotients[j] = Series.zero(P.dim, starred.trunc)
-            continue
         try:
             quotients[j] = starred.divide_exact(P)
         except DivisibilityViolation as exc:

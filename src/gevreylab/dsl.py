@@ -453,12 +453,12 @@ def parse_problem(text: str) -> ProblemDocument:
                             "P(0) must vanish")
     operators: list[DiffOperator | None] = []
     for j in range(1, k + 1):
-        raw = parser.L_terms.get(j)
-        if not raw:
-            operators.append(None)
-            continue
-        operators.append(DiffOperator(
-            d, j, {a: to_series(p, parser.L_lines[j]) for a, p in raw.items()}))
+        # a document's coefficients are exact polynomials, so a zero one is
+        # absent and an operator without a nonzero one is exactly zero
+        coeffs = {a: to_series(p, parser.L_lines[j])
+                  for a, p in parser.L_terms.get(j, {}).items()}
+        coeffs = {a: c for a, c in coeffs.items() if not c.is_zero}
+        operators.append(DiffOperator(d, j, coeffs) if coeffs else None)
     for j in parser.L_terms:
         if j > k:
             raise SemanticError(parser.L_lines[j], "order-range",

@@ -1,8 +1,10 @@
 """Exact truncated multivariate formal power series over the rationals.
 
-A series is stored as a finite map from exponent tuples to nonzero
-``Fraction`` coefficients, together with a total-degree bound ``trunc`` up
-to which the stored data is certified exact.  Every operation propagates
+A series is stored as a finite map from exponent tuples to nonzero exact
+coefficients, together with a total-degree bound ``trunc`` up to which the
+stored data is certified exact.  An integral coefficient is stored as an
+``int`` and any other as a ``Fraction`` with denominator > 1, so ``int``
+arithmetic pays for no gcd; floats are refused.  Every operation propagates
 ``trunc`` pessimistically, so ``trunc`` doubles as the certified degree of
 the value: coefficients of total degree <= ``trunc`` are exact, nothing is
 claimed beyond it.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, inf
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DivisibilityViolation, SingularMatrix
@@ -28,10 +31,6 @@ Rational = Fraction | int
 
 def exp_degree(alpha: Sequence[int]) -> int:
     return sum(alpha)
-
-
-def exp_add(alpha: Exponent, beta: Exponent) -> Exponent:
-    return tuple(a + b for a, b in zip(alpha, beta))
 
 
 def exp_sub(alpha: Exponent, beta: Exponent) -> Exponent:
@@ -95,6 +94,15 @@ def falling_factorial(n: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 # series
 
+def _exact(coef) -> Rational:
+    """An input coefficient as an int or a Fraction; floats are refused."""
+    if type(coef) is int or type(coef) is Fraction:
+        return coef
+    if isinstance(coef, float):
+        raise TypeError(f"float coefficient {coef!r}: use an int or a Fraction")
+    return Fraction(coef)
+
+
 class Series:
     """Immutable truncated power series; all coefficients exact rationals."""
 
@@ -103,21 +111,32 @@ class Series:
     def __init__(self, dim: int, trunc: int, terms: Mapping[Exponent, Rational] = ()):
         if dim < 1:
             raise ValueError("dim must be positive")
-        self.dim = dim
-        self.trunc = trunc
-        clean: dict[Exponent, Fraction] = {}
+        checked = []
         for exp, coef in dict(terms).items():
             exp = tuple(exp)
             if len(exp) != dim:
                 raise DimensionMismatch(f"exponent {exp} in dimension {dim}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent {exp}")
-            if sum(exp) > trunc:
-                continue
-            coef = Fraction(coef)
-            if coef != 0:
-                clean[exp] = coef
-        object.__setattr__(self, "terms", clean)
+            checked.append((exp, _exact(coef)))
+        self._fill(dim, trunc, checked)
+
+    @classmethod
+    def _of(cls, dim: int, trunc: int,
+            items: Iterable[tuple[Exponent, Rational]]) -> "Series":
+        """A kernel result: its exponents are valid by construction, so only
+        the coefficients are normalised."""
+        return object.__new__(cls)._fill(dim, trunc, items)
+
+    def _fill(self, dim, trunc, items) -> "Series":
+        """Store (exponent, coefficient) pairs, dropping zeros and terms above
+        trunc and keeping an integral coefficient as an int."""
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "terms", {
+            e: c.numerator if c.denominator == 1 else c
+            for e, c in items if c and sum(e) <= trunc})
+        return self
 
     def __setattr__(self, name, value):
         if name in ("dim", "trunc") and hasattr(self, "terms"):
@@ -145,15 +164,17 @@ class Series:
 
     # -- basic queries ------------------------------------------------------
 
-    def coeff(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coeff(self, exp: Sequence[int]) -> Rational:
+        """The coefficient as an int or a Fraction; 0 when absent."""
+        return self.terms.get(tuple(exp), 0)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+    def constant_term(self) -> Rational:
+        """The coefficient of x^0 as an int or a Fraction; 0 when absent."""
+        return self.terms.get((0,) * self.dim, 0)
 
     def order(self):
         """Least total degree with a nonzero coefficient, INFINITE for 0."""
@@ -162,17 +183,17 @@ class Series:
         return min(sum(e) for e in self.terms)
 
     def homogeneous(self, n: int) -> "Series":
-        return Series(self.dim, self.trunc,
-                      {e: c for e, c in self.terms.items() if sum(e) == n})
+        return Series._of(self.dim, self.trunc,
+                          [(e, c) for e, c in self.terms.items() if sum(e) == n])
 
     def truncate(self, trunc: int) -> "Series":
         if trunc >= self.trunc:
             return self
-        return Series(self.dim, trunc, self.terms)
+        return Series._of(self.dim, trunc, self.terms.items())
 
     def with_trunc(self, trunc: int) -> "Series":
         """Re-certify to a (possibly larger) degree; caller asserts exactness."""
-        return Series(self.dim, trunc, self.terms)
+        return Series._of(self.dim, trunc, self.terms.items())
 
     def equal_upto(self, other: "Series", deg: int) -> bool:
         """Coefficientwise equality of all terms of total degree <= deg."""
@@ -192,32 +213,39 @@ class Series:
         self._check_dim(other)
         trunc = min(self.trunc, other.trunc)
         terms = dict(self.terms)
+        get = terms.get
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Series(self.dim, trunc, terms)
+            terms[e] = get(e, 0) + c
+        return Series._of(self.dim, trunc, terms.items())
 
     def __neg__(self) -> "Series":
-        return Series(self.dim, self.trunc, {e: -c for e, c in self.terms.items()})
+        return Series._of(self.dim, self.trunc,
+                          [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other: "Series") -> "Series":
         return self.__add__(-other)
 
     def scale(self, c: Rational) -> "Series":
-        c = Fraction(c)
-        return Series(self.dim, self.trunc, {e: c * v for e, v in self.terms.items()})
+        c = _exact(c)
+        return Series._of(self.dim, self.trunc,
+                          [(e, c * v) for e, v in self.terms.items()])
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
         trunc = _product_trunc(self, other)
-        terms: dict[Exponent, Fraction] = {}
+        # the right factor by degree, so the inner loop stops at trunc
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
+                       key=itemgetter(0))
+        terms: dict[Exponent, Rational] = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > trunc:
-                    continue
-                e = exp_add(e1, e2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Series(self.dim, trunc, terms)
+            room = trunc - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return Series._of(self.dim, trunc, terms.items())
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -235,13 +263,18 @@ class Series:
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
         trunc = max(self.trunc - sum(alpha), -1)
-        terms: dict[Exponent, Fraction] = {}
+        terms = []
         for e, c in self.terms.items():
-            if not exp_le(alpha, e):
+            low = tuple(map(sub, e, alpha))
+            if min(low) < 0:
                 continue
-            factor = _prod(falling_factorial(e[i], alpha[i]) for i in range(self.dim))
-            terms[exp_sub(e, alpha)] = c * factor
-        return Series(self.dim, trunc, terms)
+            # fold the falling factorials n (n-1) ... (m+1) into c
+            for n, m in zip(e, low):
+                while n > m:
+                    c *= n
+                    n -= 1
+            terms.append((low, c))
+        return Series._of(self.dim, trunc, terms)
 
     # -- division -----------------------------------------------------------
 
@@ -268,10 +301,10 @@ class Series:
         c_lead = b.terms[lead]
         rest = [(e, sum(e) - omega, v) for e, v in b.terms.items() if e != lead]
         # the remainder, bucketed by total degree
-        rem: list[dict[Exponent, Fraction]] = [{} for _ in range(top + 1)]
+        rem: list[dict[Exponent, Rational]] = [{} for _ in range(top + 1)]
         for e, c in self.terms.items():
             rem[sum(e)][e] = c
-        q: dict[Exponent, Fraction] = {}
+        q: dict[Exponent, Rational] = {}
         for d in range(omega, top + 1):
             bucket = rem[d]
             stuck = []
@@ -282,11 +315,12 @@ class Series:
                     stuck.append(m)
                     continue
                 qe = exp_sub(m, lead)
-                qc = q[qe] = c / c_lead
+                # the one int / int site: without Fraction it gives a float
+                qc = q[qe] = Fraction(c) / c_lead
                 for e, shift, v in rest:
                     if d + shift > top:
                         continue
-                    t = exp_add(qe, e)
+                    t = tuple(map(add, qe, e))
                     target = rem[d + shift]
                     nv = target.get(t, 0) - qc * v
                     if nv:
@@ -298,7 +332,7 @@ class Series:
         trunc = top - omega
         if q:
             trunc = min(trunc, b.trunc - omega + min(map(sum, q)))
-        return Series(self.dim, trunc, q)
+        return Series._of(self.dim, trunc, q.items())
 
     # -- norms --------------------------------------------------------------
 
@@ -360,7 +394,7 @@ def _product_trunc(a: Series, b: Series) -> int:
     return min(candidates)
 
 
-def format_rational(c: Fraction) -> str:
+def format_rational(c: Rational) -> str:
     """Canonical "p/q" string with q > 0 and gcd(p, q) = 1."""
     c = Fraction(c)
     if c.denominator == 1:
@@ -453,7 +487,7 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> Series:
         return self.entries[i][j]
 
-    def constant_part(self) -> list[list[Fraction]]:
+    def constant_part(self) -> list[list[Rational]]:
         return [[s.constant_term() for s in row] for row in self.entries]
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":

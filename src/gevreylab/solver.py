@@ -104,10 +104,11 @@ class ProblemSpec:
         return [oi + hi for oi, hi in zip(out, hy)]
 
     def lhs(self, y: Vector) -> Vector:
-        """sum_j P^j L_j(y), componentwise."""
+        """sum_j P^j L_j(y), componentwise; only an absent L_j is skipped,
+        since zero coefficients still bound the certified degree."""
         out = None
         for pos, L in enumerate(self.operators):
-            if L is None or L.is_zero:
+            if L is None:
                 continue
             Pj = self.P.pow(pos + 1)
             term = [Pj * L.apply(yi) for yi in y]

@@ -52,6 +52,17 @@ F 2 = y2 - x1^2 - 1/2*y1^2
     assert spec.H[(2, 0)][1].constant_term() == Fraction(-1, 2)
 
 
+def test_zero_operator_coefficients_are_absent():
+    # a document's 0 is exactly zero, not zero through the working degree,
+    # so it must not cap what check and solve certify
+    text = ("dim 2; unknowns 1; order 2\nP = x1*x2\n"
+            "L 1 : (1,0) -> 0; (0,1) -> x1 - x1\n"
+            "L 2 : (2,0) -> 0; (0,2) -> x2^2\nF 1 = 2*y1 + 2*x1*x2\n")
+    ops = parse_problem(text).spec.operators
+    assert ops[0] is None
+    assert list(ops[1].terms) == [(0, 2)]
+
+
 def test_comments_and_blank_lines():
     text = "# leading comment\n\ndim 1 # trailing\nunknowns 1\norder 1\n" \
            "P = x1^2\nL 1 : (1,) -> 1\nF 1 = -1*y1 + x1\n"

@@ -1,5 +1,6 @@
 """Tests for exact truncated series arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,156 @@ def test_majorant_submultiplicative(a, b):
 def test_no_zero_coefficients_stored():
     f = S(2, 4, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in f.terms
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Series(1, 2, {(1,): 0.1})
+    with pytest.raises(TypeError):
+        Series.constant(1, 2, 1).scale(0.5)
+
+
+# -- the int-first kernels against all-Fraction reference loops -------------
+
+def _ref_series(trunc, terms):
+    """(terms, trunc) as the all-Fraction constructor stores them."""
+    return {e: Fraction(c) for e, c in terms.items()
+            if sum(e) <= trunc and c != 0}, trunc
+
+
+def _ref_order(terms):
+    return min(map(sum, terms), default=INFINITE)
+
+
+def _ref_mul(a, b):
+    (terms_a, trunc_a), (terms_b, trunc_b) = a, b
+    # unknown tails are shifted by the partner's order
+    cands = [trunc_a + _ref_order(terms_b)] if terms_b else []
+    if terms_a:
+        cands.append(trunc_b + _ref_order(terms_a))
+    trunc = min(cands) if cands else max(trunc_a, trunc_b)
+    out = {}
+    for e1, c1 in terms_a.items():
+        for e2, c2 in terms_b.items():
+            if sum(e1) + sum(e2) <= trunc:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_series(trunc, out)
+
+
+def _ref_add(a, b):
+    out = dict(a[0])
+    for e, c in b[0].items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_series(min(a[1], b[1]), out)
+
+
+def _ref_diff(a, alpha):
+    out = {}
+    for e, c in a[0].items():
+        if all(x >= y for x, y in zip(e, alpha)):
+            factor = 1
+            for n, j in zip(e, alpha):
+                for i in range(j):
+                    factor *= n - i
+            out[tuple(x - y for x, y in zip(e, alpha))] = c * factor
+    return _ref_series(max(a[1] - sum(alpha), -1), out)
+
+
+def _ref_divide(a, b):
+    """Long division, lowest degree first, by the grlex-largest monomial of
+    the lowest homogeneous part of b; None where it does not divide."""
+    grlex = lambda e: (sum(e), tuple(-x for x in e))
+    omega = _ref_order(b[0])
+    if any(sum(e) < omega for e in a[0]):
+        return None
+    top = a[1]
+    if top < omega:
+        return {}, -1
+    lead = max((e for e in b[0] if sum(e) == omega), key=grlex)
+    rem = [{} for _ in range(top + 1)]
+    for e, c in a[0].items():
+        rem[sum(e)][e] = c
+    q = {}
+    for d in range(omega, top + 1):
+        while rem[d]:
+            m = max(rem[d], key=grlex)
+            c = rem[d].pop(m)
+            if any(x < y for x, y in zip(m, lead)):
+                return None
+            qe = tuple(x - y for x, y in zip(m, lead))
+            q[qe] = c / b[0][lead]
+            for e, v in b[0].items():
+                t = tuple(x + y for x, y in zip(qe, e))
+                if e != lead and sum(t) <= top:
+                    nv = rem[sum(t)].get(t, Fraction(0)) - q[qe] * v
+                    rem[sum(t)][t] = nv
+                    if nv == 0:
+                        del rem[sum(t)][t]
+    trunc = top - omega
+    if q:
+        trunc = min(trunc, b[1] - omega + _ref_order(q))
+    return _ref_series(trunc, q)
+
+
+def _draw(rng, dim, integral):
+    trunc = rng.randint(0, 5)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = rng.choice(list(iter_exponents(dim, rng.randint(0, trunc))))
+        num = rng.choice([rng.randint(-5, 5), rng.randint(-2**80, 2**80)])
+        terms[e] = num if integral else Fraction(num, rng.randint(1, 4))
+    return Series(dim, trunc, terms)
+
+
+def _assert_matches(got, ref):
+    assert (got.terms, got.trunc) == ref
+    for c in got.terms.values():
+        assert (type(c) is int and c != 0) or (
+            type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def test_kernels_match_fraction_reference():
+    # int / int with a non-unit lead is 1/2, not 0.5
+    x1 = Series.variable(1, 3, 0)
+    _assert_matches(x1.divide_exact(x1.scale(2)), ({(0,): Fraction(1, 2)}, 2))
+    rng = random.Random(9)
+    divisions = 0
+    for _ in range(400):
+        dim = rng.randint(1, 2)
+        a = _draw(rng, dim, rng.random() < 0.5)
+        b = _draw(rng, dim, rng.random() < 0.5)
+        ra = _ref_series(a.trunc, a.terms)
+        rb = _ref_series(b.trunc, b.terms)
+        _assert_matches(a, ra)
+        _assert_matches(a * b, _ref_mul(ra, rb))
+        _assert_matches(a + b, _ref_add(ra, rb))
+        c = rng.choice([0, 1, -3, 2**70, Fraction(1, 3), Fraction(-4, 2)])
+        _assert_matches(a.scale(c), _ref_series(
+            a.trunc, {e: Fraction(c) * v for e, v in ra[0].items()}))
+        alpha = rng.choice(list(iter_exponents(dim, rng.randint(0, 2))))
+        _assert_matches(a.diff(alpha), _ref_diff(ra, alpha))
+        n = rng.randint(0, 5)
+        _assert_matches(a.homogeneous(n), _ref_series(
+            a.trunc, {e: v for e, v in ra[0].items() if sum(e) == n}))
+        _assert_matches(a.truncate(n), _ref_series(min(n, a.trunc), ra[0]))
+        # a dividend that b divides; the lead is often not a unit
+        if b.is_zero:
+            continue
+        lead = rng.choice([1, -2, 3, Fraction(2, 3)])
+        b = b + Series.monomial(dim, b.trunc, (0,) * dim, lead) \
+            if rng.random() < 0.3 else b.scale(lead)
+        rb = _ref_series(b.trunc, b.terms)
+        prod = Series(dim, 20, a.terms) * Series(dim, 20, b.terms)
+        p = Series(dim, rng.randint(0, 5), prod.terms)
+        ref = _ref_divide(_ref_series(p.trunc, p.terms), rb)
+        if ref is None:
+            with pytest.raises(DivisibilityViolation):
+                p.divide_exact(b)
+            continue
+        _assert_matches(p.divide_exact(b), ref)
+        divisions += 1
+    assert divisions > 200
 
 
 def test_json_roundtrip_and_order():

@@ -10,12 +10,13 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from gevreylab.diffops import DiffOperator, faadibruno
+from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, SingularLinearPart,
                               TruncationTooSmall)
 from gevreylab.series import Series, SeriesMatrix, iter_exponents
-from gevreylab.solver import (LiftedEquation, Run, invert_series_matrix,
-                              solve_implicit, solve_lifted)
+from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
+                              invert_series_matrix, solve_implicit,
+                              solve_lifted)
 
 from instances import random_admissible_problem
 
@@ -92,8 +93,8 @@ def _matrix_apply(rng, dim):
     return inputs, lambda *s: _unflatten(s[:n * n], n).apply(s[n * n:])
 
 
-def _operator(rng, dim):
-    order = rng.randint(1, 2)
+def _operator(rng, dim, order=None):
+    order = order or rng.randint(1, 2)
     alphas = list(iter_exponents(dim, order))
     chosen = rng.sample(alphas, rng.randint(1, len(alphas)))
     return [_series(rng, dim) for _ in chosen], lambda *c: DiffOperator(
@@ -109,6 +110,59 @@ def _operator_apply(rng, dim):
 def _star(rng, dim):
     coeffs, make = _operator(rng, dim)
     return coeffs + [_series(rng, dim)], lambda *s: [make(*s[:-1]).star(s[-1])]
+
+
+def _P(rng, dim):
+    """A nonzero P with P(0) = 0."""
+    trunc = rng.randint(1, 5)
+    P = Series(dim, trunc, _terms(rng, dim, 1, trunc, rng.randint(1, 4)))
+    return Series.variable(dim, trunc, 0) if P.is_zero else P
+
+
+def _operators(rng, dim):
+    """L_1..L_k, some absent, with a third of the coefficients zero through
+    their trunc; returns the coefficients and the maker of the operators."""
+    slots = [None if rng.random() < 0.25 else _operator(rng, dim, j)
+             for j in range(1, rng.randint(1, 2) + 1)]
+    coeffs = [Series.zero(dim, c.trunc) if rng.random() < 1 / 3 else c
+              for slot in slots if slot for c in slot[0]]
+
+    def make(*c):
+        ops, at = [], 0
+        for slot in slots:
+            n = len(slot[0]) if slot else 0
+            ops.append(slot and slot[1](*c[at:at + n]))
+            at += n
+        return ops
+    return coeffs, make
+
+
+def _check_divisibility(rng, dim):
+    # a coefficient P * c makes L*(P) divisible by P whatever P is
+    coeffs, make = _operators(rng, dim)
+    by_P = [rng.random() < 0.75 for _ in coeffs]
+
+    def kernel(P, *c):
+        verdict = check_divisibility(P, make(*(
+            P * ci if m else ci for ci, m in zip(c, by_P))))
+        if not verdict:
+            raise DivisibilityViolation(min(verdict.witnesses.values()))
+        return [verdict.quotients[j] for j in sorted(verdict.quotients)]
+    return [_P(rng, dim)] + coeffs, kernel
+
+
+def _lhs(rng, dim):
+    coeffs, make = _operators(rng, dim)
+    n = rng.randint(1, 2)
+    ys = [_series(rng, dim) for _ in range(n)]
+
+    def kernel(P, *s):
+        zero = Series.zero(dim, 0)
+        ops = make(*s[:len(coeffs)])
+        spec = ProblemSpec(dim, n, len(ops), P, ops, [zero] * n,
+                           SeriesMatrix([[zero] * n] * n), {})
+        return spec.lhs(list(s[len(coeffs):]))
+    return [_P(rng, dim)] + coeffs + ys, kernel
 
 
 def _faadibruno(rng, dim):
@@ -173,6 +227,8 @@ KERNELS = {
     "DiffOperator.apply": _operator_apply,
     "DiffOperator.star": _star,
     "faadibruno": _faadibruno,
+    "check_divisibility": _check_divisibility,
+    "ProblemSpec.lhs": _lhs,
 }
 
 SOLVERS = {
