@@ -9,7 +9,8 @@ A document is line-oriented:
     option degree = 12
 
 Polynomial expressions allow rational literals (p/q), the variables
-x1..xd and y1..yN (the latter only in F lines), + - * ^ and parentheses.
+x1..xd and y1..yN (the latter only in F lines), + - * ^ and parentheses;
+``dim`` comes before any expression and ``unknowns`` before any F line.
 Omitted L lines mean the zero operator at that order.
 """
 
@@ -21,8 +22,8 @@ from functools import partialmethod
 
 from .diffops import DiffOperator
 from .errors import ParseError, SemanticError
-from .series import (Series, SeriesMatrix, format_monomial, format_rational,
-                     format_terms, grlex_key)
+from .series import (INFINITE, Series, SeriesMatrix, format_monomial,
+                     format_rational, format_terms, grlex_key, unit_exp)
 from .solver import ProblemSpec, Run
 
 _TOKEN = re.compile(r"""
@@ -77,11 +78,6 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-# polynomials are kept as dicts (x-exponent, y-exponent) -> Fraction while
-# parsing, and converted to Series data once dim and unknowns are known
-Poly = dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -89,11 +85,12 @@ class _Parser:
         self.dim = None
         self.unknowns = None
         self.order = None
-        self.P_poly: Poly | None = None
+        self.nvars = None  # of the expression being parsed
+        self.P: Series | None = None
         self.P_line = 0
-        self.L_terms: dict[int, dict[tuple[int, ...], Poly]] = {}
+        self.L_terms: dict[int, dict[tuple[int, ...], Series]] = {}
         self.L_lines: dict[int, int] = {}
-        self.F_polys: dict[int, Poly] = {}
+        self.F: dict[int, Series] = {}
         self.F_lines: dict[int, int] = {}
         self.options: dict = dict(DEFAULT_OPTIONS)
 
@@ -158,7 +155,7 @@ class _Parser:
         tok = self.next()
         self.expect("=")
         self.P_line = tok.line
-        self.P_poly = self.polyexpr(allow_y=False)
+        self.P = self.polyexpr(allow_y=False)
         self.end_statement()
 
     def stmt_L(self):
@@ -193,12 +190,12 @@ class _Parser:
         if self.unknowns is not None and not 1 <= i <= self.unknowns:
             raise SemanticError(tok.line, "component-range",
                                 f"F {i} outside 1..{self.unknowns}")
-        if i in self.F_polys:
+        if i in self.F:
             raise SemanticError(tok.line, "dup-component",
                                 f"duplicate line for F {i}")
         self.expect("=")
         self.F_lines[i] = tok.line
-        self.F_polys[i] = self.polyexpr(allow_y=True)
+        self.F[i] = self.polyexpr(allow_y=True)
         self.end_statement()
 
     def stmt_option(self):
@@ -254,101 +251,84 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def polyexpr(self, allow_y: bool) -> Poly:
-        out = self._sum(allow_y)
-        return {k: v for k, v in out.items() if v != 0}
+    def polyexpr(self, allow_y: bool) -> Series:
+        """An exact polynomial: a Series in x1..xd, then y1..yN when
+        ``allow_y``, certified to every degree."""
+        tok = self.peek()
+        if self.dim is None:
+            raise SemanticError(tok.line, "bad-dim",
+                                "dim must be declared before any expression")
+        if allow_y and self.unknowns is None:
+            raise SemanticError(tok.line, "bad-dim",
+                                "unknowns must be declared before an F line")
+        self.nvars = self.dim + (self.unknowns if allow_y else 0)
+        return self._sum()
 
-    def _sum(self, allow_y: bool) -> Poly:
-        out = self._product(allow_y)
+    def _sum(self) -> Series:
+        out = self._product()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            rhs = self._product(allow_y)
-            for k, v in rhs.items():
-                out[k] = out.get(k, Fraction(0)) + (v if op == "+" else -v)
+            rhs = self._product()
+            out = out + rhs if op == "+" else out - rhs
         return out
 
-    def _product(self, allow_y: bool) -> Poly:
-        out = self._power(allow_y)
+    def _product(self) -> Series:
+        out = self._power()
         while self.peek().kind in ("num", "name", "(") :
             # implicit multiplication is not in the grammar; require '*'
             tok = self.peek()
             raise ParseError(tok.line, tok.col, ("*", "+", "-", "^", "newline"))
         while self.peek().kind == "*":
             self.next()
-            rhs = self._power(allow_y)
-            out = _poly_mul(out, rhs)
+            out = out * self._power()
             tok = self.peek()
             if tok.kind in ("num", "name", "("):
                 raise ParseError(tok.line, tok.col, ("*", "+", "-", "newline"))
         return out
 
-    def _power(self, allow_y: bool) -> Poly:
-        base = self._atom(allow_y)
+    def _power(self) -> Series:
+        base = self._atom()
         if self.peek().kind == "^":
             self.next()
-            exp = self._int()
-            out = _poly_const(Fraction(1), self.dim or 0, self.unknowns or 0)
-            for _ in range(exp):
-                out = _poly_mul(out, base)
-            return out
+            return base.pow(self._int())
         return base
 
-    def _atom(self, allow_y: bool) -> Poly:
+    def _atom(self) -> Series:
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            inner = self._power(allow_y)
-            return {k: -v for k, v in inner.items()}
+            return -self._power()
         if tok.kind == "num":
-            value = self.rational()
-            return _poly_const(value, self.dim or 0, self.unknowns or 0)
+            return Series.constant(self.nvars, INFINITE, self.rational())
         if tok.kind == "name":
             self.next()
-            return self._variable(tok, allow_y)
+            return self._variable(tok)
         if tok.kind == "(":
             self.next()
-            inner = self._sum(allow_y)
+            inner = self._sum()
             self.expect(")")
             return inner
         raise ParseError(tok.line, tok.col, ("number", "variable", "("))
 
-    def _variable(self, tok: _Token, allow_y: bool) -> Poly:
+    def _variable(self, tok: _Token) -> Series:
         m = re.fullmatch(r"([xy])(\d+)", tok.text)
         if not m:
             raise ParseError(tok.line, tok.col, ("x<i>", "y<i>"))
         kind, idx = m.group(1), int(m.group(2))
-        d = self.dim or 0
-        N = self.unknowns or 0
+        d = self.dim
         if kind == "x":
             if not 1 <= idx <= d:
                 raise SemanticError(tok.line, "unknown-var",
                                     f"x{idx} outside x1..x{d}")
-            xe = tuple(int(i == idx - 1) for i in range(d))
-            return {(xe, (0,) * N): Fraction(1)}
-        if not allow_y:
+            return Series.variable(self.nvars, INFINITE, idx - 1)
+        if self.nvars == d:
             raise SemanticError(tok.line, "y-in-coefficient",
                                 "y variables are only allowed in F lines")
+        N = self.unknowns
         if not 1 <= idx <= N:
             raise SemanticError(tok.line, "unknown-var",
                                 f"y{idx} outside y1..y{N}")
-        ye = tuple(int(i == idx - 1) for i in range(N))
-        return {((0,) * d, ye): Fraction(1)}
-
-
-def _poly_const(value: Fraction, d: int, N: int) -> Poly:
-    if value == 0:
-        return {}
-    return {((0,) * d, (0,) * N): value}
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (xa, ya), ca in a.items():
-        for (xb, yb), cb in b.items():
-            key = (tuple(p + q for p, q in zip(xa, xb)),
-                   tuple(p + q for p, q in zip(ya, yb)))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
+        return Series.variable(self.nvars, INFINITE, d + idx - 1)
 
 
 class ProblemDocument:
@@ -390,27 +370,16 @@ class ProblemDocument:
 
 
 def _format_F(spec: ProblemSpec, i: int) -> str:
-    d, N = spec.dim, spec.unknowns
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-    def add(xe, ye, c):
-        key = (xe, ye)
-        terms[key] = terms.get(key, Fraction(0)) + c
-
-    for e, c in spec.f[i].terms.items():
-        add(e, (0,) * N, c)
-    for col in range(N):
-        ye = tuple(int(q == col) for q in range(N))
-        for e, c in spec.A.entry(i, col).terms.items():
-            add(e, ye, c)
-    for gamma, vec in spec.H.items():
-        for e, c in vec[i].terms.items():
-            add(e, tuple(gamma), c)
-    ordered = sorted(((xy, c) for xy, c in terms.items() if c != 0),
-                     key=lambda kv: (grlex_key(kv[0][1]), grlex_key(kv[0][0])))
+    # f, the columns of A and H hold distinct y-monomials and no zeros
+    N = spec.unknowns
+    parts = [((0,) * N, spec.f[i])]
+    parts += [(unit_exp(N, col), spec.A.entry(i, col)) for col in range(N)]
+    parts += [(gamma, vec[i]) for gamma, vec in spec.H.items()]
+    ordered = sorted(((xe, ye, c) for ye, s in parts for xe, c in s.terms.items()),
+                     key=lambda t: (grlex_key(t[1]), grlex_key(t[0])))
     return format_terms(
         ("*".join(filter(None, (format_monomial(xe), format_monomial(ye, "y")))),
-         c) for (xe, ye), c in ordered)
+         c) for xe, ye, c in ordered)
 
 
 def parse_problem(text: str) -> ProblemDocument:
@@ -423,29 +392,21 @@ def parse_problem(text: str) -> ProblemDocument:
             raise SemanticError(tok.line, "missing",
                                 f"document never declares {field}")
     d, N, k = parser.dim, parser.unknowns, parser.order
-    if parser.P_poly is None:
+    if parser.P is None:
         raise SemanticError(parser.peek().line, "missing", "no P line")
-    all_polys = [parser.P_poly] + list(parser.F_polys.values())
-    for raw in parser.L_terms.values():
-        all_polys.extend(raw.values())
-    trunc = max(
-        parser.options["degree"],
-        max((sum(xe) for poly in all_polys for (xe, _ye) in poly), default=0),
-    )
-
-    def to_series(poly: Poly, line: int) -> Series:
-        terms = {}
-        for (xe, ye), c in poly.items():
-            if any(ye):
-                raise SemanticError(line, "y-in-coefficient",
-                                    "y variables are only allowed in F lines")
-            if len(xe) != d:
-                raise SemanticError(line, "bad-dim", "wrong arity")
-            terms[xe] = c
-        hi = max((sum(e) for e in terms), default=0)
-        return Series(d, max(trunc, hi), terms)
-
-    P = to_series(parser.P_poly, parser.P_line)
+    # every expression with its line and its number of variables
+    exprs = [(parser.P, parser.P_line, d)]
+    exprs += [(c, parser.L_lines[j], d)
+              for j, terms in parser.L_terms.items() for c in terms.values()]
+    exprs += [(s, parser.F_lines[i], d + N) for i, s in parser.F.items()]
+    for s, line, nvars in exprs:
+        if s.dim != nvars:
+            raise SemanticError(line, "bad-dim", "wrong arity")
+    # the x-degree of an F term leaves out its y-part
+    trunc = max(parser.options["degree"],
+                max((sum(e[:d]) for s, _, _ in exprs for e in s.terms),
+                    default=0))
+    P = parser.P.with_trunc(trunc)
     if P.is_zero:
         raise SemanticError(parser.P_line, "P-zero", "P must be nonzero")
     if P.constant_term() != 0:
@@ -455,34 +416,33 @@ def parse_problem(text: str) -> ProblemDocument:
     for j in range(1, k + 1):
         # a document's coefficients are exact polynomials, so a zero one is
         # absent and an operator without a nonzero one is exactly zero
-        coeffs = {a: to_series(p, parser.L_lines[j])
-                  for a, p in parser.L_terms.get(j, {}).items()}
-        coeffs = {a: c for a, c in coeffs.items() if not c.is_zero}
+        coeffs = {a: c.with_trunc(trunc)
+                  for a, c in parser.L_terms.get(j, {}).items() if not c.is_zero}
         operators.append(DiffOperator(d, j, coeffs) if coeffs else None)
     for j in parser.L_terms:
         if j > k:
             raise SemanticError(parser.L_lines[j], "order-range",
                                 f"L {j} outside 1..{k}")
-    f = [Series.zero(d, trunc) for _ in range(N)]
-    A_entries = [[Series.zero(d, trunc) for _ in range(N)] for _ in range(N)]
+    # F i by the y-part of each exponent, split before re-certifying: an
+    # F term's x- and y-degree together may exceed trunc
+    zero = Series.zero(d, trunc)
+    f = [zero] * N
+    A_entries = [[zero] * N for _ in range(N)]
     H: dict[tuple[int, ...], list[Series]] = {}
-    for i in range(1, N + 1):
-        poly = parser.F_polys.get(i, {})
-        for (xe, ye), c in poly.items():
-            ydeg = sum(ye)
-            if ydeg == 0:
-                if sum(xe) == 0:
-                    raise SemanticError(parser.F_lines[i], "F-constant",
-                                        f"F {i} has a constant term: F(0,0) != 0")
-                f[i - 1] = f[i - 1] + Series.monomial(d, trunc, xe, c)
-            elif ydeg == 1:
-                col = ye.index(1)
-                A_entries[i - 1][col] = (
-                    A_entries[i - 1][col] + Series.monomial(d, trunc, xe, c))
+    for i, Fi in sorted(parser.F.items()):
+        if Fi.constant_term() != 0:
+            raise SemanticError(parser.F_lines[i], "F-constant",
+                                f"F {i} has a constant term: F(0,0) != 0")
+        parts: dict[tuple[int, ...], dict] = {}
+        for e, c in Fi.terms.items():
+            parts.setdefault(e[d:], {})[e[:d]] = c
+        for ye, terms in parts.items():
+            s = Series(d, trunc, terms)
+            if sum(ye) == 0:
+                f[i - 1] = s
+            elif sum(ye) == 1:
+                A_entries[i - 1][ye.index(1)] = s
             else:
-                vec = H.setdefault(
-                    ye, [Series.zero(d, trunc) for _ in range(N)])
-                vec[i - 1] = vec[i - 1] + Series.monomial(d, trunc, xe, c)
-    H = {g: v for g, v in H.items() if any(not s.is_zero for s in v)}
+                H.setdefault(ye, [zero] * N)[i - 1] = s
     spec = ProblemSpec(d, N, k, P, operators, f, SeriesMatrix(A_entries), H)
     return ProblemDocument(text, spec, parser.options)

@@ -334,8 +334,7 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     linear: dict[tuple[int, int, Exponent], Series] = {}
 
     def put(key, series):
-        if not series.is_zero:
-            linear[key] = linear[key] + series if key in linear else series
+        linear[key] = linear[key] + series if key in linear else series
 
     tables: dict[Exponent, object] = {}
 
@@ -346,7 +345,7 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
 
     for pos, L in enumerate(problem.operators):
         j = pos + 1
-        if L is None or L.is_zero:
+        if L is None:
             continue
         for alpha, coef in L.terms.items():
             put((j, 0, alpha), coef)
@@ -608,16 +607,9 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         resid = [la - fi - hi for la, fi, hi in zip(lin_acc, prob.f, hy)]
         rhs_vec = [s.homogeneous(n) for s in resid]
         if raises_degree:
-            monos = {m for s in rhs_vec for m in s.terms}
-            delta = [dict() for _ in range(unknowns)]
-            for m in monos:
-                r = [rhs_vec[i].coeff(m) for i in range(unknowns)]
-                for i in range(unknowns):
-                    c = sum((A0inv[i][j] * r[j] for j in range(unknowns)),
-                            Fraction(0))
-                    if c:
-                        delta[i][m] = c
-            delta = [Series(dim, working, t) for t in delta]
+            zero = Series.zero(dim, working)
+            delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)),
+                         zero).with_trunc(working) for row in A0inv]
         else:
             monos = list(iter_exponents(dim, n))
             size = unknowns * len(monos)
@@ -696,7 +688,7 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
     lambdas: dict[int, Fraction] = {}
     for pos, L in enumerate(problem.operators):
         j = pos + 1
-        if L is None or L.is_zero:
+        if L is None:
             lambdas[j] = Fraction(0)
         else:
             lambdas[j] = L.star(problem.P).constant_term()

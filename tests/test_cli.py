@@ -9,6 +9,9 @@ import gevreylab.cli
 import gevreylab.registry
 import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
+from gevreylab.errors import RegressionMismatch
+from gevreylab.registry import ENTRIES, run_example
+from gevreylab.series import Series
 
 DOC = """\
 dim 2; unknowns 1; order 2
@@ -241,6 +244,21 @@ def test_examples_run_reports_a_regression(capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("FAIL eje3: coefficient of (x1 x2)^2: got -1, ")
+
+
+@pytest.mark.parametrize("name, params, exp, label", [
+    ("eje1", {"degree": 12, "order": 6}, (4,), "coefficient of x1^4"),
+    ("ejeLast", {"degree": 12, "order": 6}, (3, 2), "coefficient at (3, 2)"),
+    ("eje4", {"degree": 10, "order": 5}, (3, 2), "coefficient at (3, 2)"),
+])
+def test_verify_hooks_name_a_perturbed_coefficient(name, params, exp, label):
+    report = run_example(name, params)
+    y = report["direct"][0]
+    want = y.coeff(exp)
+    report["direct"] = [y + Series.monomial(y.dim, y.trunc, exp)]
+    with pytest.raises(RegressionMismatch) as err:
+        ENTRIES[name].verify(report["params"], report)
+    assert str(err.value) == f"{name}: {label}: got {want + 1}, expected {want}"
 
 
 def test_estimate_shows_rational_rho(tmp_path, capsys):

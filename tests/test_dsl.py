@@ -9,6 +9,7 @@ import pytest
 from gevreylab.dsl import DEFAULT_OPTIONS, parse_problem
 from gevreylab.errors import ParseError, SemanticError
 from gevreylab.registry import ENTRIES, build_document
+from gevreylab.series import Series
 
 DOC = """\
 dim 2; unknowns 1; order 2
@@ -61,6 +62,15 @@ def test_zero_operator_coefficients_are_absent():
     ops = parse_problem(text).spec.operators
     assert ops[0] is None
     assert list(ops[1].terms) == [(0, 2)]
+
+
+def test_F_terms_above_the_degree_in_x_and_y_together_are_kept():
+    # trunc bounds the x-degree only: x1^4*y1^2 has total degree 6 > 4
+    text = ("dim 1; unknowns 1; order 1\nP = x1\nL 1 : (1,) -> 1\n"
+            "F 1 = -1*y1 + x1 + x1^4*y1^2\noption degree = 4\n")
+    doc = parse_problem(text)
+    assert doc.spec.H[(2,)][0] == Series(1, 4, {(4,): 1})
+    assert "F 1 = 1*x1 + -1*y1 + 1*x1^4*y1^2\n" in doc.serialize()
 
 
 def test_comments_and_blank_lines():
@@ -236,6 +246,25 @@ def test_error_zero_denominator():
     with pytest.raises(SemanticError) as err:
         parse_problem(text)
     assert err.value.code == "zero-denominator"
+
+
+@pytest.mark.parametrize("text, line", [
+    # an expression before dim
+    ("P = x1\ndim 1; unknowns 1; order 1\nL 1 : (1,) -> 1\n"
+     "F 1 = -1*y1 + x1\n", 1),
+    ("order 1\nL 1 : (1,) -> 1\ndim 1; unknowns 1\nP = x1\n"
+     "F 1 = -1*y1 + x1\n", 2),
+    # an F line before unknowns, even one without y
+    ("dim 1; order 1\nP = x1\nL 1 : (1,) -> 1\nF 1 = x1\nunknowns 1\n", 4),
+    # unknowns changed after an F line
+    (_head() + "P = x1\nL 1 : (1,) -> 1\nF 1 = -1*y1 + x1\nunknowns 2\n"
+     "F 2 = -1*y2 + x1\n", 4),
+])
+def test_error_declaration_order(text, line):
+    with pytest.raises(SemanticError) as err:
+        parse_problem(text)
+    assert err.value.code == "bad-dim"
+    assert err.value.line == line
 
 
 def test_error_missing_declaration():

@@ -159,6 +159,19 @@ def test_build_lifted_bivariate_order2_has_phi_term():
     assert (2, 0, (1, 1)) in eq.linear
 
 
+def test_build_lifted_keeps_a_coefficient_zero_through_its_trunc():
+    # only an absent operator is exactly zero: L_1's coefficient is zero
+    # through degree 2 only, so its t d_x1 term must stay and bound what
+    # solve_lifted certifies
+    prob = univariate_order2()
+    zero_to_2 = Series.zero(1, 2)
+    L1 = DiffOperator(1, 1, {(1,): zero_to_2})
+    prob = ProblemSpec(1, 1, 2, prob.P, [L1, prob.operators[1]], prob.f,
+                       prob.A, {})
+    eq = build_lifted(reduce_problem(prob, 14))
+    assert eq.linear[(1, 0, (1,))] == zero_to_2
+
+
 def test_solve_lifted_zero():
     dim = 1
     eq = LiftedEquation(dim, 1, 1, scalar_matrix(1, 6, 1),
