@@ -9,8 +9,13 @@ Two independent routes are provided:
 
 * ``solve_direct`` -- a degree-graded oracle that plugs a generic truncated
   series into the equation and solves one exact linear system per total
-  degree.  It shares no code path with the pipeline and is used to
-  cross-check it.
+  degree.  It is used to cross-check the pipeline, so each solver keeps its
+  own recurrence.  They share two kernels only: ``Series.__mul__`` and
+  ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
+  cached lower parts (grade t^n in the pipeline, total degree n in the
+  oracle).  The kernel is checked against plain products in both gradings
+  in ``tests/test_solver.py``, and the two solvers against each other by
+  acceptance criterion 3.
 
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
@@ -399,8 +404,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 term = (g * ul.diff(alpha)).scale(scale)
                 rhs[i] = rhs[i] + term
         for gamma, vec in eq.nonlinear.items():
-            factors = tuple(i for i, g in enumerate(gamma) for _ in range(g))
-            conv = _tail_monomial_coeff(us, factors, n, k, products)
+            conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
             if conv is None or conv.is_zero:
                 continue
             for i in range(unknowns):
@@ -409,19 +413,28 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     return us
 
 
+def _factors(gamma: Sequence[int]) -> tuple[int, ...]:
+    """The unknowns of the monomial y^gamma, one per factor: (0, 0, 1) for
+    y1^2 y2."""
+    return tuple(i for i, g in enumerate(gamma) for _ in range(g))
+
+
 def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
                          k: int, products: dict) -> Series | None:
-    """Coefficient of t^m in prod_r (sum_{l>=k} u_{l,factors[r]} t^l), or
-    None when no term reaches t^m: the sum over l of the head's coefficient
-    of t^(m-l) times u_{l,factors[-1]}.  Cached in ``products`` by
-    (factors, m) from the empty product, 1 at ((), 0); a coefficient reads
-    only u_l with l <= m - k, so it is final once formed."""
+    """Grade-m part of prod_r (sum_{l>=k} u_{l,factors[r]}), where u_l is
+    homogeneous of grade l and k is the lowest grade with a nonzero part,
+    or None when no term reaches grade m: the sum over l of the head's
+    grade-(m-l) part times u_{l,factors[-1]}.  The grade is the power of t
+    in ``solve_lifted`` and the total degree in x, with k = 1, in
+    ``solve_direct``.  Cached in ``products`` by (factors, m) from the empty
+    product, 1 at ((), 0); with two or more factors it reads only u_l with
+    l <= m - k, so it is final once those are."""
     key = (factors, m)
     if key in products:
         return products[key]
     head, i = factors[:-1], factors[-1]
     out = None
-    # the head's product starts at t^(k |head|); the empty one is t^0 alone
+    # the head's product starts at grade k |head|; the empty one is grade 0
     for d in range(k * len(head), (m - k if head else 0) + 1):
         u = us[m - d][i]
         if u.is_zero:
@@ -598,14 +611,24 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         for pos, L in enumerate(prob.operators) if L is not None
         for c in L.terms.values()
     )
-    y = [Series.zero(dim, working) for _ in range(unknowns)]
-    # residual R(y) = lhs(y) - f - A y - H(y), maintained incrementally in
-    # its linear pieces; H is re-evaluated only when present.
+    # residual R(y) = lhs(y) - f - A y - H(y): its linear pieces are kept
+    # incrementally, and [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m}
+    # [y^gamma]_m is formed from parts[d], the degree-d part of y, d < n,
+    # and the products cached in ``products``
     lin_acc = [Series.zero(dim, working) for _ in range(unknowns)]  # lhs(y)-A y
+    parts = [[Series.zero(dim, working)] * unknowns]
+    products = {((), 0): Series.constant(dim, working, 1)}
+    H = [(_factors(gamma), vec) for gamma, vec in prob.H.items()]
     for n in range(1, degree + 1):
-        hy = eval_poly_map(prob.H, y, dim, unknowns)
-        resid = [la - fi - hi for la, fi, hi in zip(lin_acc, prob.f, hy)]
-        rhs_vec = [s.homogeneous(n) for s in resid]
+        rhs_vec = [la.homogeneous(n) - fi.homogeneous(n)
+                   for la, fi in zip(lin_acc, prob.f)]
+        for factors, vec in H:
+            for m in range(len(factors), n + 1):
+                ym = _tail_monomial_coeff(parts, factors, m, 1, products)
+                if ym is None:
+                    continue
+                rhs_vec = [r - c.homogeneous(n - m) * ym
+                           for r, c in zip(rhs_vec, vec)]
         if raises_degree:
             zero = Series.zero(dim, working)
             delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)),
@@ -637,11 +660,12 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                     f"degree-{n} linear system is singular") from exc
             delta = [Series(dim, working, {m: sol[index[(i, m)]] for m in monos})
                      for i in range(unknowns)]
-        y = [a + b for a, b in zip(y, delta)]
+        parts.append(delta)
         upd = [a - b for a, b in
                zip(prob.lhs(delta), prob.A.apply(delta))]
         lin_acc = [a + b for a, b in zip(lin_acc, upd)]
-    return [s.truncate(degree) for s in y]
+    return [sum((part[i] for part in parts), Series.zero(dim, working))
+            .truncate(degree) for i in range(unknowns)]
 
 
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -1,9 +1,12 @@
 """Random admissible problem instances shared by the test modules.
 
-Instances are built so the divergent-route hypotheses hold by construction:
-P is a monomial x^a, and every operator is Euler-type, L_j = sum over
-|beta| = j of b_beta(x) x^beta d_beta, whose star against a monomial is
-automatically divisible by it.
+Instances are built so the divergent-route hypotheses hold by construction.
+In ``random_admissible_problem`` P is a monomial x^a, and every operator is
+Euler-type, L_j = sum over |beta| = j of b_beta(x) x^beta d_beta, whose
+star against a monomial is automatically divisible by it.  In
+``random_weighted_problem`` P = x1^a + c x2^b is weighted homogeneous, so
+the Euler field b x1 d1 + a x2 d2 stars it to ab P, and every other
+coefficient is a multiple of P.
 """
 
 import random
@@ -52,6 +55,46 @@ def random_admissible_problem(rng: random.Random, trunc: int = 10) -> ProblemSpe
             beta = next(iter_exponents(dim, j))
             terms[beta] = Series.monomial(dim, trunc, beta)
         operators.append(DiffOperator(dim, j, terms) if terms else None)
+    return ProblemSpec(dim, unknowns, k, P, operators,
+                       *_right_side(rng, dim, unknowns, trunc))
+
+
+def random_weighted_problem(rng: random.Random, trunc: int = 8) -> ProblemSpec:
+    """dim 2, P = x1^a + c x2^b with a, b <= 3 (a = b about a third of the
+    time, so the lowest form of P can have two monomials), k = 1, 2, and
+    y1^2 in H about half the time."""
+    dim = 2
+    unknowns = rng.randint(1, 2)
+    k = rng.randint(1, 2)
+    a = rng.randint(1, 3)
+    b = a if rng.random() < 0.35 else rng.randint(1, 3)
+    c = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2))
+    P = Series(dim, trunc, {(a, 0): 1, (0, b): c})
+
+    def p_multiple():
+        return P * _poly(rng, dim, trunc, 1, max_terms=2, zero_const=False)
+
+    euler = {(1, 0): Series.monomial(dim, trunc, (1, 0), b),
+             (0, 1): Series.monomial(dim, trunc, (0, 1), a)}
+    operators = [DiffOperator(dim, 1, {
+        alpha: s + p_multiple() if rng.random() < 0.5 else s
+        for alpha, s in euler.items()})]
+    if k == 2:
+        terms = {beta: p_multiple() for beta in iter_exponents(dim, 2)
+                 if rng.random() < 0.6}
+        if all(s.is_zero for s in terms.values()):
+            terms[(1, 1)] = P
+        operators.append(DiffOperator(dim, 2, terms))
+    f, A, H = _right_side(rng, dim, unknowns, trunc)
+    if rng.random() < 0.5:
+        H.setdefault((2,) + (0,) * (unknowns - 1), [
+            Series.constant(dim, trunc, 1) + _poly(rng, dim, trunc, 2)
+            for _ in range(unknowns)])
+    return ProblemSpec(dim, unknowns, k, P, operators, f, A, H)
+
+
+def _right_side(rng, dim, unknowns, trunc):
+    """f, A with A(0) invertible, and H with up to two y-monomials."""
     f = [_poly(rng, dim, trunc, 3) for _ in range(unknowns)]
     if all(s.is_zero for s in f):
         f[0] = Series.variable(dim, trunc, 0)
@@ -76,4 +119,4 @@ def random_admissible_problem(rng: random.Random, trunc: int = 10) -> ProblemSpe
                for _ in range(unknowns)]
         if any(not s.is_zero for s in vec):
             H[gamma] = vec
-    return ProblemSpec(dim, unknowns, k, P, operators, f, A, H)
+    return f, A, H

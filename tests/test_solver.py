@@ -1,12 +1,15 @@
 """Tests for the reduction pipeline, the lifted recurrence, the direct
 oracle, and the Poincare checker."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from gevreylab import solver
 from gevreylab.diffops import DiffOperator
 from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
@@ -15,12 +18,13 @@ from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
 from gevreylab.registry import build_document
 from gevreylab.series import Series, SeriesMatrix, iter_exponents
 from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
-                              _tail_monomial_coeff, build_lifted,
+                              _factors, _tail_monomial_coeff, _y_power,
+                              build_lifted,
                               check_poincare, evaluate, invert_series_matrix,
                               reduce_problem, solve_direct, solve_implicit,
                               solve_lifted, solve_p_expansion)
 
-from instances import random_admissible_problem
+from instances import random_admissible_problem, random_weighted_problem
 
 
 def const(dim, trunc, c):
@@ -231,8 +235,7 @@ def test_tail_monomial_coeff_matches_composition_sum():
         products = {((), 0): Series.constant(dim, 8, 1)}
         for n in range(k, top):
             for gamma in rng.sample(gammas, min(2, len(gammas))):
-                factors = tuple(i for i, g in enumerate(gamma)
-                                for _ in range(g))
+                factors = _factors(gamma)
                 got = _tail_monomial_coeff(us, factors, n, k, products)
                 want = None
                 for ls in product(range(k, n + 1), repeat=len(factors)):
@@ -248,6 +251,38 @@ def test_tail_monomial_coeff_matches_composition_sum():
                 else:
                     assert got.trunc >= want.trunc
                     assert got.equal_upto(want, want.trunc)
+
+
+def test_tail_monomial_coeff_in_the_x_grading():
+    # solve_direct reads the kernel with grade = total degree in x and
+    # k = 1: the degree-m part of y^gamma from the homogeneous parts of y
+    rng = random.Random(1997)
+    mixed = 0
+    for _ in range(30):
+        dim, unknowns, trunc = rng.randint(1, 3), rng.randint(1, 3), 6
+        parts = [[Series.zero(dim, trunc)] * unknowns]
+        for d in range(1, trunc + 1):
+            monos = list(iter_exponents(dim, d))
+            parts.append([Series(dim, trunc, {
+                rng.choice(monos): Fraction(rng.randint(-3, 3),
+                                            rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3))}) for _ in range(unknowns)])
+        y = [Series.zero(dim, trunc)] * unknowns
+        for part in parts:
+            y = [a + b for a, b in zip(y, part)]
+        gammas = [g for g in product(range(5), repeat=unknowns)
+                  if 2 <= sum(g) <= 4]
+        products = {((), 0): Series.constant(dim, trunc, 1)}
+        for gamma in rng.sample(gammas, min(4, len(gammas))):
+            mixed += sum(1 for g in gamma if g) > 1
+            want = _y_power(y, gamma, dim)
+            assert want.trunc >= trunc
+            for m in range(trunc + 1):
+                got = _tail_monomial_coeff(parts, _factors(gamma), m, 1,
+                                           products)
+                got = {} if got is None else got.terms
+                assert got == want.homogeneous(m).terms, (gamma, m)
+    assert mixed > 0
 
 
 # -- the two full solvers ----------------------------------------------------
@@ -286,6 +321,110 @@ def test_direct_zero_rhs():
     prob = ProblemSpec(2, 1, 2, prob.P, prob.operators,
                        [Series.zero(2, 12)], prob.A, {})
     assert all(s.is_zero for s in solve_direct(prob, 12))
+
+
+# the Poincare-route documents of the benchmark's convergent workload, and
+# the digest of solve_direct(spec, 12) on each, recorded from an oracle that
+# evaluated H(y) in full at every degree
+CONVERGENT_DOCUMENTS = [
+    ("dim 2; unknowns 1; order 1\nP = x1\nL 1 : (1,0) -> 1; (0,1) -> x2\n"
+     "F 1 = -1*y1 + x1 + x2 + y1^2\n", "a925052166c1b80a"),
+    ("dim 2; unknowns 2; order 1\nP = x1\nL 1 : (1,0) -> 1; (0,1) -> x2\n"
+     "F 1 = -1*y1 + y2 + x1 + y1*y2\nF 2 = -2*y2 + x2 + y1^2\n",
+     "d294ff2eacbeee3c"),
+    ("dim 3; unknowns 1; order 1\nP = x1\n"
+     "L 1 : (1,0,0) -> 1; (0,1,0) -> x2; (0,0,1) -> x3\n"
+     "F 1 = -1*y1 + x1 + x2 + x3 + y1^2\n", "a9c53b49dbcda8b7"),
+    ("dim 2; unknowns 1; order 2\nP = x1\nL 1 : (1,0) -> 1\n"
+     "L 2 : (2,0) -> 1; (0,2) -> x2\nF 1 = -1*y1 + x1 + x2 + y1^2\n",
+     "d0be105261599e3b"),
+]
+
+
+def _digest(y):
+    """A digest of the certified degree and sorted terms of every
+    component."""
+    text = "\n".join(json.dumps(s.to_json(), sort_keys=True) for s in y)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("text, digest", CONVERGENT_DOCUMENTS,
+                         ids=[f"convergent{i}" for i in range(4)])
+def test_direct_on_convergent_documents_is_pinned(text, digest):
+    # the benchmark checks only the residual of these runs, so a change in
+    # a value or a trunc would pass it unnoticed
+    y = solve_direct(parse_problem(text).spec, 12)
+    assert all(s.trunc == 12 for s in y)
+    assert _digest(y) == digest
+
+
+def _dense_problem(rng, D):
+    """P = x1 and L_1 = d1 plus constant and x-dependent terms, so every
+    degree needs the dense linear solve; A(0) is upper triangular with a
+    negative diagonal, so every degree-n system is invertible.  H has
+    x-dependent coefficients and a cubic or mixed monomial."""
+    dim, unknowns = rng.randint(2, 3), rng.randint(1, 2)
+
+    def poly(low, high):
+        return Series(dim, D, {
+            rng.choice(list(iter_exponents(dim, rng.randint(low, high)))):
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2))})
+
+    ops = {e: poly(0, 0) + poly(1, 1) for e in iter_exponents(dim, 1)}
+    ops[(1,) + (0,) * (dim - 1)] = const(dim, D, 1) + poly(1, 2)
+    A = SeriesMatrix([[const(dim, D, Fraction(-rng.randint(1, 4), 2)
+                             if i == j else rng.randint(-2, 2) * (i < j))
+                       + poly(1, 2) for j in range(unknowns)]
+                      for i in range(unknowns)])
+    gammas = [(3,)] if unknowns == 1 else [(1, 1), (2, 1), (0, 3)]
+    H = {g: [poly(0, 2) for _ in range(unknowns)]
+         for g in rng.sample(gammas, rng.randint(1, len(gammas)))}
+    f = [poly(1, 2) for _ in range(unknowns)]
+    return ProblemSpec(dim, unknowns, 1, Series.variable(dim, D, 0),
+                       [DiffOperator(dim, 1, ops)], f, A, H)
+
+
+def test_direct_dense_branch_with_x_dependent_nonlinearity(monkeypatch):
+    calls = []
+    dense_solve = solver._solve_linear
+
+    def counted(*args):
+        calls.append(args)
+        return dense_solve(*args)
+
+    monkeypatch.setattr(solver, "_solve_linear", counted)
+    rng = random.Random(611)
+    D = 6
+    for _ in range(6):
+        prob = _dense_problem(rng, D)
+        before = len(calls)
+        y = solve_direct(prob, D)
+        assert len(calls) - before == D
+        assert all(s.trunc == D for s in y)
+        assert any(not s.is_zero for s in y)
+        for s in prob.residual(y):
+            assert s.trunc >= D
+            assert s.truncate(D).is_zero
+
+
+def test_pipeline_equals_direct_on_non_monomial_germs():
+    # P = x1^a + c x2^b, the long division by a lowest form with one or two
+    # monomials, and faadibruno on a dense P, end to end against the oracle
+    rng = random.Random(2021)
+    D = 6
+    two_monomial_lowest_forms = 0
+    for _ in range(20):
+        prob = random_weighted_problem(rng, trunc=D)
+        omega = prob.P.order()
+        two_monomial_lowest_forms += len(prob.P.homogeneous(omega).terms) == 2
+        # the least order whose tail bound (order + 1) o(P) - 1 reaches D
+        run = Run(prob, D, -(-(D + 1) // omega) - 1)
+        assert run.certified == D
+        for a, b in zip(run.summed, run.direct, strict=True):
+            assert a.equal_upto(b, D)
+        assert all(s.is_zero for s in run.residual)
+    assert two_monomial_lowest_forms > 0
 
 
 def test_pipeline_equals_direct_on_examples():
