@@ -4,10 +4,13 @@ A series is stored as a finite map from exponent tuples to nonzero exact
 coefficients, together with a total-degree bound ``trunc`` up to which the
 stored data is certified exact.  An integral coefficient is stored as an
 ``int`` and any other as a ``Fraction`` with denominator > 1, so ``int``
-arithmetic pays for no gcd; floats are refused.  Every operation propagates
-``trunc`` pessimistically, so ``trunc`` doubles as the certified degree of
-the value: coefficients of total degree <= ``trunc`` are exact, nothing is
-claimed beyond it.
+arithmetic pays for no gcd; floats are refused.  Products and majorant norms
+run on integer numerators over one common denominator (the lcm of the
+coefficient denominators) and normalise once per output coefficient, not
+once per pair of terms.  Every operation propagates ``trunc``
+pessimistically, so ``trunc`` doubles as the certified degree of the value:
+coefficients of total degree <= ``trunc`` are exact, nothing is claimed
+beyond it.
 
 Exponent tuples ("multi-indices") are plain tuples of non-negative ints;
 the helpers at the top of the module supply the arithmetic on them.
@@ -16,7 +19,7 @@ the helpers at the top of the module supply the arithmetic on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -139,9 +142,7 @@ class Series:
         return self
 
     def __setattr__(self, name, value):
-        if name in ("dim", "trunc") and hasattr(self, "terms"):
-            raise AttributeError("Series is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Series is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -233,19 +234,26 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
         trunc = _product_trunc(self, other)
+        # an integer convolution of the numerators, divided by the common
+        # denominator once per output coefficient
+        da, left = _numerators(self.terms)
+        db, items = _numerators(other.terms)
         # the right factor by degree, so the inner loop stops at trunc
-        right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
-                       key=itemgetter(0))
-        terms: dict[Exponent, Rational] = {}
+        right = sorted(((sum(e), e, c) for e, c in items), key=itemgetter(0))
+        terms: dict[Exponent, int] = {}
         get = terms.get
-        for e1, c1 in self.terms.items():
+        for e1, c1 in left:
             room = trunc - sum(e1)
             for d2, e2, c2 in right:
                 if d2 > room:
                     break
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
-        return Series._of(self.dim, trunc, terms.items())
+        d = da * db
+        if d == 1:
+            return Series._of(self.dim, trunc, terms.items())
+        return Series._of(self.dim, trunc,
+                          [(e, Fraction(c, d)) for e, c in terms.items()])
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -337,10 +345,17 @@ class Series:
     # -- norms --------------------------------------------------------------
 
     def majorant_norm(self, rho: Rational) -> Fraction:
-        """Sum of |coefficient| * rho^degree over the stored terms."""
+        """Sum of |coefficient| * rho^degree over the stored terms.
+
+        With rho = p/q, numerators n_e over the common denominator D and top
+        degree T this is sum |n_e| p^|e| q^(T-|e|) / (D q^T): one Fraction.
+        """
         rho = Fraction(rho)
-        return sum((abs(c) * rho ** sum(e) for e, c in self.terms.items()),
-                   Fraction(0))
+        d, items = _numerators(self.terms)
+        p, q = rho.numerator, rho.denominator
+        top = max(map(sum, self.terms), default=0)
+        return Fraction(sum(abs(n) * p ** sum(e) * q ** (top - sum(e))
+                            for e, n in items), d * q ** top)
 
     # -- canonical form -----------------------------------------------------
 
@@ -379,6 +394,16 @@ class Series:
         if len(self.terms) > 8:
             body += " + ..."
         return f"Series({body}; trunc={self.trunc})"
+
+
+def _numerators(terms: Mapping[Exponent, Rational]):
+    """(D, [(e, c * D)]): the coefficients as int numerators over D, the lcm
+    of their denominators; an all-int series gives D = 1 and its own items."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    if d == 1:
+        return 1, terms.items()
+    return d, [(e, c.numerator * (d // c.denominator))
+               for e, c in terms.items()]
 
 
 def _product_trunc(a: Series, b: Series) -> int:

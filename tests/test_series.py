@@ -394,6 +394,63 @@ def test_kernels_match_fraction_reference():
     assert divisions > 200
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _draw_hard(rng, dim):
+    """Mixed int and Fraction terms whose denominators are powers of distinct
+    primes up to about 2^90, so the lcm exceeds every single denominator; a
+    quarter of the draws are exact polynomials (trunc INFINITE)."""
+    trunc = INFINITE if rng.random() < 0.25 else rng.randint(0, 6)
+    top = 6 if trunc is INFINITE else trunc
+    primes = rng.sample(PRIMES, len(PRIMES))
+    terms = {}
+    for p in primes[:rng.choice([0, 1, 3, 6, 9])]:
+        e = rng.choice(list(iter_exponents(dim, rng.randint(0, top))))
+        num = rng.choice([rng.randint(-5, 5), rng.randint(-2**80, 2**80)])
+        den = p ** rng.randint(1, 90 // p.bit_length())
+        terms[e] = num if rng.random() < 0.3 else Fraction(num, den)
+    return Series(dim, trunc, terms)
+
+
+def test_mul_and_norm_on_large_coprime_denominators():
+    x1 = Series.variable(2, INFINITE, 0)
+    x2 = Series.variable(2, INFINITE, 1)
+    third, fifth = x1.scale(Fraction(1, 3)), x2.scale(Fraction(1, 5))
+    # the cross terms cancel and are not stored
+    _assert_matches((third + fifth) * (third - fifth), (
+        {(2, 0): Fraction(1, 9), (0, 2): Fraction(-1, 25)}, INFINITE))
+    half = Series.monomial(1, INFINITE, (1,), Fraction(1, 2))
+    got = half * Series.constant(1, INFINITE, 2)
+    _assert_matches(got, ({(1,): Fraction(1)}, INFINITE))
+    assert type(got.terms[(1,)]) is int
+    rng = random.Random(12)
+    wide = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        a, b = _draw_hard(rng, dim), _draw_hard(rng, dim)
+        ra = _ref_series(a.trunc, a.terms)
+        rb = _ref_series(b.trunc, b.terms)
+        _assert_matches(a * b, _ref_mul(ra, rb))
+        _assert_matches(b * a, _ref_mul(rb, ra))
+        dens = [c.denominator for c in a.terms.values()]
+        wide += len(set(dens) - {1}) > 1
+        for rho in (Fraction(1, 2), 2, Fraction(3, 7), 1):
+            norm = a.majorant_norm(rho)
+            assert type(norm) is Fraction
+            assert norm == sum((abs(c) * Fraction(rho) ** sum(e)
+                                for e, c in ra[0].items()), Fraction(0))
+    assert wide > 100
+
+
+def test_series_attributes_cannot_be_assigned():
+    s = Series.constant(1, 2, 5)
+    for name, value in (("terms", {(2,): 5}), ("dim", 2), ("trunc", 9)):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    assert (s.dim, s.trunc, s.terms) == (1, 2, {(0,): 5})
+
+
 def test_json_roundtrip_and_order():
     f = S(2, 4, {(0, 2): Fraction(1, 3), (1, 0): Fraction(-2), (2, 0): Fraction(5)})
     data = f.to_json()
