@@ -6,8 +6,8 @@ from .diffops import DiffOperator, check_divisibility
 from .dsl import parse_problem
 from .gevrey import estimate_order, monomial_gevrey_fit, theoretical_order
 from .series import Series, SeriesMatrix
-from .solver import (PExpansion, ProblemSpec, check_poincare, evaluate,
-                     solve_direct, solve_p_expansion)
+from .solver import (PExpansion, ProblemSpec, check_poincare, solve_direct,
+                     solve_p_expansion)
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "check_divisibility",
     "check_poincare",
     "estimate_order",
-    "evaluate",
     "monomial_gevrey_fit",
     "parse_problem",
     "solve_direct",

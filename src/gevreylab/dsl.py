@@ -402,11 +402,8 @@ def parse_problem(text: str) -> ProblemDocument:
     for s, line, nvars in exprs:
         if s.dim != nvars:
             raise SemanticError(line, "bad-dim", "wrong arity")
-    # the x-degree of an F term leaves out its y-part
-    trunc = max(parser.options["degree"],
-                max((sum(e[:d]) for s, _, _ in exprs for e in s.terms),
-                    default=0))
-    P = parser.P.with_trunc(trunc)
+    # exact polynomials (trunc INFINITE), whatever option degree says
+    P = parser.P
     if P.is_zero:
         raise SemanticError(parser.P_line, "P-zero", "P must be nonzero")
     if P.constant_term() != 0:
@@ -416,16 +413,15 @@ def parse_problem(text: str) -> ProblemDocument:
     for j in range(1, k + 1):
         # a document's coefficients are exact polynomials, so a zero one is
         # absent and an operator without a nonzero one is exactly zero
-        coeffs = {a: c.with_trunc(trunc)
-                  for a, c in parser.L_terms.get(j, {}).items() if not c.is_zero}
+        coeffs = {a: c for a, c in parser.L_terms.get(j, {}).items()
+                  if not c.is_zero}
         operators.append(DiffOperator(d, j, coeffs) if coeffs else None)
     for j in parser.L_terms:
         if j > k:
             raise SemanticError(parser.L_lines[j], "order-range",
                                 f"L {j} outside 1..{k}")
-    # F i by the y-part of each exponent, split before re-certifying: an
-    # F term's x- and y-degree together may exceed trunc
-    zero = Series.zero(d, trunc)
+    # F i by the y-part of each exponent
+    zero = Series.zero(d, INFINITE)
     f = [zero] * N
     A_entries = [[zero] * N for _ in range(N)]
     H: dict[tuple[int, ...], list[Series]] = {}
@@ -437,7 +433,7 @@ def parse_problem(text: str) -> ProblemDocument:
         for e, c in Fi.terms.items():
             parts.setdefault(e[d:], {})[e[:d]] = c
         for ye, terms in parts.items():
-            s = Series(d, trunc, terms)
+            s = Series(d, INFINITE, terms)
             if sum(ye) == 0:
                 f[i - 1] = s
             elif sum(ye) == 1:

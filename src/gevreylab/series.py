@@ -8,9 +8,11 @@ arithmetic pays for no gcd; floats are refused.  Products and majorant norms
 run on integer numerators over one common denominator (the lcm of the
 coefficient denominators) and normalise once per output coefficient, not
 once per pair of terms.  Every operation propagates ``trunc``
-pessimistically, so ``trunc`` doubles as the certified degree of the value:
-coefficients of total degree <= ``trunc`` are exact, nothing is claimed
-beyond it.
+pessimistically and none raises it (``truncate`` only lowers it), so
+``trunc`` doubles as the certified degree of the value: coefficients of
+total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
+polynomial has ``trunc = INFINITE``; cut it to a finite degree before a
+division or an inverse, which expand it as a series.
 
 Exponent tuples ("multi-indices") are plain tuples of non-negative ints;
 the helpers at the top of the module supply the arithmetic on them.
@@ -192,10 +194,6 @@ class Series:
             return self
         return Series._of(self.dim, trunc, self.terms.items())
 
-    def with_trunc(self, trunc: int) -> "Series":
-        """Re-certify to a (possibly larger) degree; caller asserts exactness."""
-        return Series._of(self.dim, trunc, self.terms.items())
-
     def equal_upto(self, other: "Series", deg: int) -> bool:
         """Coefficientwise equality of all terms of total degree <= deg."""
         self._check_dim(other)
@@ -303,6 +301,8 @@ class Series:
         if low:
             raise DivisibilityViolation(min(low, key=grlex_key))
         top = self.trunc
+        if top == INFINITE:
+            raise ValueError("exact dividend: cut it first (truncate)")
         if top < omega:
             return Series.zero(self.dim, -1)
         lead = max((e for e in b.terms if sum(e) == omega), key=grlex_key)

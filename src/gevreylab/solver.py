@@ -39,6 +39,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .series import (
+    INFINITE,
     Exponent,
     Series,
     SeriesMatrix,
@@ -88,18 +89,19 @@ class ProblemSpec:
         self.H = {tuple(g): list(v) for g, v in H.items()}
 
     def with_trunc(self, trunc: int) -> "ProblemSpec":
-        """Re-certify all (polynomial) data to the given working degree."""
+        """Each input cut to min(its trunc, trunc), so an input known only to
+        a lower degree keeps it; cutting P below its order would zero it."""
         return ProblemSpec(
             self.dim, self.unknowns, self.order,
-            self.P.with_trunc(trunc),
+            self.P.truncate(trunc),
             [L if L is None else DiffOperator(
                 self.dim, L.order,
-                {a: s.with_trunc(trunc) for a, s in L.terms.items()})
+                {a: s.truncate(trunc) for a, s in L.terms.items()})
              for L in self.operators],
-            [s.with_trunc(trunc) for s in self.f],
-            SeriesMatrix([[s.with_trunc(trunc) for s in row]
+            [s.truncate(trunc) for s in self.f],
+            SeriesMatrix([[s.truncate(trunc) for s in row]
                           for row in self.A.entries]),
-            {g: [s.with_trunc(trunc) for s in v] for g, v in self.H.items()},
+            {g: [s.truncate(trunc) for s in v] for g, v in self.H.items()},
         )
 
     def rhs(self, y: Vector) -> Vector:
@@ -179,6 +181,8 @@ def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
     X = [[[Series.constant(dim, trunc, v) for v in row] for row in inv0]]
     if not K_terms:
         return SeriesMatrix(X[0])
+    if trunc == INFINITE:
+        raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
     K = {d: [[Series(dim, trunc, t) for t in row] for row in Kd]
          for d, Kd in K_terms.items()}
     for m in range(1, trunc + 1):
@@ -517,7 +521,7 @@ class Run:
         self.window = window
         # headroom for the degrees that the divisions by P^m and the
         # derivatives in the reduction cost, and never below o(P), so that
-        # re-certifying keeps P
+        # cutting the inputs to it keeps P
         self.working = max(degree + 2 * problem.order + 2, problem.P.order())
 
     @cached_property
@@ -581,10 +585,6 @@ def solve_p_expansion(problem: ProblemSpec, order: int, degree: int) -> PExpansi
     return Run(problem, degree, order).pexp
 
 
-def evaluate(pexp: PExpansion) -> Vector:
-    return pexp.evaluate()
-
-
 # ---------------------------------------------------------------------------
 # the direct degree-graded oracle
 
@@ -595,7 +595,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     the corresponding exact rational system is built column by column and
     solved by Gaussian elimination.
     """
-    # never below o(P), so that re-certifying keeps P
+    # never below o(P), so that cutting the inputs to it keeps P
     working = max(degree + problem.order, problem.P.order())
     prob = problem.with_trunc(working)
     dim, unknowns = prob.dim, prob.unknowns
@@ -631,20 +631,23 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                            for r, c in zip(rhs_vec, vec)]
         if raises_degree:
             zero = Series.zero(dim, working)
-            delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)),
-                         zero).with_trunc(working) for row in A0inv]
+            delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)), zero)
+                     for row in A0inv]
         else:
             monos = list(iter_exponents(dim, n))
             size = unknowns * len(monos)
             index = {(i, m): i * len(monos) + c
                      for i in range(unknowns) for c, m in enumerate(monos)}
             matrix = [[Fraction(0)] * size for _ in range(size)]
+            # delta is certified only as far as the data it is solved from
+            cert = min(r.trunc for r in rhs_vec)
             for i in range(unknowns):
                 for c, m in enumerate(monos):
                     basis = [Series.zero(dim, working)] * unknowns
                     basis[i] = Series.monomial(dim, working, m)
                     col_vec = [a - b for a, b in
                                zip(prob.lhs(basis), prob.A.apply(basis))]
+                    cert = min(cert, *(v.trunc for v in col_vec))
                     col = index[(i, m)]
                     for i2 in range(unknowns):
                         for e, cval in col_vec[i2].homogeneous(n).terms.items():
@@ -658,7 +661,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
             except SingularMatrix as exc:
                 raise SingularLinearPart(
                     f"degree-{n} linear system is singular") from exc
-            delta = [Series(dim, working, {m: sol[index[(i, m)]] for m in monos})
+            delta = [Series(dim, cert, {m: sol[index[(i, m)]] for m in monos})
                      for i in range(unknowns)]
         parts.append(delta)
         upd = [a - b for a, b in

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from gevreylab.diffops import check_divisibility
 from gevreylab.dsl import DEFAULT_OPTIONS, parse_problem
 from gevreylab.errors import ParseError, SemanticError
 from gevreylab.registry import ENTRIES, build_document
-from gevreylab.series import Series
+from gevreylab.series import INFINITE, Series
 
 DOC = """\
 dim 2; unknowns 1; order 2
@@ -64,13 +65,31 @@ def test_zero_operator_coefficients_are_absent():
     assert list(ops[1].terms) == [(0, 2)]
 
 
+def _fields(spec):
+    return (spec.dim, spec.unknowns, spec.order, spec.P,
+            [L and L.terms for L in spec.operators], spec.f, spec.A, spec.H)
+
+
 def test_F_terms_above_the_degree_in_x_and_y_together_are_kept():
-    # trunc bounds the x-degree only: x1^4*y1^2 has total degree 6 > 4
+    # document data are exact polynomials: x1^4*y1^2 has total degree 6 > 4
     text = ("dim 1; unknowns 1; order 1\nP = x1\nL 1 : (1,) -> 1\n"
             "F 1 = -1*y1 + x1 + x1^4*y1^2\noption degree = 4\n")
     doc = parse_problem(text)
-    assert doc.spec.H[(2,)][0] == Series(1, 4, {(4,): 1})
+    assert doc.spec.H[(2,)][0] == Series(1, INFINITE, {(4,): 1})
     assert "F 1 = 1*x1 + -1*y1 + 1*x1^4*y1^2\n" in doc.serialize()
+    # and they do not depend on option degree
+    other = parse_problem(text.replace("degree = 4", "degree = 12"))
+    assert _fields(other.spec) == _fields(doc.spec)
+    assert doc.spec.P.trunc == doc.spec.f[0].trunc == INFINITE
+
+
+def test_exact_document_data_are_cut_before_check_divisibility():
+    spec = parse_problem(DOC).spec
+    with pytest.raises(ValueError, match="cut it"):
+        check_divisibility(spec.P, spec.operators)
+    cut = spec.with_trunc(12)
+    assert cut.P.trunc == 12
+    assert check_divisibility(cut.P, cut.operators).ok
 
 
 def test_comments_and_blank_lines():

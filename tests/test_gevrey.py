@@ -102,7 +102,7 @@ def test_estimate_factorial_squared():
 
 def test_estimate_bivariate_diagonal():
     from gevreylab.solver import solve_p_expansion
-    pexp = solve_p_expansion(bivariate_order2(80).with_trunc(90), 40, 80)
+    pexp = solve_p_expansion(bivariate_order2(90), 40, 80)
     norms = [(n, r) for n, r, _ in pexp.norms(Fraction(1, 2))]
     est = estimate_order(norms)
     assert abs(est.fitted_order - 2.0) < 0.15

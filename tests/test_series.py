@@ -145,6 +145,21 @@ def test_divide_exact_unit_quotient():
     assert (b * q).equal_upto(a, q.trunc)
 
 
+def test_exact_inputs_to_a_division_or_an_inverse_are_refused():
+    # the quotient or inverse of an exact polynomial is an infinite series,
+    # so the caller cuts the input to the degree it needs first
+    x1 = Series.variable(1, INFINITE, 0)
+    with pytest.raises(ValueError, match="cut it"):
+        (x1 * x1).divide_exact(x1 + x1 * x1)
+    u = Series.constant(1, INFINITE, 1) - x1
+    with pytest.raises(ValueError, match="cut it"):
+        invert_series_matrix(SeriesMatrix([[u]]))
+    assert inverse(u.truncate(3)).terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
+    # a constant matrix has an exact inverse
+    assert inverse(Series.constant(1, INFINITE, 2)) == \
+        Series.constant(1, INFINITE, Fraction(1, 2))
+
+
 def test_equal_upto():
     a = S(1, 4, {(1,): 1, (2,): 3})
     b = S(1, 4, {(1,): 1, (2,): 2})

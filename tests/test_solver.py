@@ -20,7 +20,7 @@ from gevreylab.series import Series, SeriesMatrix, iter_exponents
 from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
-                              check_poincare, evaluate, invert_series_matrix,
+                              check_poincare, invert_series_matrix,
                               reduce_problem, solve_direct, solve_implicit,
                               solve_lifted, solve_p_expansion)
 
@@ -430,7 +430,7 @@ def test_pipeline_equals_direct_on_non_monomial_germs():
 def test_pipeline_equals_direct_on_examples():
     for prob, D in ((bivariate_order2(14), 14), (univariate_order2(14), 14)):
         pexp = solve_p_expansion(prob, 7, D)
-        summed = evaluate(pexp)
+        summed = pexp.evaluate()
         direct = solve_direct(prob, D)
         cert = min(min(s.trunc for s in summed), D)
         for a, b in zip(summed, direct):
@@ -445,7 +445,7 @@ def test_pipeline_equals_direct_randomized():
         prob = random_admissible_problem(rng, trunc=8)
         direct = solve_direct(prob, 8)
         pexp = solve_p_expansion(prob, 6, 8)
-        summed = evaluate(pexp)
+        summed = pexp.evaluate()
         cert = min(min(s.trunc for s in summed), 8)
         for a, b in zip(summed, direct):
             assert a.equal_upto(b, cert), prob
@@ -462,7 +462,7 @@ def test_uniqueness_probe():
 def test_evaluate_certified_degree_cap():
     prob = bivariate_order2(20)
     pexp = solve_p_expansion(prob, 4, 20)
-    summed = evaluate(pexp)
+    summed = pexp.evaluate()
     # beyond order N the tail starts at x-order (N+1) o(P) = 10
     assert summed[0].trunc <= 9
 

@@ -11,17 +11,18 @@ from fractions import Fraction
 from itertools import product
 
 from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
-from gevreylab.errors import (DivisibilityViolation, SingularLinearPart,
-                              TruncationTooSmall)
-from gevreylab.series import Series, SeriesMatrix, iter_exponents
+from gevreylab.errors import (DivisibilityViolation, InputError,
+                              SingularLinearPart, TruncationTooSmall)
+from gevreylab.series import INFINITE, Series, SeriesMatrix, iter_exponents
 from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
-                              invert_series_matrix, solve_implicit,
-                              solve_lifted)
+                              invert_series_matrix, solve_direct,
+                              solve_implicit, solve_lifted)
 
-from instances import random_admissible_problem
+from instances import random_admissible_problem, random_weighted_problem
 
 KERNEL_DRAWS = 250
 SOLVER_DRAWS = 40
+LIBRARY_DRAWS = 30
 
 
 def _terms(rng, dim, lo, hi, count):
@@ -264,3 +265,113 @@ def test_solver_certified_degrees_survive_tail_perturbation():
     rng = random.Random(20212)
     for name, draw in SOLVERS.items():
         _check_survives(rng, name, draw, SOLVER_DRAWS)
+
+
+# ---------------------------------------------------------------------------
+# library problems through a whole run
+
+def _map_inputs(spec, fn):
+    """spec with each f, A, H and L coefficient s replaced by fn(s, factor),
+    where factor is P for an L coefficient and 1 otherwise."""
+    dim = spec.dim
+    P = Series(dim, INFINITE, spec.P.terms)
+    one = Series.constant(dim, INFINITE, 1)
+    return ProblemSpec(
+        dim, spec.unknowns, spec.order, spec.P,
+        [None if L is None else DiffOperator(
+            dim, L.order, {a: fn(c, P) for a, c in L.terms.items()})
+         for L in spec.operators],
+        [fn(s, one) for s in spec.f],
+        SeriesMatrix([[fn(s, one) for s in row] for row in spec.A.entries]),
+        {g: [fn(s, one) for s in v] for g, v in spec.H.items()})
+
+
+def _run_outputs(spec, degree, order):
+    """What a run writes or checks: the summed solution, its residual, every
+    y_n of the P-expansion (norms.csv reads them) and the direct oracle."""
+    run = Run(spec, degree, order)
+    return (run.summed + run.residual
+            + [s for yn in run.pexp.coeffs for s in yn] + run.direct)
+
+
+def _assert_agree(out, perturbed):
+    assert len(out) == len(perturbed)
+    for o, p in zip(out, perturbed):
+        assert o.equal_upto(p, min(o.trunc, p.trunc)), (
+            f"a run over-claims: {o} vs perturbed {p}")
+
+
+def test_library_inputs_below_the_working_degree_survive_a_run():
+    # each f, A, H and L coefficient is cut to a random degree with
+    # probability 1/2, then terms are added above every input's trunc; the
+    # terms added to an L coefficient are a multiple of P, so that P still
+    # divides L*(P).  P itself stays exact (the kernel tests perturb it).
+    rng = random.Random(20213)
+
+    def cut(s, _):
+        return s.truncate(rng.randint(0, 8)) if rng.random() < 0.5 else s
+
+    def perturb(s, factor):
+        tail = factor * Series(s.dim, INFINITE, _terms(
+            rng, s.dim, s.trunc + 1, s.trunc + 3, rng.randint(1, 4)))
+        return Series(s.dim, s.trunc + 3, {**s.terms, **tail.terms})
+
+    checked = lowered = 0
+    for _ in range(LIBRARY_DRAWS):
+        draw = rng.choice([random_admissible_problem, random_weighted_problem])
+        spec = _map_inputs(draw(rng), cut)
+        degree, order = rng.randint(2, 5), rng.randint(2, 5)
+        try:
+            out = _run_outputs(spec, degree, order)
+            perturbed = _run_outputs(_map_inputs(spec, perturb), degree, order)
+        except (DivisibilityViolation, InputError, SingularLinearPart,
+                TruncationTooSmall):
+            continue
+        _assert_agree(out, perturbed)
+        checked += 1
+        lowered += out[0].trunc < degree
+    assert checked >= LIBRARY_DRAWS // 2 and lowered >= LIBRARY_DRAWS // 6
+
+
+def test_pipeline_certifies_no_more_than_f():
+    # f = x1 known only to degree 2: f = x1 + 5*x1^3 agrees with it there
+    def spec(f):
+        return ProblemSpec(
+            1, 1, 1, Series(1, 50, {(2,): 1}),
+            [DiffOperator(1, 1, {(1,): Series(1, 50, {(1,): 1})})], [f],
+            SeriesMatrix([[Series.constant(1, 50, -1)]]), {})
+
+    out = _run_outputs(spec(Series(1, 2, {(1,): 1})), 8, 6)
+    assert out[0] == Series(1, 2, {(1,): 1}) == out[-1]
+    _assert_agree(out, _run_outputs(
+        spec(Series(1, 50, {(1,): 1, (3,): 5})), 8, 6))
+
+
+def test_dense_direct_branch_certifies_no_more_than_its_data():
+    # L_1 = d1 + x2 d2 keeps the degree, so each degree is a dense solve
+    def spec(f):
+        return ProblemSpec(
+            2, 1, 1, Series(2, 50, {(1, 0): 1}),
+            [DiffOperator(2, 1, {(1, 0): Series.constant(2, 50, 1),
+                                 (0, 1): Series(2, 50, {(0, 1): 1})})],
+            [f], SeriesMatrix([[Series.constant(2, 50, -1)]]),
+            {(2,): [Series.constant(2, 50, 1)]})
+
+    y = solve_direct(spec(Series(2, 2, {(1, 0): 1, (0, 1): 1})), 6)
+    assert y[0].trunc == 2
+    _assert_agree(y, solve_direct(
+        spec(Series(2, 50, {(1, 0): 1, (0, 1): 1, (3, 0): 5})), 6))
+
+    # with the d2 coefficient known to no degree, the degree-1 system
+    # lacks its diagonal in x2 but stays solvable through A(0)
+    def spec2(c):
+        one, zero = Series.constant(2, 50, 1), Series.zero(2, 50)
+        return ProblemSpec(
+            2, 2, 1, Series(2, 50, {(1, 0): 1}),
+            [DiffOperator(2, 1, {(1, 0): one, (0, 1): c})],
+            [Series(2, 50, {(1, 0): 1, (0, 1): 1}), zero],
+            SeriesMatrix([[zero, one.scale(2)], [one, zero]]), {})
+
+    y = solve_direct(spec2(Series.zero(2, -1)), 1)
+    assert [s.trunc for s in y] == [0, 0]
+    _assert_agree(y, solve_direct(spec2(Series.constant(2, 50, 3)), 1))
