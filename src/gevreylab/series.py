@@ -409,13 +409,19 @@ def _numerators(terms: Mapping[Exponent, Rational]):
 def _product_trunc(a: Series, b: Series) -> int:
     """Certified degree of a product: unknown tails are shifted by the
     partner's order."""
+    return product_trunc(a.trunc, a.order(), b.trunc, b.order())
+
+
+def product_trunc(ta, oa, tb, ob) -> int:
+    """Certified degree of a product of factors with truncs ta, tb and
+    orders oa, ob (INFINITE for a zero factor)."""
     candidates = []
-    if not b.is_zero:
-        candidates.append(a.trunc + b.order())
-    if not a.is_zero:
-        candidates.append(b.trunc + a.order())
+    if ob != INFINITE:
+        candidates.append(ta + ob)
+    if oa != INFINITE:
+        candidates.append(tb + oa)
     if not candidates:
-        return max(a.trunc, b.trunc)
+        return max(ta, tb)
     return min(candidates)
 
 

@@ -17,6 +17,12 @@ Two independent routes are provided:
   in ``tests/test_solver.py``, and the two solvers against each other by
   acceptance criterion 3.
 
+Every linear step of the pipeline, each Picard step of ``solve_implicit``
+and each order of ``solve_lifted``, is one solve B u = r by the kernel
+``GradedSolve``: a product by B(0)^-1 and a degree-bucketed pass over the
+terms of B - B(0), without forming B^-1.  ``tests/test_solver.py`` checks
+it against ``invert_series_matrix(B).apply(r)``, terms and truncs.
+
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
 """
@@ -26,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_first
@@ -51,6 +59,7 @@ from .series import (
     gauss_jordan,
     invert_rational_matrix,
     iter_exponents,
+    product_trunc,
     unit_exp,
 )
 
@@ -152,18 +161,17 @@ def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# exact inverses of series matrices
+# graded linear solves against series matrices
 
-def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
-    """Exact inverse of a matrix with invertible constant part M(0),
-    solved degree by degree: X_0 = M(0)^-1 and
-    X_m = sum_{d=1..m} K_d X_{m-d}, where K_d = -M(0)^-1 N_d and N_d is
-    the degree-d part of M - M(0).  Every entry is certified to the
-    least trunc T among the entries of M."""
-    n, dim = M.rows, M.dim
+def _graded_parts(M: SeriesMatrix):
+    """(T, X0, K) for a matrix with invertible constant part M(0): T the
+    least trunc among the entries of M, X0 = M(0)^-1 and K maps d to the
+    nonzero entries (i, j, terms) of K_d = -M(0)^-1 N_d, where N_d is the
+    degree-d part of M - M(0), 0 < d <= T."""
+    n = M.rows
     trunc = min(s.trunc for row in M.entries for s in row)
     try:
-        inv0 = invert_rational_matrix(M.constant_part())
+        X0 = invert_rational_matrix(M.constant_part())
     except SingularMatrix as exc:
         raise SingularLinearPart(str(exc)) from exc
     # the terms of K_d, gathered in one pass over the terms of M
@@ -177,31 +185,166 @@ def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
                 Kd = K_terms.setdefault(
                     d, [[{} for _ in range(n)] for _ in range(n)])
                 for i in range(n):
-                    Kd[i][j][e] = Kd[i][j].get(e, 0) - inv0[i][l] * c
-    X = [[[Series.constant(dim, trunc, v) for v in row] for row in inv0]]
-    if not K_terms:
-        return SeriesMatrix(X[0])
-    if trunc == INFINITE:
+                    Kd[i][j][e] = Kd[i][j].get(e, 0) - X0[i][l] * c
+    if K_terms and trunc == INFINITE:
         raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
-    K = {d: [[Series(dim, trunc, t) for t in row] for row in Kd]
-         for d, Kd in K_terms.items()}
+    K = {}
+    for d, Kd in sorted(K_terms.items()):
+        K[d] = [(i, j, [(e, c) for e, c in t.items() if c])
+                for i, row in enumerate(Kd) for j, t in enumerate(row)
+                if any(t.values())]
+    return trunc, X0, K
+
+
+def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
+    """Exact inverse of a matrix with invertible constant part M(0),
+    solved degree by degree: X_0 = M(0)^-1 and
+    X_m = sum_{d=1..m} K_d X_{m-d}.  Every entry is certified to the least
+    trunc T among the entries of M.  The solvers do not form it:
+    ``GradedSolve`` applies it without it, and calls it only on M cut to
+    the degree that settles a certified degree its entry orders decide."""
+    n, dim = M.rows, M.dim
+    trunc, X0, K = _graded_parts(M)
+    X = [[[Series.constant(dim, trunc, v) for v in row] for row in X0]]
+    if not K:
+        return SeriesMatrix(X[0])
+    Ks = {d: [(i, l, Series._of(dim, trunc, t)) for i, l, t in Kd]
+          for d, Kd in K.items()}
     for m in range(1, trunc + 1):
         Xm = [[Series.zero(dim, trunc) for _ in range(n)] for _ in range(n)]
-        for d, Kd in K.items():
+        for d, Kd in Ks.items():
             if d > m:
-                continue
+                break
             prev = X[m - d]
-            for i in range(n):
-                for l in range(n):
-                    if Kd[i][l].is_zero:
-                        continue
-                    for j in range(n):
-                        if not prev[l][j].is_zero:
-                            Xm[i][j] = Xm[i][j] + Kd[i][l] * prev[l][j]
+            for i, l, k in Kd:
+                for j in range(n):
+                    if not prev[l][j].is_zero:
+                        Xm[i][j] = Xm[i][j] + k * prev[l][j]
         X.append(Xm)
     return SeriesMatrix([
         [Series(dim, trunc, {e: c for Xm in X for e, c in Xm[i][j].terms.items()})
          for j in range(n)] for i in range(n)])
+
+
+class GradedSolve:
+    """u = M^-1 r for a matrix M with invertible constant part, built once
+    per M and applied per right side r without forming M^-1.
+
+    ``solve`` gives what ``invert_series_matrix(M).apply(r)`` gives, terms
+    and truncs.  A constant M costs one product by X0 = M(0)^-1.  Otherwise
+    u = X0 r + K u is solved lowest degree first on a degree-bucketed
+    remainder, the long-division scheme of ``Series.divide_exact``: once u_d
+    is final, K_e u_d goes to degree d + e.  Row i is certified to
+    min_l product_trunc(T, o((M^-1)_il), r_l.trunc, o(r_l)), as a product
+    by the inverse is.  The orders of the inverse's entries come from the
+    zero pattern of X0 and, only where an order still unknown could lower
+    that bound, from the inverse of M cut to the least degree that settles
+    it (cached per degree)."""
+
+    __slots__ = ("dim", "n", "trunc", "M", "constant", "dX", "X0", "dK", "K",
+                 "_orders")
+
+    def __init__(self, M: SeriesMatrix):
+        self.dim, self.n, self.M = M.dim, M.rows, M
+        self.trunc, X0, K = _graded_parts(M)
+        self.constant = SeriesMatrix([
+            [Series.constant(self.dim, self.trunc, v) for v in row]
+            for row in X0])
+        # X0 = X0n / dX and K_e = Kn_e / dK on int numerators, with
+        # dK^(e-1) folded into Kn_e (see ``solve``)
+        self.dX = lcm(*(v.denominator for row in X0 for v in row))
+        self.X0 = [[v.numerator * (self.dX // v.denominator) for v in row]
+                   for row in X0]
+        dK = self.dK = lcm(*(c.denominator for Kd in K.values()
+                             for _, _, terms in Kd for _, c in terms))
+        self.K = {d: [(i, l, [(e, c.numerator * (dK // c.denominator)
+                                * dK ** (d - 1)) for e, c in terms])
+                      for i, l, terms in Kd] for d, Kd in K.items()}
+        # orders of the entries of M^-1 known through degree D, None for
+        # an entry without terms through D
+        self._orders = {0: [[0 if v else None for v in row] for row in X0]}
+
+    def solve(self, r: Sequence[Series]) -> Vector:
+        if not self.K:
+            return self.constant.apply(r)
+        truncs = self._truncs(r)
+        top = max((t for t in truncs if t != INFINITE), default=-1)
+        n, X0, dK = self.n, self.X0, self.dK
+        # w_d = dX dr dK^d u_d is integral when dr clears the denominators
+        # of r: w_d = dK^d X0n rn_d + sum_e Kn_e dK^(e-1) w_(d-e)
+        dr = lcm(*(c.denominator for s in r for c in s.terms.values()))
+        scale = [dK ** d for d in range(top + 1)]
+        w = [[{} for _ in range(n)] for _ in range(top + 1)]
+        for l, s in enumerate(r):
+            for e, c in s.terms.items():
+                d = sum(e)
+                if d > top:
+                    continue
+                c = c.numerator * (dr // c.denominator) * scale[d]
+                for i in range(n):
+                    if X0[i][l]:
+                        bucket = w[d][i]
+                        bucket[e] = bucket.get(e, 0) + X0[i][l] * c
+        for d in range(top + 1):
+            for shift, Kd in self.K.items():
+                if d + shift > top:
+                    break
+                target = w[d + shift]
+                for i, l, terms in Kd:
+                    bucket, get = target[i], target[i].get
+                    for e1, c1 in w[d][l].items():
+                        for e2, c2 in terms:
+                            e = tuple(map(add, e1, e2))
+                            bucket[e] = get(e, 0) + c1 * c2
+        den = [self.dX * dr * s for s in scale]
+        return [Series._of(self.dim, t, [
+            (e, Fraction(c, den[d])) for d in range(min(t, top) + 1)
+            for e, c in w[d][i].items() if c])
+            for i, t in enumerate(truncs)]
+
+    def _truncs(self, r: Sequence[Series]) -> list[int]:
+        T, n = self.trunc, self.n
+        right = [(s.trunc, s.order()) for s in r]
+
+        def bounds(o, D, t, order):
+            """Least and greatest certified degree of (M^-1)_il r_l over
+            the orders the entry can have: o when known, else an order in
+            D+1..T or none through T."""
+            if o is not None:
+                v = product_trunc(T, o, t, order)
+                return v, v
+            vals = [product_trunc(T, INFINITE, t, order)]
+            if D < T:
+                vals += [product_trunc(T, D + 1, t, order),
+                         product_trunc(T, T, t, order)]
+            return min(vals), max(vals)
+
+        def rows(orders, D):
+            out = []
+            for i in range(n):
+                pairs = [bounds(orders[i][l], D, *right[l]) for l in range(n)]
+                out.append((min(lo for lo, _ in pairs),
+                            min(hi for _, hi in pairs)))
+            return out
+
+        D = 0
+        while True:
+            orders = self._orders_through(D)
+            truncs = rows(orders, D)
+            if all(lo == hi for lo, hi in truncs):
+                return [lo for lo, _ in truncs]
+            # the least degree through which the orders settle every row,
+            # whatever the entries not yet known turn out to be
+            D = next(E for E in range(D + 1, T + 1)
+                     if all(lo == hi for lo, hi in rows(orders, E)))
+
+    def _orders_through(self, D: int):
+        if D not in self._orders:
+            cut = SeriesMatrix([[s.truncate(D) for s in row]
+                                for row in self.M.entries])
+            self._orders[D] = [[None if s.is_zero else s.order() for s in row]
+                               for row in invert_series_matrix(cut).entries]
+        return self._orders[D]
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +353,18 @@ def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
 def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vector:
     """Unique y with f + A y + H(x, y) = 0 and y(0) = 0, exact to ``degree``.
 
-    Degree-graded fixed point y <- -A^-1 (f + H(x, y)); iteration m fixes
-    all coefficients of total degree <= m.
+    Degree-graded fixed point y <- -A^-1 (f + H(x, y)), each step one
+    ``GradedSolve`` of A against f + H(x, y); iteration m fixes all
+    coefficients of total degree <= m.
     """
     dim = A.dim
     unknowns = A.rows
-    Ainv = invert_series_matrix(A)
+    Ainv = GradedSolve(A)
     y = [Series.zero(dim, degree) for _ in range(unknowns)]
     for _ in range(degree + 1):
         hy = eval_poly_map(H, y, dim, unknowns)
         rhs = [fi + hi for fi, hi in zip(f, hy)]
-        new = [(-s).truncate(degree) for s in Ainv.apply(rhs)]
+        new = [(-s).truncate(degree) for s in Ainv.solve(rhs)]
         if new == y:
             break
         y = new
@@ -383,13 +527,12 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
     products = {((), 0): Series.constant(dim, degree, 1)}
-    Binv = None
+    if order >= k:
+        try:
+            Binv = GradedSolve(eq.B)
+        except SingularLinearPart as exc:
+            raise PoincareViolation(k) from exc
     for n in range(k, order + 1):
-        if Binv is None:
-            try:
-                Binv = invert_series_matrix(eq.B)
-            except SingularLinearPart as exc:
-                raise PoincareViolation(n) from exc
         rhs = [Series.zero(dim, degree) for _ in range(unknowns)]
         if n == k:
             rhs = [r + f for r, f in zip(rhs, eq.forcing)]
@@ -413,7 +556,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 continue
             for i in range(unknowns):
                 rhs[i] = rhs[i] + vec[i] * conv
-        us.append(Binv.apply(rhs))
+        us.append(Binv.solve(rhs))
     return us
 
 

@@ -624,3 +624,114 @@ def test_invert_random_matrices():
 def test_invert_singular():
     with pytest.raises(SingularLinearPart):
         invert_series_matrix(SeriesMatrix([[Series.variable(1, 3, 0)]]))
+
+
+# -- GradedSolve ---------------------------------------------------------------
+
+def _constant_part(rng, n, shape):
+    """An invertible n x n rational matrix: diagonal, triangular or full."""
+    while True:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if (i == j or shape == "full"
+                        or (shape == "triangular" and j > i)):
+                    m[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if _det(m) != 0:
+            return m
+
+
+def _graded_matrix(rng, n, dim, constant):
+    shape = rng.choice(["diagonal", "triangular", "full"])
+    m0 = _constant_part(rng, n, shape)
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            trunc = rng.randint(1, 6)
+            terms = {(0,) * dim: m0[i][j]}
+            if not constant and rng.random() < 0.6:
+                for _ in range(rng.randint(1, 3)):
+                    e = rng.choice(list(iter_exponents(dim, rng.randint(1, 3))))
+                    terms[e] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if rng.random() < 0.15 and m0[i][j] == 0:
+                terms = {}      # zero through its trunc
+            row.append(Series(dim, trunc, terms))
+        entries.append(row)
+    return SeriesMatrix(entries)
+
+
+def _right_side(rng, dim):
+    kind = rng.choice(["zero", "low", "positive order", "plain", "exact"])
+    trunc = {"zero": rng.randint(-1, 8), "low": rng.randint(0, 2),
+             "exact": float("inf")}.get(kind, rng.randint(2, 8))
+    if kind == "zero":
+        return Series.zero(dim, trunc)
+    lo = 2 if kind == "positive order" else 0
+    hi = min(trunc, 7)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        if lo > hi:
+            break
+        e = rng.choice(list(iter_exponents(dim, rng.randint(lo, hi))))
+        terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Series(dim, trunc, terms)
+
+
+def test_graded_solve_equals_the_inverse_applied():
+    rng = random.Random(14)
+    settled_late = 0
+    for draw in range(600):
+        n, dim = rng.randint(1, 3), rng.randint(1, 3)
+        M = _graded_matrix(rng, n, dim, constant=draw % 5 == 0)
+        kernel = solver.GradedSolve(M)
+        inverse = invert_series_matrix(M)
+        for _ in range(3):
+            r = [_right_side(rng, dim) for _ in range(n)]
+            assert kernel.solve(r) == inverse.apply(r), (M.entries, r)
+        settled_late += len(kernel._orders) > 1
+    # some truncs needed the orders of inverse entries above degree 0
+    assert settled_late > 0
+
+
+def test_graded_solve_singular_and_exact_matrices():
+    with pytest.raises(SingularLinearPart):
+        solver.GradedSolve(SeriesMatrix([[Series.variable(1, 3, 0)]]))
+    with pytest.raises(ValueError):
+        solver.GradedSolve(SeriesMatrix([[Series(1, float("inf"),
+                                                 {(0,): 1, (1,): 1})]]))
+    exact = SeriesMatrix([[const(2, float("inf"), 2)]])
+    r = [Series(2, float("inf"), {(1, 0): 1})]
+    assert solver.GradedSolve(exact).solve(r) == \
+        invert_series_matrix(exact).apply(r)
+
+
+GUARD_DOC = """dim 2; unknowns 2; order 2
+P = x2^2
+L 1 : (0,1) -> -2*x1*x2
+L 2 : (0,2) -> x2^2
+F 1 = x1*x2^2 + -1*y1 + 2*x2*y1 + -1*y2 + -3*x2*y2
+F 2 = 3*x1 + -2*y1 + y2 + -1/2*x1*y2
+option degree = 8
+option order = 6
+"""
+
+
+def test_linear_solves_never_invert_at_the_working_degree(monkeypatch):
+    # a linear 2x2 system whose A depends on x: each order of the lifted
+    # recurrence and each implicit solve is one solve against B, and none
+    # may form B^-1 through the working degree
+    run = parse_problem(GUARD_DOC).run()
+    truncs = []
+    inverse = solver.invert_series_matrix
+
+    def counting(M):
+        truncs.append(min(s.trunc for row in M.entries for s in row))
+        return inverse(M)
+
+    monkeypatch.setattr(solver, "invert_series_matrix", counting)
+    pexp = run.pexp
+    assert any(sum(e) for row in run.lifted.B.entries for s in row
+               for e in s.terms)
+    assert len(pexp.coeffs) == run.order + 1
+    assert all(t < run.working for t in truncs), truncs

@@ -14,7 +14,7 @@ from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, InputError,
                               SingularLinearPart, TruncationTooSmall)
 from gevreylab.series import INFINITE, Series, SeriesMatrix, iter_exponents
-from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
+from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               invert_series_matrix, solve_direct,
                               solve_implicit, solve_lifted)
 
@@ -86,6 +86,13 @@ def _invert_series_matrix(rng, dim):
     entries = [_series(rng, dim) for _ in range(n * n)]
     return entries, lambda *m: [s for row in invert_series_matrix(
         _unflatten(m, n)).entries for s in row]
+
+
+def _graded_solve(rng, dim):
+    n = rng.randint(1, 2)
+    inputs = [_series(rng, dim) for _ in range(n * n + n)]
+    return inputs, lambda *s: GradedSolve(_unflatten(s[:n * n], n)).solve(
+        s[n * n:])
 
 
 def _matrix_apply(rng, dim):
@@ -230,6 +237,7 @@ KERNELS = {
     "faadibruno": _faadibruno,
     "check_divisibility": _check_divisibility,
     "ProblemSpec.lhs": _lhs,
+    "GradedSolve.solve": _graded_solve,
 }
 
 SOLVERS = {
