@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .diffops import check_divisibility
@@ -196,7 +197,10 @@ def _parse_param(item: str) -> tuple[str, int | tuple[int, ...]]:
                                   f"or key=(N,...)") from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it stores no handlers,
+    so ``main`` looks each command's function up at call time."""
     parser = argparse.ArgumentParser(
         prog="gevrey-lab",
         description="Exact series solver and Gevrey-order lab for singular "
@@ -213,26 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("--poincare-bound", type=int, default=None,
                          help="finite bound for the partial Poincare check")
-    p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="solve and export solution files")
     p_solve.add_argument("file")
     common(p_solve)
     p_solve.add_argument("--out-dir", default=".")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_est = sub.add_parser("estimate", help="fit the Gevrey order")
     p_est.add_argument("file", nargs="?")
     common(p_est)
     p_est.add_argument("--norms", help="norms.csv to fit instead of solving")
-    p_est.set_defaults(func=cmd_estimate)
 
     p_ex = sub.add_parser("examples", help="list or run built-in examples")
     p_ex.add_argument("action", choices=["list", "run"])
     p_ex.add_argument("name", nargs="?")
     p_ex.add_argument("--param", action="append",
                       help="override an example parameter, e.g. --param k=2")
-    p_ex.set_defaults(func=cmd_examples)
     return parser
 
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     if args.command == "estimate" and not args.file and not args.norms:
         parser.error("estimate requires a file or --norms")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, SemanticError, InputError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -239,7 +239,8 @@ class GradedSolve:
     by the inverse is.  The orders of the inverse's entries come from the
     zero pattern of X0 and, only where an order still unknown could lower
     that bound, from the inverse of M cut to the least degree that settles
-    it (cached per degree)."""
+    it (cached per degree).  Raises SingularLinearPart when M(0) is
+    singular and ValueError for an exact M that is not constant."""
 
     __slots__ = ("dim", "n", "trunc", "M", "constant", "dX", "X0", "dK", "K",
                  "_orders")
@@ -359,12 +360,12 @@ def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vecto
     """
     dim = A.dim
     unknowns = A.rows
-    Ainv = GradedSolve(A)
+    solve_A = GradedSolve(A).solve
     y = [Series.zero(dim, degree) for _ in range(unknowns)]
     for _ in range(degree + 1):
         hy = eval_poly_map(H, y, dim, unknowns)
         rhs = [fi + hi for fi, hi in zip(f, hy)]
-        new = [(-s).truncate(degree) for s in Ainv.solve(rhs)]
+        new = [(-s).truncate(degree) for s in solve_A(rhs)]
         if new == y:
             break
         y = new
@@ -529,7 +530,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         try:
-            Binv = GradedSolve(eq.B)
+            solve_B = GradedSolve(eq.B).solve
         except SingularLinearPart as exc:
             raise PoincareViolation(k) from exc
     for n in range(k, order + 1):
@@ -556,7 +557,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 continue
             for i in range(unknowns):
                 rhs[i] = rhs[i] + vec[i] * conv
-        us.append(Binv.solve(rhs))
+        us.append(solve_B(rhs))
     return us
 
 
@@ -682,9 +683,15 @@ class Run:
     @cached_property
     def pexp(self) -> PExpansion:
         Lk = self.problem.operators[-1]
-        if Lk is None or Lk.is_zero:
+        if Lk is None or (Lk.is_zero and all(
+                c.trunc == INFINITE for c in Lk.terms.values())):
             raise InputError("no-top-operator",
                              "the top operator L_k must not vanish identically")
+        if Lk.is_zero:
+            # zero only through the coefficients' truncs: not known to vanish
+            raise TruncationTooSmall(
+                f"the top operator L_k is zero through degree "
+                f"{min(c.trunc for c in Lk.terms.values())} only")
         tail = solve_lifted(self.lifted, self.order, self.working)
         coeffs = (self.reduced.head + tail[self.problem.order:])[:self.order + 1]
         return PExpansion(self.spec.P, coeffs, self.degree, self.order)

@@ -342,3 +342,22 @@ def test_stage_calls_per_command(tmp_path, capsys, monkeypatch, argv,
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert calls == expected
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_dispatched(
+        tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so main must look the command's
+    # function up when it runs, not when the parser was built
+    path = write(tmp_path, "p.gl", DOC)
+    assert main(["check", str(path)]) == EXIT_OK
+    calls = []
+    real = gevreylab.cli.cmd_check
+
+    def wrapper(args):
+        calls.append(args.file)
+        return real(args)
+
+    monkeypatch.setattr(gevreylab.cli, "cmd_check", wrapper)
+    assert main(["check", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [str(path)]

@@ -13,7 +13,7 @@ from gevreylab import solver
 from gevreylab.diffops import DiffOperator
 from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
-                              PoincareViolation, SingularLinearPart,
+                              InputError, PoincareViolation, SingularLinearPart,
                               TruncationTooSmall)
 from gevreylab.registry import build_document
 from gevreylab.series import Series, SeriesMatrix, iter_exponents
@@ -457,6 +457,26 @@ def test_uniqueness_probe():
     bad = [y[0] + Series.monomial(2, y[0].trunc, (2, 2), Fraction(1, 7))]
     res = prob.residual(bad)
     assert not all(s.is_zero for s in res)
+
+
+def _with_top(L2):
+    prob = univariate_order2()
+    return ProblemSpec(1, 1, 2, prob.P, [None, L2], prob.f, prob.A, {})
+
+
+@pytest.mark.parametrize("L2", [
+    None, DiffOperator(1, 2, {(2,): Series.zero(1, float("inf"))})],
+    ids=["absent", "exactly-zero"])
+def test_pexp_refuses_a_top_operator_known_to_vanish(L2):
+    with pytest.raises(InputError) as err:
+        Run(_with_top(L2), 6, 4).pexp
+    assert err.value.code == "no-top-operator"
+
+
+def test_pexp_calls_a_top_operator_zero_through_its_trunc_uncertified():
+    L2 = DiffOperator(1, 2, {(2,): Series.zero(1, 3)})
+    with pytest.raises(TruncationTooSmall, match="zero through degree 3"):
+        Run(_with_top(L2), 6, 4).pexp
 
 
 def test_evaluate_certified_degree_cap():
