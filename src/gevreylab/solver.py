@@ -5,7 +5,8 @@ Two independent routes are provided:
 * ``solve_p_expansion`` -- the constructive pipeline: peel off the first k
   coefficients by implicit solves, lift the remaining tail to an auxiliary
   time variable t (so the tail becomes sum u_n t^n), and run the resulting
-  well-founded order-by-order recurrence.
+  well-founded order-by-order recurrence.  Each implicit solve is that
+  recurrence too, at k = 1, with t scaling the forcing.
 
 * ``solve_direct`` -- a degree-graded oracle that plugs a generic truncated
   series into the equation and solves one exact linear system per total
@@ -17,11 +18,11 @@ Two independent routes are provided:
   in ``tests/test_solver.py``, and the two solvers against each other by
   acceptance criterion 3.
 
-Every linear step of the pipeline, each Picard step of ``solve_implicit``
-and each order of ``solve_lifted``, is one solve B u = r by the kernel
-``GradedSolve``: a product by B(0)^-1 and a degree-bucketed pass over the
-terms of B - B(0), without forming B^-1.  ``tests/test_solver.py`` checks
-it against ``invert_series_matrix(B).apply(r)``, terms and truncs.
+Every linear step of the pipeline, one per order of ``solve_lifted``, is
+one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
+a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
+``tests/test_solver.py`` checks it against
+``invert_series_matrix(B).apply(r)``, terms and truncs.
 
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
@@ -349,34 +350,7 @@ class GradedSolve:
 
 
 # ---------------------------------------------------------------------------
-# implicit solves (Step 1 ingredients)
-
-def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vector:
-    """Unique y with f + A y + H(x, y) = 0 and y(0) = 0, exact to ``degree``.
-
-    Degree-graded fixed point y <- -A^-1 (f + H(x, y)), each step one
-    ``GradedSolve`` of A against f + H(x, y); iteration m fixes all
-    coefficients of total degree <= m.
-    """
-    dim = A.dim
-    unknowns = A.rows
-    solve_A = GradedSolve(A).solve
-    y = [Series.zero(dim, degree) for _ in range(unknowns)]
-    for _ in range(degree + 1):
-        hy = eval_poly_map(H, y, dim, unknowns)
-        rhs = [fi + hi for fi, hi in zip(f, hy)]
-        new = [(-s).truncate(degree) for s in solve_A(rhs)]
-        if new == y:
-            break
-        y = new
-    res = [fi + ai + hi for fi, ai, hi in zip(
-        f, A.apply(y), eval_poly_map(H, y, dim, unknowns))]
-    bad = min((s.trunc for s in res), default=degree)
-    for s in res:
-        if not s.equal_upto(Series.zero(dim, s.trunc), min(bad, degree)):
-            raise ArithmeticError("implicit solve failed residual check")
-    return y
-
+# Step 1: reduction
 
 def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     trunc: int) -> tuple[SeriesMatrix, PolyMap]:
@@ -401,9 +375,6 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
     return SeriesMatrix(list(zip(*cols))), {
         g: v for g, v in shifted.items() if any(not s.is_zero for s in v)}
 
-
-# ---------------------------------------------------------------------------
-# Step 1: reduction
 
 class ReducedProblem:
     """Outcome of peeling off y_0 .. y_{k-1}: the tail w = y - sum y_m P^m
@@ -522,17 +493,15 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
 
 def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     """Coefficients u_0..u_order of the unique solution sum u_n t^n with
-    u_0 = ... = u_{k-1} = 0.  Certified degrees are carried on each series."""
+    u_0 = ... = u_{k-1} = 0.  Certified degrees are carried on each series.
+    Raises SingularLinearPart when B(0) is singular."""
     dim, unknowns, k = eq.dim, eq.unknowns, eq.k
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
-        try:
-            solve_B = GradedSolve(eq.B).solve
-        except SingularLinearPart as exc:
-            raise PoincareViolation(k) from exc
+        solve_B = GradedSolve(eq.B).solve
     for n in range(k, order + 1):
         rhs = [Series.zero(dim, degree) for _ in range(unknowns)]
         if n == k:
@@ -553,12 +522,34 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 rhs[i] = rhs[i] + term
         for gamma, vec in eq.nonlinear.items():
             conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
-            if conv is None or conv.is_zero:
+            if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
             for i in range(unknowns):
                 rhs[i] = rhs[i] + vec[i] * conv
         us.append(solve_B(rhs))
     return us
+
+
+def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vector:
+    """Unique y with f + A y + H(x, y) = 0 and y(0) = 0, exact to ``degree``.
+
+    The lifted recurrence at k = 1: with t scaling the forcing, y is
+    sum_{n>=1} u_n for the solution of A u = -f t - H(x, u).  Each u_n has
+    order >= n in x, so the orders through ``degree`` give y through
+    ``degree``, and without H order 1 alone does.
+    """
+    dim, unknowns = A.dim, A.rows
+    eq = LiftedEquation(dim, unknowns, 1, A, [-s for s in f], {},
+                        {gamma: [-s for s in vec] for gamma, vec in H.items()})
+    us = solve_lifted(eq, max(degree, 1) if H else 1, degree)
+    y = [sum(col, Series.zero(dim, degree)) for col in zip(*us)]
+    res = [fi + ai + hi for fi, ai, hi in zip(
+        f, A.apply(y), eval_poly_map(H, y, dim, unknowns))]
+    bad = min((s.trunc for s in res), default=degree)
+    for s in res:
+        if not s.equal_upto(Series.zero(dim, s.trunc), min(bad, degree)):
+            raise ArithmeticError("implicit solve failed residual check")
+    return y
 
 
 def _factors(gamma: Sequence[int]) -> tuple[int, ...]:
@@ -582,10 +573,12 @@ def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
         return products[key]
     head, i = factors[:-1], factors[-1]
     out = None
+    # a factor zero only below the base trunc still bounds what it feeds
+    base = products[((), 0)].trunc
     # the head's product starts at grade k |head|; the empty one is grade 0
     for d in range(k * len(head), (m - k if head else 0) + 1):
         u = us[m - d][i]
-        if u.is_zero:
+        if u.is_zero and u.trunc >= base:
             continue
         prev = _tail_monomial_coeff(us, head, d, k, products)
         if prev is not None:
@@ -692,7 +685,13 @@ class Run:
             raise TruncationTooSmall(
                 f"the top operator L_k is zero through degree "
                 f"{min(c.trunc for c in Lk.terms.values())} only")
-        tail = solve_lifted(self.lifted, self.order, self.working)
+        # formed outside the try: a singular A(0) that the reduction meets
+        # first stays a SingularLinearPart
+        lifted = self.lifted
+        try:
+            tail = solve_lifted(lifted, self.order, self.working)
+        except SingularLinearPart as exc:
+            raise PoincareViolation(lifted.k) from exc
         coeffs = (self.reduced.head + tail[self.problem.order:])[:self.order + 1]
         return PExpansion(self.spec.P, coeffs, self.degree, self.order)
 

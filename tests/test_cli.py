@@ -11,7 +11,7 @@ import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
 from gevreylab.errors import RegressionMismatch
 from gevreylab.registry import ENTRIES, run_example
-from gevreylab.series import Series
+from gevreylab.series import Series, SeriesMatrix
 
 DOC = """\
 dim 2; unknowns 1; order 2
@@ -361,3 +361,26 @@ def test_a_command_patched_after_the_first_call_is_the_one_dispatched(
     assert main(["check", str(path)]) == EXIT_OK
     capsys.readouterr()
     assert calls == [str(path)]
+
+
+def test_solve_singular_linear_parts_exit_4(tmp_path, capsys, monkeypatch):
+    # a singular A(0) is refused by the reduction's first implicit solve
+    path = write(tmp_path, "p.gl", EULER.replace("-1*y1", "x1*y1"))
+    argv = ["solve", path, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("error[SingularLinearPart]: ")
+    # a singular B(0) in the lifted equation, which no document reaches, is
+    # the order-k characteristic matrix failing
+    real = gevreylab.solver.build_lifted
+
+    def singular_B(reduced):
+        eq = real(reduced)
+        eq.B = SeriesMatrix([[Series.zero(eq.dim, 8)]])
+        return eq
+
+    monkeypatch.setattr(gevreylab.solver, "build_lifted", singular_B)
+    path = write(tmp_path, "q.gl", DOC)
+    assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == ("error[PoincareViolation]: characteristic matrix singular "
+                   "at order n=2\n")

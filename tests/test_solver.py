@@ -24,6 +24,7 @@ from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
                               reduce_problem, solve_direct, solve_implicit,
                               solve_lifted, solve_p_expansion)
 
+import instances
 from instances import random_admissible_problem, random_weighted_problem
 
 
@@ -90,6 +91,70 @@ def test_solve_implicit_quadratic():
 def test_solve_implicit_singular():
     with pytest.raises(SingularLinearPart):
         solve_implicit([Series.variable(1, 4, 0)], scalar_matrix(1, 4, 0), {}, 4)
+
+
+def test_solve_implicit_keeps_each_row_its_own_trunc():
+    # f_1 is known only through degree 1, which bounds y_1 but not y_2
+    A = SeriesMatrix([[const(1, 6, -1), const(1, 6, 0)],
+                      [const(1, 6, 0), const(1, 6, -1)]])
+    f = [Series.zero(1, 1), Series.monomial(1, 6, (2,))]
+    assert solve_implicit(f, A, {}, 4) == [Series.zero(1, 1),
+                                           Series.monomial(1, 4, (2,))]
+
+
+@pytest.mark.parametrize("H", [{}, {(2,): [const(1, 4, 1)]}],
+                         ids=["linear", "quadratic"])
+@pytest.mark.parametrize("f, degree", [
+    (Series.zero(1, 4), 4), (Series.variable(1, 4, 0), 0),
+    (Series.zero(1, 4), 0)], ids=["zero-f", "degree-0", "zero-f-degree-0"])
+def test_solve_implicit_singular_even_when_nothing_is_solved(f, degree, H):
+    # a singular A(0) is refused before any order is formed, so a zero f
+    # or degree 0 does not hide it
+    A = SeriesMatrix([[Series.variable(1, 4, 0)]])
+    with pytest.raises(SingularLinearPart):
+        solve_implicit([f], A, H, degree)
+
+
+def test_solve_implicit_equals_the_oracle():
+    # 0 = f + A y + H(x, y) is the k = 1 problem without operators, which
+    # solve_direct solves degree by degree on its own; a third of the draws
+    # have f and H known only below D
+    rng = random.Random(1515)
+    compared = cut = 0
+    for _ in range(60):
+        dim, unknowns, D = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 6)
+        f, A, H = instances._right_side(rng, dim, unknowns, D + 2)
+        if D > 1 and rng.random() < 1 / 3:
+            cut += 1
+            f = [s.truncate(rng.randint(1, D - 1)) for s in f]
+            H = {g: [s.truncate(rng.randint(1, D - 1)) for s in vec]
+                 for g, vec in H.items()}
+        y = solve_implicit(f, A, H, D)
+        want = solve_direct(ProblemSpec(
+            dim, unknowns, 1, Series.variable(dim, D + 2, 0), [None],
+            f, A, H), D)
+        t = min(s.trunc for s in y + want)
+        assert all(a.equal_upto(b, t) for a, b in zip(y, want)), (f, A, H)
+        compared += t
+    assert cut >= 10 and compared >= 100
+
+
+def test_solve_implicit_evaluates_H_once(monkeypatch):
+    # once, for the residual check: a fixed-point loop would evaluate H on
+    # every pass
+    calls = []
+    real = solver.eval_poly_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "eval_poly_map", counting)
+    A = scalar_matrix(1, 6, -1)
+    for H in ({}, {(2,): [const(1, 6, 1)]}):
+        calls.clear()
+        solve_implicit([Series.variable(1, 6, 0)], A, H, 6)
+        assert len(calls) == 1
 
 
 # -- reduce ------------------------------------------------------------------
@@ -204,12 +269,31 @@ def test_solve_lifted_start_value():
     assert us[2][0].equal_upto(want[0], min(us[2][0].trunc, want[0].trunc))
 
 
-def test_solve_lifted_singular_B0_is_a_poincare_violation():
+def test_solve_lifted_certifies_no_more_than_a_factor_zero_through_its_trunc():
+    # a forcing zero through degree 2 only: x1^3 agrees with it there and
+    # gives u_2 = -x1^6, so u_2 = 0 may not be certified to degree 6
+    def u2(forcing):
+        eq = LiftedEquation(1, 1, 1, scalar_matrix(1, 8, -1), [forcing], {},
+                            {(2,): [const(1, 8, 1)]})
+        return solve_lifted(eq, 3, 8)[2][0]
+
+    zero, cubic = u2(Series.zero(1, 2)), u2(Series.monomial(1, 8, (3,)))
+    assert cubic == Series.monomial(1, 8, (6,), -1)
+    assert zero.is_zero and zero.trunc < 6
+
+
+def test_run_reports_a_singular_B0_as_a_poincare_violation():
     # documents cannot reach this, since the reduction keeps B(0) = A(0)
+    # and refuses a singular A(0) itself, so the run is handed the lifted
+    # equation
     eq = LiftedEquation(1, 1, 2, SeriesMatrix([[Series.variable(1, 6, 0)]]),
                         [Series.variable(1, 6, 0)], {}, {})
-    with pytest.raises(PoincareViolation) as err:
+    with pytest.raises(SingularLinearPart):
         solve_lifted(eq, 4, 6)
+    run = Run(univariate_order2(), 6, 4)
+    run.lifted = eq
+    with pytest.raises(PoincareViolation) as err:
+        run.pexp
     assert err.value.n == 2
 
 
@@ -237,20 +321,29 @@ def test_tail_monomial_coeff_matches_composition_sum():
             for gamma in rng.sample(gammas, min(2, len(gammas))):
                 factors = _factors(gamma)
                 got = _tail_monomial_coeff(us, factors, n, k, products)
+                # zero factors are kept: one zero only through a low trunc
+                # still bounds the product's trunc
                 want = None
                 for ls in product(range(k, n + 1), repeat=len(factors)):
-                    if sum(ls) != n or any(us[l][i].is_zero
-                                           for l, i in zip(ls, factors)):
+                    if sum(ls) != n:
                         continue
                     term = Series.constant(dim, 8, 1)
                     for l, i in zip(ls, factors):
                         term = term * us[l][i]
                     want = term if want is None else want + term
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.trunc >= want.trunc
-                    assert got.equal_upto(want, want.trunc)
+                if got is None:
+                    assert want is None or (want.is_zero and want.trunc >= 8)
+                    continue
+                assert min(got.trunc, 8) >= min(want.trunc, 8)
+                assert got.equal_upto(want, min(got.trunc, want.trunc))
+                # and the kernel claims no more than its factors promise:
+                # terms above every factor's trunc leave it through got.trunc
+                tails = [[Series(dim, u.trunc + 1, {
+                    **u.terms, (u.trunc + 1,) + (0,) * (dim - 1): 1})
+                    for u in vec] for vec in us]
+                again = _tail_monomial_coeff(
+                    tails, factors, n, k, {((), 0): Series.constant(dim, 8, 1)})
+                assert again.equal_upto(got, got.trunc)
 
 
 def test_tail_monomial_coeff_in_the_x_grading():
