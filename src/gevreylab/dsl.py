@@ -216,6 +216,9 @@ class _Parser:
             if name == "rho" and value <= 0:
                 raise SemanticError(name_tok.line, "bad-option",
                                     "option rho must be positive")
+            if name == "window" and not 0 < value <= 1:
+                raise SemanticError(name_tok.line, "bad-option",
+                                    "option window must be in (0, 1]")
             self.options[name] = value
         self.end_statement()
 

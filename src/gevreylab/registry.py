@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError, RegressionMismatch
+from .errors import (InputError, InsufficientData, NonPositiveNorm,
+                     RegressionMismatch)
 from .gevrey import monomial_gevrey_fit
 from .series import format_monomial, iter_exponents
 
@@ -274,7 +275,7 @@ def run_example(name: str, overrides: dict | None = None) -> dict:
     theo = run.theoretical
     try:
         est = run.estimate
-    except Exception:
+    except (InsufficientData, NonPositiveNorm):
         est = None
     report = {
         "name": name,

@@ -21,8 +21,9 @@ Two independent routes are provided:
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
 one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
 a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
-``tests/test_solver.py`` checks it against
-``invert_series_matrix(B).apply(r)``, terms and truncs.
+``invert_series_matrix`` is a client of that kernel, one solve per unit
+column.  ``tests/test_solver.py`` checks the kernel against a dense
+reference inverse applied to r, terms and truncs.
 
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
@@ -140,10 +141,10 @@ class ProblemSpec:
 
 
 def eval_poly_map(H: PolyMap, y: Vector, dim: int, unknowns: int) -> Vector:
-    """sum_gamma A_gamma(x) y^gamma."""
+    """sum_gamma A_gamma(x) y^gamma, each monomial certified from its own
+    factors; an empty H is the exact zero."""
     if not H:
-        trunc = min(yi.trunc for yi in y) if y else 0
-        return [Series.zero(dim, trunc) for _ in range(unknowns)]
+        return [Series.zero(dim, INFINITE) for _ in range(unknowns)]
     out = None
     for gamma, vec in H.items():
         mono = _y_power(y, gamma, dim)
@@ -153,8 +154,7 @@ def eval_poly_map(H: PolyMap, y: Vector, dim: int, unknowns: int) -> Vector:
 
 
 def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
-    trunc = min(yi.trunc for yi in y)
-    out = Series.constant(dim, trunc, 1)
+    out = Series.constant(dim, INFINITE, 1)
     for yi, g in zip(y, gamma):
         for _ in range(g):
             out = out * yi
@@ -164,78 +164,16 @@ def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
 # ---------------------------------------------------------------------------
 # graded linear solves against series matrices
 
-def _graded_parts(M: SeriesMatrix):
-    """(T, X0, K) for a matrix with invertible constant part M(0): T the
-    least trunc among the entries of M, X0 = M(0)^-1 and K maps d to the
-    nonzero entries (i, j, terms) of K_d = -M(0)^-1 N_d, where N_d is the
-    degree-d part of M - M(0), 0 < d <= T."""
-    n = M.rows
-    trunc = min(s.trunc for row in M.entries for s in row)
-    try:
-        X0 = invert_rational_matrix(M.constant_part())
-    except SingularMatrix as exc:
-        raise SingularLinearPart(str(exc)) from exc
-    # the terms of K_d, gathered in one pass over the terms of M
-    K_terms: dict[int, list[list[dict[Exponent, Fraction]]]] = {}
-    for l, row in enumerate(M.entries):
-        for j, s in enumerate(row):
-            for e, c in s.terms.items():
-                d = sum(e)
-                if not 0 < d <= trunc:
-                    continue
-                Kd = K_terms.setdefault(
-                    d, [[{} for _ in range(n)] for _ in range(n)])
-                for i in range(n):
-                    Kd[i][j][e] = Kd[i][j].get(e, 0) - X0[i][l] * c
-    if K_terms and trunc == INFINITE:
-        raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
-    K = {}
-    for d, Kd in sorted(K_terms.items()):
-        K[d] = [(i, j, [(e, c) for e, c in t.items() if c])
-                for i, row in enumerate(Kd) for j, t in enumerate(row)
-                if any(t.values())]
-    return trunc, X0, K
-
-
-def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
-    """Exact inverse of a matrix with invertible constant part M(0),
-    solved degree by degree: X_0 = M(0)^-1 and
-    X_m = sum_{d=1..m} K_d X_{m-d}.  Every entry is certified to the least
-    trunc T among the entries of M.  The solvers do not form it:
-    ``GradedSolve`` applies it without it, and calls it only on M cut to
-    the degree that settles a certified degree its entry orders decide."""
-    n, dim = M.rows, M.dim
-    trunc, X0, K = _graded_parts(M)
-    X = [[[Series.constant(dim, trunc, v) for v in row] for row in X0]]
-    if not K:
-        return SeriesMatrix(X[0])
-    Ks = {d: [(i, l, Series._of(dim, trunc, t)) for i, l, t in Kd]
-          for d, Kd in K.items()}
-    for m in range(1, trunc + 1):
-        Xm = [[Series.zero(dim, trunc) for _ in range(n)] for _ in range(n)]
-        for d, Kd in Ks.items():
-            if d > m:
-                break
-            prev = X[m - d]
-            for i, l, k in Kd:
-                for j in range(n):
-                    if not prev[l][j].is_zero:
-                        Xm[i][j] = Xm[i][j] + k * prev[l][j]
-        X.append(Xm)
-    return SeriesMatrix([
-        [Series(dim, trunc, {e: c for Xm in X for e, c in Xm[i][j].terms.items()})
-         for j in range(n)] for i in range(n)])
-
-
 class GradedSolve:
     """u = M^-1 r for a matrix M with invertible constant part, built once
     per M and applied per right side r without forming M^-1.
 
-    ``solve`` gives what ``invert_series_matrix(M).apply(r)`` gives, terms
-    and truncs.  A constant M costs one product by X0 = M(0)^-1.  Otherwise
-    u = X0 r + K u is solved lowest degree first on a degree-bucketed
-    remainder, the long-division scheme of ``Series.divide_exact``: once u_d
-    is final, K_e u_d goes to degree d + e.  Row i is certified to
+    T is the least trunc among the entries of M, X0 = M(0)^-1 and
+    K_d = -X0 N_d for the degree-d part N_d of M - M(0), 0 < d <= T.  A
+    constant M costs one product by X0.  Otherwise u = X0 r + K u is solved
+    lowest degree first on a degree-bucketed remainder, the long-division
+    scheme of ``Series.divide_exact``: once u_d is final, K_e u_d goes to
+    degree d + e.  Row i is certified to
     min_l product_trunc(T, o((M^-1)_il), r_l.trunc, o(r_l)), as a product
     by the inverse is.  The orders of the inverse's entries come from the
     zero pattern of X0 and, only where an order still unknown could lower
@@ -247,8 +185,31 @@ class GradedSolve:
                  "_orders")
 
     def __init__(self, M: SeriesMatrix):
-        self.dim, self.n, self.M = M.dim, M.rows, M
-        self.trunc, X0, K = _graded_parts(M)
+        n = self.n = M.rows
+        self.dim, self.M = M.dim, M
+        trunc = self.trunc = min(s.trunc for row in M.entries for s in row)
+        try:
+            X0 = invert_rational_matrix(M.constant_part())
+        except SingularMatrix as exc:
+            raise SingularLinearPart(str(exc)) from exc
+        # the terms of K_d, gathered in one pass over the terms of M
+        K_terms: dict[int, list[list[dict[Exponent, Fraction]]]] = {}
+        for l, row in enumerate(M.entries):
+            for j, s in enumerate(row):
+                for e, c in s.terms.items():
+                    d = sum(e)
+                    if not 0 < d <= trunc:
+                        continue
+                    Kd = K_terms.setdefault(
+                        d, [[{} for _ in range(n)] for _ in range(n)])
+                    for i in range(n):
+                        Kd[i][j][e] = Kd[i][j].get(e, 0) - X0[i][l] * c
+        if K_terms and trunc == INFINITE:
+            raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
+        K = {d: [(i, j, [(e, c) for e, c in t.items() if c])
+                 for i, row in enumerate(Kd) for j, t in enumerate(row)
+                 if any(t.values())]
+             for d, Kd in sorted(K_terms.items())}
         self.constant = SeriesMatrix([
             [Series.constant(self.dim, self.trunc, v) for v in row]
             for row in X0])
@@ -347,6 +308,21 @@ class GradedSolve:
             self._orders[D] = [[None if s.is_zero else s.order() for s in row]
                                for row in invert_series_matrix(cut).entries]
         return self._orders[D]
+
+
+def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
+    """Exact inverse of a matrix with invertible constant part M(0): column
+    j is ``GradedSolve(M).solve(e_j)`` for the unit column e_j of constants
+    certified to the least trunc T among the entries of M, so every entry
+    is certified to T.  Each row settles at degree 0: the 1 of e_j caps it
+    at T, and each zero of e_j bounds it below by T.  The solvers do not
+    form it: ``GradedSolve`` calls it only on M cut to the degree that
+    settles a certified degree its entry orders decide."""
+    kernel = GradedSolve(M)
+    n, dim, T = kernel.n, kernel.dim, kernel.trunc
+    return SeriesMatrix(list(zip(*(
+        kernel.solve([Series.constant(dim, T, int(i == j)) for i in range(n)])
+        for j in range(n)))))
 
 
 # ---------------------------------------------------------------------------

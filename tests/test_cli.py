@@ -6,6 +6,7 @@ import json
 import pytest
 
 import gevreylab.cli
+import gevreylab.gevrey
 import gevreylab.registry
 import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
@@ -246,6 +247,22 @@ def test_examples_run_reports_a_regression(capsys, monkeypatch):
     assert err[0].startswith("FAIL eje3: coefficient of (x1 x2)^2: got -1, ")
 
 
+def test_examples_run_without_enough_orders_to_fit(capsys):
+    # order 0 leaves no norms to fit: the entry passes with no fitted order
+    assert main(["examples", "run", "eje3", "--param", "order=0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("PASS eje3") and "fitted" not in out
+
+
+def test_run_example_lets_a_fault_in_the_fit_propagate(monkeypatch):
+    def broken(*args):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(gevreylab.gevrey, "estimate_order", broken)
+    with pytest.raises(TypeError, match="broken fit"):
+        run_example("ejeLast")
+
+
 @pytest.mark.parametrize("name, params, exp, label", [
     ("eje1", {"degree": 12, "order": 6}, (4,), "coefficient of x1^4"),
     ("ejeLast", {"degree": 12, "order": 6}, (3, 2), "coefficient at (3, 2)"),
@@ -293,6 +310,7 @@ def test_estimate_shows_rational_rho(tmp_path, capsys):
     ["estimate", "{tmp}/p.gl", "--rho=-1/2"],
     ["estimate", "{tmp}/p.gl", "--rho", "0"],
     ["estimate", "{tmp}/rho.gl"],
+    ["estimate", "{tmp}/window.gl"],
     ["check", "{tmp}/p.gl", "--poincare-bound", "-3"],
 ], ids=["check-missing", "solve-missing", "estimate-missing",
         "norms-missing", "norms-malformed", "unknown-example",
@@ -301,10 +319,12 @@ def test_estimate_shows_rational_rho(tmp_path, capsys):
         "solve-no-top-operator", "estimate-no-top-operator",
         "eje1-k0", "eje1-m0", "eje1-k1", "eje1-m-tuple", "eje4-empty-alpha",
         "eje4-negative-alpha", "eje4-alpha-int", "negative-rho", "zero-rho",
-        "negative-option-rho", "negative-poincare-bound"])
+        "negative-option-rho", "zero-option-window",
+        "negative-poincare-bound"])
 def test_bad_input_exits_3_with_one_line(tmp_path, capsys, argv):
     write(tmp_path, "p.gl", EULER)
     write(tmp_path, "rho.gl", EULER + "option rho = -1/2\n")
+    write(tmp_path, "window.gl", EULER + "option window = 0\n")
     write(tmp_path, "no-top.gl", EULER.replace("order 1", "order 2"))
     write(tmp_path, "bad.csv", "n,norm,certified_degree\n1,abc,3\n")
     code = main([a.format(tmp=tmp_path) for a in argv])

@@ -260,6 +260,21 @@ def test_error_nonpositive_rho(value):
     assert err.value.code == "bad-option" and err.value.line == 5
 
 
+def test_window_one_is_accepted():
+    doc = parse_problem(_head() + "P = x1\nL 1 : (1,) -> 1\nF 1 = y1 + x1\n"
+                        "option window = 1\n")
+    assert doc.options["window"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "5/4"])
+def test_error_window_outside_the_unit_interval(value):
+    text = (_head() + "P = x1\nL 1 : (1,) -> 1\nF 1 = y1 + x1\n"
+            f"option window = {value}\n")
+    with pytest.raises(SemanticError) as err:
+        parse_problem(text)
+    assert err.value.code == "bad-option" and err.value.line == 5
+
+
 def test_error_zero_denominator():
     text = _head() + "P = x1\nL 1 : (1,) -> 1/0\nF 1 = y1 + x1\n"
     with pytest.raises(SemanticError) as err:

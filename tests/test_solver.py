@@ -14,9 +14,10 @@ from gevreylab.diffops import DiffOperator
 from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
-                              TruncationTooSmall)
+                              SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import Series, SeriesMatrix, iter_exponents
+from gevreylab.series import (Series, SeriesMatrix, invert_rational_matrix,
+                              iter_exponents)
 from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
@@ -157,6 +158,19 @@ def test_solve_implicit_evaluates_H_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_eval_poly_map_certifies_each_monomial_from_its_factors():
+    # y1 is known to degree 3 only, but y2^2 does not contain it: from
+    # y2 = x1 + x1^2 certified to 6, y2^2 is certified to 6 + o(y2) = 7
+    y = [Series(1, 3, {(1,): 1}), Series(1, 6, {(1,): 1, (2,): 1})]
+    H = {(0, 2): [const(1, float("inf"), 1), const(1, float("inf"), 2)]}
+    got = solver.eval_poly_map(H, y, 1, 2)
+    want = y[1] * y[1]
+    assert want.trunc == 7
+    assert got == [want, want.scale(2)]
+    assert solver.eval_poly_map({}, y, 1, 2) == \
+        [Series.zero(1, float("inf"))] * 2
+
+
 # -- reduce ------------------------------------------------------------------
 
 def test_reduce_zero_rhs_gives_zero():
@@ -265,7 +279,7 @@ def test_solve_lifted_start_value():
     eq = build_lifted(red)
     us = solve_lifted(eq, 4, 14)
     assert all(s.is_zero for s in us[0]) and all(s.is_zero for s in us[1])
-    want = invert_series_matrix(eq.B).apply(eq.forcing)
+    want = _reference_inverse(eq.B).apply(eq.forcing)
     assert us[2][0].equal_upto(want[0], min(us[2][0].trunc, want[0].trunc))
 
 
@@ -661,6 +675,36 @@ def test_poincare_inconclusive():
 
 # -- invert_series_matrix ----------------------------------------------------
 
+def _reference_inverse(M):
+    """M^-1 by the dense recurrence, apart from the kernel under test: with
+    X_0 = M(0)^-1 and N_d the degree-d part of M, X_m = -X_0 sum_{d=1..m}
+    N_d X_(m-d).  Every entry is certified to the least trunc T of M."""
+    n, dim = M.rows, M.dim
+    T = min(s.trunc for row in M.entries for s in row)
+    try:
+        X0 = invert_rational_matrix(M.constant_part())
+    except SingularMatrix as exc:
+        raise SingularLinearPart(str(exc)) from exc
+    top = T
+    if T == float("inf"):
+        if any(sum(e) for row in M.entries for s in row for e in s.terms):
+            raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
+        top = 0
+    zero = Series.zero(dim, T)
+    N = [[[Series(dim, T, s.homogeneous(d).terms) for s in row]
+          for row in M.entries] for d in range(top + 1)]
+    X = [[[const(dim, T, v) for v in row] for row in X0]]
+    for m in range(1, top + 1):
+        S = [[sum((N[d][i][l] * X[m - d][l][j] for d in range(1, m + 1)
+                   for l in range(n)), zero) for j in range(n)]
+             for i in range(n)]
+        X.append([[sum((S[l][j].scale(-X0[i][l]) for l in range(n)), zero)
+                   for j in range(n)] for i in range(n)])
+    return SeriesMatrix([[Series(dim, T, {e: c for Xm in X
+                                          for e, c in Xm[i][j].terms.items()})
+                          for j in range(n)] for i in range(n)])
+
+
 def assert_inverse(M, X):
     """M times column j of X is e_j through the least trunc T of M, and
     every entry of X is certified to exactly T."""
@@ -729,9 +773,33 @@ def test_invert_random_matrices():
                 invert_series_matrix(M)
             singular += 1
             continue
-        assert_inverse(M, invert_series_matrix(M))
+        inv = invert_series_matrix(M)
+        assert inv == _reference_inverse(M), M.entries
+        assert_inverse(M, inv)
         inverted += 1
     assert singular > 0
+
+
+def test_invert_entry_certified_below_the_constants():
+    # an entry known to degree -1 certifies nothing, not even M(0)
+    one, x = const(1, 4, 1), Series.variable(1, 4, 0)
+    M = SeriesMatrix([[one + x, Series.zero(1, -1)], [x, const(1, 4, 2)]])
+    inv = invert_series_matrix(M)
+    assert inv == _reference_inverse(M)
+    assert all(s == Series.zero(1, -1) for row in inv.entries for s in row)
+
+
+def test_invert_exact_matrices():
+    inf = float("inf")
+    exact = SeriesMatrix([[const(2, inf, 2), const(2, inf, 1)],
+                          [Series.zero(2, inf), const(2, inf, -1)]])
+    inv = invert_series_matrix(exact)
+    assert inv == _reference_inverse(exact)
+    half = const(2, inf, Fraction(1, 2))
+    assert inv.entries == [[half, half], [Series.zero(2, inf), const(2, inf, -1)]]
+    with pytest.raises(ValueError):
+        invert_series_matrix(
+            SeriesMatrix([[Series(1, inf, {(0,): 1, (1,): 1})]]))
 
 
 def test_invert_singular():
@@ -798,7 +866,7 @@ def test_graded_solve_equals_the_inverse_applied():
         n, dim = rng.randint(1, 3), rng.randint(1, 3)
         M = _graded_matrix(rng, n, dim, constant=draw % 5 == 0)
         kernel = solver.GradedSolve(M)
-        inverse = invert_series_matrix(M)
+        inverse = _reference_inverse(M)
         for _ in range(3):
             r = [_right_side(rng, dim) for _ in range(n)]
             assert kernel.solve(r) == inverse.apply(r), (M.entries, r)
@@ -816,7 +884,7 @@ def test_graded_solve_singular_and_exact_matrices():
     exact = SeriesMatrix([[const(2, float("inf"), 2)]])
     r = [Series(2, float("inf"), {(1, 0): 1})]
     assert solver.GradedSolve(exact).solve(r) == \
-        invert_series_matrix(exact).apply(r)
+        _reference_inverse(exact).apply(r)
 
 
 GUARD_DOC = """dim 2; unknowns 2; order 2
