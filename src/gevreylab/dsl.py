@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partialmethod
 
 from .diffops import DiffOperator
-from .errors import ParseError, SemanticError
+from .errors import InputError, ParseError, SemanticError
 from .series import (INFINITE, Series, SeriesMatrix, format_monomial,
                      format_rational, format_terms, grlex_key, unit_exp)
 from .solver import ProblemSpec, Run
@@ -43,6 +43,25 @@ DEFAULT_OPTIONS = {
     "rho": Fraction(1, 2),
     "window": Fraction(1, 2),
 }
+
+
+def _option_value(name: str, value) -> int | Fraction:
+    """``value`` (a rational, or its p/q text) as run option ``name`` takes
+    it: degree and order are non-negative integers, rho is positive and
+    window lies in (0, 1].  The ValueError says what the value must be."""
+    try:
+        value = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("is not a rational p/q") from None
+    if name in ("degree", "order"):
+        if value.denominator != 1 or value < 0:
+            raise ValueError("must be a non-negative integer")
+        return int(value)
+    if name == "rho" and value <= 0:
+        raise ValueError("must be positive")
+    if name == "window" and not 0 < value <= 1:
+        raise ValueError("must be in (0, 1]")
+    return value
 
 
 class _Token:
@@ -207,19 +226,11 @@ class _Parser:
         if name not in DEFAULT_OPTIONS:
             raise SemanticError(name_tok.line, "unknown-option",
                                 f"unknown option {name!r}")
-        if name in ("degree", "order"):
-            if value.denominator != 1 or value < 0:
-                raise SemanticError(name_tok.line, "bad-option",
-                                    f"option {name} must be a non-negative integer")
-            self.options[name] = int(value)
-        else:
-            if name == "rho" and value <= 0:
-                raise SemanticError(name_tok.line, "bad-option",
-                                    "option rho must be positive")
-            if name == "window" and not 0 < value <= 1:
-                raise SemanticError(name_tok.line, "bad-option",
-                                    "option window must be in (0, 1]")
-            self.options[name] = value
+        try:
+            self.options[name] = _option_value(name, value)
+        except ValueError as exc:
+            raise SemanticError(name_tok.line, "bad-option",
+                                f"option {name} {exc}") from None
         self.end_statement()
 
     # -- expressions ---------------------------------------------------------
@@ -344,9 +355,21 @@ class ProblemDocument:
         self.spec = spec
         self.options = options
 
-    def run(self) -> Run:
-        """The pipeline run at this document's degree, order, rho and window."""
-        o = self.options
+    def run(self, degree=None, order=None, rho=None) -> Run:
+        """The pipeline run at this document's degree, order, rho and window,
+        each of the first three overridden when given.  An override obeys
+        the rule of an ``option`` line and raises InputError "bad-option"
+        when it breaks it; the document's options stay as they are."""
+        o = dict(self.options)
+        for name, value in (("degree", degree), ("order", order), ("rho", rho)):
+            if value is None:
+                continue
+            try:
+                o[name] = _option_value(name, value)
+            except ValueError as exc:
+                shown = f" {value!r}" if isinstance(value, str) else ""
+                raise InputError("bad-option",
+                                 f"--{name}{shown} {exc}") from None
         return Run(self.spec, o["degree"], o["order"], o["rho"], o["window"])
 
     def serialize(self) -> str:

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyTermSet, InsufficientData, NonPositiveNorm
-from .series import Exponent, Series, exp_degree, format_rational
+from .series import (Exponent, Series, exp_degree, format_rational,
+                     gauss_jordan)
 from .solver import LiftedEquation
 
 
@@ -104,7 +105,11 @@ def estimate_order(norms: Sequence[tuple[int, Fraction]],
     normal = [[sum(r[i] * r[j] for r in rows) for j in range(3)]
               for i in range(3)]
     rhs = [sum(r[i] * y for r, y in zip(rows, ys)) for i in range(3)]
-    ln_C, ln_A, _ = _solve3(normal, rhs)
+    # solved exactly on the floats' rational values by the one Gauss-Jordan
+    # loop, then rounded back
+    ln_C, ln_A, _ = (float(row[0]) for row in gauss_jordan(
+        [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(normal, rhs)], 3))
     slopes = [
         (lns[n] - lns[n - 1] - ln_A) / math.log(n)
         for n, _, _ in window_pairs
@@ -113,18 +118,8 @@ def estimate_order(norms: Sequence[tuple[int, Fraction]],
     return GevreyEstimate(s, (n_lo, n_hi), slopes, rho, ln_A, ln_C)
 
 
-def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
-    a = [row[:] + [v] for row, v in zip(m, b)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1.0 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(3):
-            if r != col:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][3] for r in range(3)]
+# the largest asymptotic slope ln A that ``monomial_gevrey_fit`` accepts
+SLOPE_CAP = math.log(10.0)
 
 
 class MonomialFitVerdict:
@@ -132,18 +127,17 @@ class MonomialFitVerdict:
 
     ``witness`` carries admissible constants; a refutation carries the
     exponent beta that exceeds the bound by the widest margin at the
-    configured slope cap."""
+    slope cap SLOPE_CAP."""
 
-    __slots__ = ("witness", "s", "alpha", "ln_A", "ln_C", "cap", "violating")
+    __slots__ = ("witness", "s", "alpha", "ln_A", "ln_C", "violating")
 
     def __init__(self, witness: bool, s: Fraction, alpha: Exponent, ln_A: float,
-                 ln_C: float, cap: float, violating: Exponent | None):
+                 ln_C: float, violating: Exponent | None):
         self.witness = witness
         self.s = s
         self.alpha = alpha
         self.ln_A = ln_A
         self.ln_C = ln_C
-        self.cap = cap
         self.violating = violating
 
     def __bool__(self):
@@ -152,12 +146,11 @@ class MonomialFitVerdict:
     def __repr__(self):
         if self.witness:
             return (f"MonomialFitVerdict(witness, A<=e^{self.ln_A:.3f}, "
-                    f"cap=e^{self.cap:.3f})")
+                    f"cap=e^{SLOPE_CAP:.3f})")
         return f"MonomialFitVerdict(refuted at beta={self.violating})"
 
 
-def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s,
-                        cap: float = math.log(10.0)) -> MonomialFitVerdict:
+def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s) -> MonomialFitVerdict:
     """Log-linear feasibility of the monomial-Gevrey coefficient bound.
 
     For each stored nonzero coefficient the required excess
@@ -165,7 +158,7 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s,
     ln C + |beta| ln A.  A finite term set can always be covered by a big
     enough C, so the verdict hinges on the asymptotic slope: the least-
     squares slope of the per-degree maxima of v over the top half of the
-    degrees must not exceed ``cap``."""
+    degrees must not exceed SLOPE_CAP."""
     alpha = tuple(alpha)
     s = Fraction(s)
     if exp_degree(alpha) < 1:
@@ -183,7 +176,7 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s,
     if len(per_degree) < 2:
         return MonomialFitVerdict(True, s, alpha, 0.0,
                                   max((v for v, _ in per_degree.values()),
-                                      default=0.0), cap, None)
+                                      default=0.0), None)
     degrees = sorted(per_degree)
     top = degrees[len(degrees) // 2:]
     if len(top) < 2:
@@ -194,9 +187,9 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s,
     mean_y = sum(ys) / len(ys)
     den = sum((x - mean_x) ** 2 for x in xs)
     ln_A = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / den
-    if ln_A <= cap:
+    if ln_A <= SLOPE_CAP:
         ln_C = max(per_degree[n][0] - n * ln_A for n in degrees)
-        return MonomialFitVerdict(True, s, alpha, ln_A, ln_C, cap, None)
-    worst = max(degrees, key=lambda n: per_degree[n][0] - n * cap)
-    return MonomialFitVerdict(False, s, alpha, ln_A, float("nan"), cap,
+        return MonomialFitVerdict(True, s, alpha, ln_A, ln_C, None)
+    worst = max(degrees, key=lambda n: per_degree[n][0] - n * SLOPE_CAP)
+    return MonomialFitVerdict(False, s, alpha, ln_A, float("nan"),
                               per_degree[worst][1])

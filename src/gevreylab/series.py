@@ -231,7 +231,8 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
-        trunc = _product_trunc(self, other)
+        trunc = product_trunc(self.trunc, self.order(),
+                              other.trunc, other.order())
         # an integer convolution of the numerators, divided by the common
         # denominator once per output coefficient
         da, left = _numerators(self.terms)
@@ -406,15 +407,10 @@ def _numerators(terms: Mapping[Exponent, Rational]):
                for e, c in terms.items()]
 
 
-def _product_trunc(a: Series, b: Series) -> int:
-    """Certified degree of a product: unknown tails are shifted by the
-    partner's order."""
-    return product_trunc(a.trunc, a.order(), b.trunc, b.order())
-
-
 def product_trunc(ta, oa, tb, ob) -> int:
     """Certified degree of a product of factors with truncs ta, tb and
-    orders oa, ob (INFINITE for a zero factor)."""
+    orders oa, ob (INFINITE for a zero factor): unknown tails are shifted
+    by the partner's order."""
     candidates = []
     if ob != INFINITE:
         candidates.append(ta + ob)

@@ -115,12 +115,6 @@ class ProblemSpec:
             {g: [s.truncate(trunc) for s in v] for g, v in self.H.items()},
         )
 
-    def rhs(self, y: Vector) -> Vector:
-        """F(x, y) = f + A y + H(x, y)."""
-        out = [fi + ai for fi, ai in zip(self.f, self.A.apply(y))]
-        hy = eval_poly_map(self.H, y, self.dim, self.unknowns)
-        return [oi + hi for oi, hi in zip(out, hy)]
-
     def lhs(self, y: Vector) -> Vector:
         """sum_j P^j L_j(y), componentwise; only an absent L_j is skipped,
         since zero coefficients still bound the certified degree."""
@@ -137,7 +131,14 @@ class ProblemSpec:
         return out
 
     def residual(self, y: Vector) -> Vector:
-        return [a - b for a, b in zip(self.lhs(y), self.rhs(y))]
+        return [a - b for a, b in
+                zip(self.lhs(y), eval_F(self.f, self.A, self.H, y))]
+
+
+def eval_F(f: Vector, A: SeriesMatrix, H: PolyMap, y: Vector) -> Vector:
+    """F(x, y) = f + A y + H(x, y)."""
+    hy = eval_poly_map(H, y, A.dim, A.rows)
+    return [fi + ai + hi for fi, ai, hi in zip(f, A.apply(y), hy)]
 
 
 def eval_poly_map(H: PolyMap, y: Vector, dim: int, unknowns: int) -> Vector:
@@ -519,8 +520,7 @@ def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vecto
                         {gamma: [-s for s in vec] for gamma, vec in H.items()})
     us = solve_lifted(eq, max(degree, 1) if H else 1, degree)
     y = [sum(col, Series.zero(dim, degree)) for col in zip(*us)]
-    res = [fi + ai + hi for fi, ai, hi in zip(
-        f, A.apply(y), eval_poly_map(H, y, dim, unknowns))]
+    res = eval_F(f, A, H, y)
     bad = min((s.trunc for s in res), default=degree)
     for s in res:
         if not s.equal_upto(Series.zero(dim, s.trunc), min(bad, degree)):
@@ -685,6 +685,14 @@ class Run:
         return self.summed[0].trunc
 
     @cached_property
+    def agrees(self) -> bool:
+        """Whether the P-expansion, summed, and the direct oracle agree
+        through the certified degree: the cross-check of the two routes."""
+        cert = self.certified
+        return all(a.equal_upto(b, cert)
+                   for a, b in zip(self.summed, self.direct))
+
+    @cached_property
     def residual(self) -> Vector:
         return [s.truncate(self.certified)
                 for s in self.spec.residual(self.summed)]
@@ -718,7 +726,9 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
 
     At total degree n the unknown homogeneous component enters linearly;
     the corresponding exact rational system is built column by column and
-    solved by Gaussian elimination.
+    solved by Gaussian elimination.  It stops after the first degree
+    certified below itself, where the result is cut, so a singular system
+    beyond that degree is not reached.
     """
     # never below o(P), so that cutting the inputs to it keeps P
     working = max(degree + problem.order, problem.P.order())
@@ -789,6 +799,9 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
             delta = [Series(dim, cert, {m: sol[index[(i, m)]] for m in monos})
                      for i in range(unknowns)]
         parts.append(delta)
+        if min(s.trunc for s in delta) < n:
+            # certified below n: every later degree would be cut off
+            break
         upd = [a - b for a, b in
                zip(prob.lhs(delta), prob.A.apply(delta))]
         lin_acc = [a + b for a, b in zip(lin_acc, upd)]

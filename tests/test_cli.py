@@ -2,6 +2,7 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -245,6 +246,55 @@ def test_examples_run_reports_a_regression(capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("FAIL eje3: coefficient of (x1 x2)^2: got -1, ")
+
+
+def _direct_off_by_x1x2(monkeypatch):
+    """Patch the oracle to add x1*x2, below every certified degree here."""
+    real = gevreylab.solver.solve_direct
+
+    def altered(problem, degree):
+        y = real(problem, degree)
+        return [y[0] + Series.monomial(y[0].dim, y[0].trunc, (1, 1))] + y[1:]
+
+    monkeypatch.setattr(gevreylab.solver, "solve_direct", altered)
+
+
+def test_solve_reports_a_disagreement_with_the_oracle(tmp_path, capsys,
+                                                      monkeypatch):
+    _direct_off_by_x1x2(monkeypatch)
+    path = write(tmp_path, "p.gl", DOC)
+    argv = ["solve", path, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "residual vanishes through certified degree 16",
+        "pipeline and direct solutions disagree within certified degree 16",
+        f"wrote solution.json, solution_x.json, norms.csv to {tmp_path / 'out'}"]
+
+
+def test_examples_run_reports_a_disagreement_with_the_oracle(capsys,
+                                                             monkeypatch):
+    _direct_off_by_x1x2(monkeypatch)
+    assert main(["examples", "run", "ejeLast",
+                 "--param", "degree=12", "--param", "order=6"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "FAIL ejeLast: pipeline and direct solutions disagree within "
+        "certified degree ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_examples_run_checks_the_theoretical_order_once(capsys, monkeypatch):
+    # every entry's solution is P-k-Gevrey for the document's order k
+    monkeypatch.setattr(gevreylab.gevrey, "theoretical_order",
+                        lambda eq: Fraction(3))
+    assert main(["examples", "run", "eje1",
+                 "--param", "degree=12", "--param", "order=6"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL eje1: theoretical order 3 != 2\n"
 
 
 def test_examples_run_without_enough_orders_to_fit(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from gevreylab.diffops import check_divisibility
 from gevreylab.dsl import DEFAULT_OPTIONS, parse_problem
-from gevreylab.errors import ParseError, SemanticError
+from gevreylab.errors import InputError, ParseError, SemanticError
 from gevreylab.registry import ENTRIES, build_document
 from gevreylab.series import INFINITE, Series
 
@@ -154,6 +154,23 @@ def test_rational_rho_is_kept():
     canon = doc.serialize()
     assert "option rho = 1/3\n" in canon
     assert parse_problem(canon).options == doc.options
+
+
+@pytest.mark.parametrize("override", [
+    {"degree": -1}, {"order": -1}, {"rho": "0"}, {"rho": "abc"}])
+def test_run_overrides_obey_the_option_rule(override):
+    doc = parse_problem(DOC)
+    with pytest.raises(InputError) as err:
+        doc.run(**override)
+    assert err.value.code == "bad-option"
+
+
+def test_run_override_applies_without_touching_the_document():
+    doc = parse_problem(DOC)
+    options = dict(doc.options)
+    run = doc.run(degree=6, rho="1/3")
+    assert (run.degree, run.order, run.rho) == (6, 10, Fraction(1, 3))
+    assert doc.options == options
 
 
 # -- malformed documents -----------------------------------------------------

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import gevreylab.solver as solver
 from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, InputError,
                               SingularLinearPart, TruncationTooSmall)
@@ -355,20 +356,21 @@ def test_pipeline_certifies_no_more_than_f():
         spec(Series(1, 50, {(1,): 1, (3,): 5})), 8, 6))
 
 
-def test_dense_direct_branch_certifies_no_more_than_its_data():
+def _dense_spec(f):
     # L_1 = d1 + x2 d2 keeps the degree, so each degree is a dense solve
-    def spec(f):
-        return ProblemSpec(
-            2, 1, 1, Series(2, 50, {(1, 0): 1}),
-            [DiffOperator(2, 1, {(1, 0): Series.constant(2, 50, 1),
-                                 (0, 1): Series(2, 50, {(0, 1): 1})})],
-            [f], SeriesMatrix([[Series.constant(2, 50, -1)]]),
-            {(2,): [Series.constant(2, 50, 1)]})
+    return ProblemSpec(
+        2, 1, 1, Series(2, 50, {(1, 0): 1}),
+        [DiffOperator(2, 1, {(1, 0): Series.constant(2, 50, 1),
+                             (0, 1): Series(2, 50, {(0, 1): 1})})],
+        [f], SeriesMatrix([[Series.constant(2, 50, -1)]]),
+        {(2,): [Series.constant(2, 50, 1)]})
 
-    y = solve_direct(spec(Series(2, 2, {(1, 0): 1, (0, 1): 1})), 6)
+
+def test_dense_direct_branch_certifies_no_more_than_its_data():
+    y = solve_direct(_dense_spec(Series(2, 2, {(1, 0): 1, (0, 1): 1})), 6)
     assert y[0].trunc == 2
     _assert_agree(y, solve_direct(
-        spec(Series(2, 50, {(1, 0): 1, (0, 1): 1, (3, 0): 5})), 6))
+        _dense_spec(Series(2, 50, {(1, 0): 1, (0, 1): 1, (3, 0): 5})), 6))
 
     # with the d2 coefficient known to no degree, the degree-1 system
     # lacks its diagonal in x2 but stays solvable through A(0)
@@ -383,3 +385,23 @@ def test_dense_direct_branch_certifies_no_more_than_its_data():
     y = solve_direct(spec2(Series.zero(2, -1)), 1)
     assert [s.trunc for s in y] == [0, 0]
     _assert_agree(y, solve_direct(spec2(Series.constant(2, 50, 3)), 1))
+
+
+def test_dense_direct_branch_stops_after_the_first_degree_certified_below_itself(
+        monkeypatch):
+    # f is known to degree 2, so degree 3 is certified to 2 and degrees
+    # 4..6 would be cut off: three dense solves, not six
+    calls = []
+    real = solver._solve_linear
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_solve_linear", counting)
+    spec = _dense_spec(Series(2, 2, {(1, 0): 1, (0, 1): 1}))
+    y = solve_direct(spec, 6)
+    assert len(calls) == 3
+    assert y == [Series(2, 2, {(1, 0): Fraction(1, 2), (0, 1): 1,
+                               (2, 0): Fraction(1, 12), (0, 2): 1})]
+    assert y == solve_direct(spec, 2)
