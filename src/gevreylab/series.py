@@ -446,7 +446,7 @@ def format_terms(pairs: Iterable[tuple[str, Rational]]) -> str:
 # rational matrices and series matrices
 
 def _det(m: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
+    """Determinant by Gaussian elimination over Q."""
     n = len(m)
     m = [row[:] for row in m]
     det = Fraction(1)
@@ -468,21 +468,31 @@ def _det(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def gauss_jordan(a: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+def gauss_jordan(a: list[list[Rational]], n: int) -> list[list[Rational]]:
     """Reduce the augmented rows [A | B], with A of size n x n, in place and
     return the block right of A, which then holds A^-1 B.  Raises
-    SingularMatrix when A is singular over Q."""
+    SingularMatrix when A is singular over Q.
+
+    Each pivot step touches only nonzero entries: it scales the pivot row
+    where it is nonzero, and subtracts it only from the rows with a nonzero
+    in the pivot column, at the pivot row's nonzero entries.  Left of the
+    pivot column the pivot row is already zero."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrix("matrix is singular over the rationals")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        row = a[col]
+        inv = Fraction(1) / row[col]
+        support = [c for c in range(col, len(row)) if row[c] != 0]
+        for c in support:
+            row[c] *= inv
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+            other = a[r]
+            f = other[col]
+            if r != col and f != 0:
+                for c in support:
+                    other[c] -= f * row[c]
     return [row[n:] for row in a]
 
 

@@ -10,13 +10,17 @@ Two independent routes are provided:
 
 * ``solve_direct`` -- a degree-graded oracle that plugs a generic truncated
   series into the equation and solves one exact linear system per total
-  degree.  It is used to cross-check the pipeline, so each solver keeps its
-  own recurrence.  They share two kernels only: ``Series.__mul__`` and
-  ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
-  cached lower parts (grade t^n in the pipeline, total degree n in the
-  oracle).  The kernel is checked against plain products in both gradings
-  in ``tests/test_solver.py``, and the two solvers against each other by
-  acceptance criterion 3.
+  degree.  Its matrix is written down from the terms that reach degree n
+  (P_1^j c_alpha(0) d_alpha, with P_1 the linear part of P, and A(0)), and
+  each degree is certified from the truncs and orders of P^j, the
+  c_alpha, A and the right side by the arithmetic of ``product_trunc``,
+  without forming the products.  It is used to cross-check the pipeline,
+  so each solver keeps its own recurrence.  They share two kernels only:
+  ``Series.__mul__`` and ``_tail_monomial_coeff``, which forms the graded
+  parts of y^gamma from cached lower parts (grade t^n in the pipeline,
+  total degree n in the oracle).  The kernel is checked against plain
+  products in both gradings in ``tests/test_solver.py``, and the two
+  solvers against each other by acceptance criterion 3.
 
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
 one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
@@ -35,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_first
@@ -51,11 +55,13 @@ from .errors import (
 from .series import (
     INFINITE,
     Exponent,
+    Rational,
     Series,
     SeriesMatrix,
     _det,
     exp_binomial,
     exp_degree,
+    exp_le,
     exp_sub,
     falling_factorial,
     gauss_jordan,
@@ -724,11 +730,15 @@ def solve_p_expansion(problem: ProblemSpec, order: int, degree: int) -> PExpansi
 def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     """Unique truncated solution with y(0) = 0, found degree by degree.
 
-    At total degree n the unknown homogeneous component enters linearly;
-    the corresponding exact rational system is built column by column and
-    solved by Gaussian elimination.  It stops after the first degree
-    certified below itself, where the result is cut, so a singular system
-    beyond that degree is not reached.
+    At total degree n the unknown homogeneous component enters linearly.
+    When every left-side term raises the degree, the degree-n system is
+    just -A(0) acting monomial by monomial; otherwise ``_DegreeSystems``
+    writes down its exact rational matrix and ``_solve_linear`` solves it
+    by Gauss-Jordan elimination.  Each degree is certified no further than
+    the data it is built from.  It stops after the first degree certified
+    below itself, where the result is cut, so a singular system beyond that
+    degree is not reached; a degree whose matrix is certified below it is
+    not solved at all.
     """
     # never below o(P), so that cutting the inputs to it keeps P
     working = max(degree + problem.order, problem.P.order())
@@ -746,6 +756,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         for pos, L in enumerate(prob.operators) if L is not None
         for c in L.terms.values()
     )
+    systems = None if raises_degree else _DegreeSystems(prob, working)
     # residual R(y) = lhs(y) - f - A y - H(y): its linear pieces are kept
     # incrementally, and [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m}
     # [y^gamma]_m is formed from parts[d], the degree-d part of y, d < n,
@@ -764,40 +775,12 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                     continue
                 rhs_vec = [r - c.homogeneous(n - m) * ym
                            for r, c in zip(rhs_vec, vec)]
-        if raises_degree:
+        if systems is None:
             zero = Series.zero(dim, working)
             delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)), zero)
                      for row in A0inv]
         else:
-            monos = list(iter_exponents(dim, n))
-            size = unknowns * len(monos)
-            index = {(i, m): i * len(monos) + c
-                     for i in range(unknowns) for c, m in enumerate(monos)}
-            matrix = [[Fraction(0)] * size for _ in range(size)]
-            # delta is certified only as far as the data it is solved from
-            cert = min(r.trunc for r in rhs_vec)
-            for i in range(unknowns):
-                for c, m in enumerate(monos):
-                    basis = [Series.zero(dim, working)] * unknowns
-                    basis[i] = Series.monomial(dim, working, m)
-                    col_vec = [a - b for a, b in
-                               zip(prob.lhs(basis), prob.A.apply(basis))]
-                    cert = min(cert, *(v.trunc for v in col_vec))
-                    col = index[(i, m)]
-                    for i2 in range(unknowns):
-                        for e, cval in col_vec[i2].homogeneous(n).terms.items():
-                            matrix[index[(i2, e)]][col] += cval
-            rhs_flat = [Fraction(0)] * size
-            for i in range(unknowns):
-                for e, cval in rhs_vec[i].terms.items():
-                    rhs_flat[index[(i, e)]] = -cval
-            try:
-                sol = _solve_linear(matrix, rhs_flat)
-            except SingularMatrix as exc:
-                raise SingularLinearPart(
-                    f"degree-{n} linear system is singular") from exc
-            delta = [Series(dim, cert, {m: sol[index[(i, m)]] for m in monos})
-                     for i in range(unknowns)]
+            delta = systems.solve(n, rhs_vec)
         parts.append(delta)
         if min(s.trunc for s in delta) < n:
             # certified below n: every later degree would be cut off
@@ -809,7 +792,144 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
             .truncate(degree) for i in range(unknowns)]
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+class _DegreeSystems:
+    """The degree-n systems of ``solve_direct`` when some left-side term
+    keeps the degree.
+
+    Column (i, x^m), |m| = n, is the degree-n part of lhs(x^m e_i) -
+    A x^m e_i at the working degree.  L_j is homogeneous of order j, so
+    P^j c_alpha d_alpha raises the degree by j (o(P) - 1) + o(c_alpha):
+    only o(P) = 1 and c_alpha(0) reach degree n, and the column is
+    sum_j P_1^j sum_alpha c_alpha(0) ff(m, alpha) x^(m - alpha) on
+    component i, minus A(0) e_i x^m, with P_1 the linear part of P.  The
+    column is certified to the trunc that ``lhs`` and ``A.apply`` would
+    give it, found by the same ``product_trunc`` arithmetic from the
+    (trunc, order) pairs of P^j, the c_alpha, A and x^m, without forming
+    the products.
+    """
+
+    def __init__(self, prob: ProblemSpec, working: int):
+        self.prob = prob
+        self.working = working
+        P1 = Series._of(prob.dim, INFINITE, prob.P.homogeneous(1).terms.items())
+        # per L_j, for the certs: j, L_j, the trunc and order of P^j, and
+        # each alpha with the trunc and order of c_alpha
+        self.certs = []
+        # per L_j, for the matrix: the terms of P_1^j, and each alpha with
+        # c_alpha(0) != 0
+        self.leads = []
+        for pos, L in enumerate(prob.operators):
+            if L is None:
+                continue
+            j = pos + 1
+            Pj = prob.P.pow(j)
+            self.certs.append((j, L, Pj.trunc, Pj.order(), [
+                (alpha, c.trunc, c.order()) for alpha, c in L.terms.items()]))
+            lead = [(alpha, c.constant_term())
+                    for alpha, c in L.terms.items() if c.constant_term()]
+            if lead:
+                self.leads.append((list(P1.pow(j).terms.items()), lead))
+        self.A0 = prob.A.constant_part()
+
+    def solve(self, n: int, rhs_vec: Vector) -> Vector:
+        """The degree-n part of y from the degree-n part of the right side,
+        certified to the least trunc of the right side and the columns.  A
+        column certified below n has lost its degree-n entries, so then
+        nothing is solved and the part is zero, certified below n."""
+        dim = self.prob.dim
+        monos = list(iter_exponents(dim, n))
+        cert = min(r.trunc for r in rhs_vec)
+        columns = self._column_cert(n, monos)
+        if columns < n:
+            return [Series.zero(dim, min(cert, columns))] * len(rhs_vec)
+        cert = min(cert, columns)
+        rhs_flat = [0] * (len(rhs_vec) * len(monos))
+        index = {m: c for c, m in enumerate(monos)}
+        for i, r in enumerate(rhs_vec):
+            for e, cval in r.terms.items():
+                rhs_flat[i * len(monos) + index[e]] = -cval
+        try:
+            sol = _solve_linear(self._matrix(monos, index), rhs_flat)
+        except SingularMatrix as exc:
+            raise SingularLinearPart(
+                f"degree-{n} linear system is singular") from exc
+        return [Series(dim, cert, {m: sol[i * len(monos) + c]
+                                   for c, m in enumerate(monos)})
+                for i in range(len(rhs_vec))]
+
+    def _matrix(self, monos, index) -> list[list[Rational]]:
+        """The degree-n matrix, rows and columns indexed by (i, x^m) as
+        i * len(monos) + (position of m in monos)."""
+        # the operator block, the same for every unknown
+        block: dict[tuple[int, int], Rational] = {}
+        for P1j, lead in self.leads:
+            for alpha, c0 in lead:
+                for col, m in enumerate(monos):
+                    low = tuple(map(sub, m, alpha))
+                    if min(low) < 0:
+                        continue
+                    v = c0
+                    for a, b in zip(m, alpha):
+                        v *= falling_factorial(a, b)
+                    for q, qc in P1j:
+                        key = (index[tuple(map(add, low, q))], col)
+                        block[key] = block.get(key, 0) + v * qc
+        width = len(monos)
+        size = len(self.A0) * width
+        rows: list[list[Rational]] = [[0] * size for _ in range(size)]
+        for i in range(len(self.A0)):
+            off = i * width
+            for (r, c), v in block.items():
+                rows[off + r][off + c] += v
+            for i2, a_row in enumerate(self.A0):
+                if a_row[i]:
+                    for c in range(width):
+                        rows[i2 * width + c][off + c] -= a_row[i]
+        return rows
+
+    def _column_cert(self, n: int, monos) -> int:
+        """The least trunc over all columns of degree n."""
+        W = self.working
+        N = len(self.A0)
+        # A x^m e_i: row i2 sums A[i2][l] times x^m (l = i) or 0 (l != i)
+        cert = min(product_trunc(a.trunc, a.order(), W,
+                                 n if l == i else INFINITE)
+                   for i in range(N) for row in self.prob.A.entries
+                   for l, a in enumerate(row))
+        if N > 1:
+            cert = min(cert, self._lhs_trunc(n, None))
+        return min(cert, *(self._lhs_trunc(n, m) for m in monos))
+
+    def _lhs_trunc(self, n: int, m: Exponent | None) -> int:
+        """The trunc of lhs on a component that is x^m, or zero (m = None),
+        at the working degree."""
+        out = INFINITE
+        for j, L, tPj, oPj, coefs in self.certs:
+            Wj = max(self.working - j, -1)  # the trunc of d_alpha(x^m)
+            # L_j(x^m) = sum_alpha c_alpha d_alpha(x^m): each term's trunc,
+            # and each order that a term keeps below its trunc
+            truncs, orders = [], []
+            for alpha, tc, oc in coefs:
+                od = n - j if m is not None and exp_le(alpha, m) else INFINITE
+                t = product_trunc(tc, oc, Wj, od)
+                truncs.append(t)
+                if oc + od <= t:
+                    orders.append(oc + od)
+            tL = min(truncs, default=Wj)
+            low = min(orders, default=INFINITE)
+            t = product_trunc(tPj, oPj, tL, low)
+            # c_alpha(0) ff(m, alpha) x^(m - alpha) never cancel, but two
+            # higher lowest terms can (x1 d1 - x2 d2 sends x1 x2 to 0): where
+            # the order then binds, take it exactly
+            if (low > n - j and orders.count(low) > 1
+                    and t < product_trunc(tPj, oPj, tL, INFINITE)):
+                basis = Series.monomial(self.prob.dim, self.working, m)
+                t = product_trunc(tPj, oPj, tL, L.apply(basis).order())
+            out = min(out, t)
+        return out
+
+
+def _solve_linear(matrix: list[list[Rational]], rhs: list[Rational]) -> list[Rational]:
     """The x with matrix x = rhs over Q."""
     a = [row[:] + [r] for row, r in zip(matrix, rhs)]
     return [row[0] for row in gauss_jordan(a, len(matrix))]
@@ -836,7 +956,7 @@ class PoincareVerdict:
         return self.ok
 
     def determinant(self, n: int) -> Fraction:
-        return _char_det(self.lambdas, self.A0, n)
+        return _shifted_det(_char_s(self.lambdas, n), self.A0)
 
     def __repr__(self):
         tag = "pass" if self.ok else f"fail at n={self.failing}"
@@ -881,15 +1001,27 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
         top = coeffs[k]
         bound = 1 + max((abs(c / top) for c in coeffs[:k]), default=Fraction(0))
         n_star = max(k, int(bound) + 1)
-    failing = [n for n in range(n_star + 1)
-               if _char_det(lambdas, A0, n) == 0]
+    # det(s I - A(0)) depends on n only through s(n), which is the same for
+    # every n under the divergent route (all lambda_j = 0)
+    dets: dict[Fraction, Fraction] = {}
+    failing = []
+    for n in range(n_star + 1):
+        s = _char_s(lambdas, n)
+        if s not in dets:
+            dets[s] = _shifted_det(s, A0)
+        if dets[s] == 0:
+            failing.append(n)
     return PoincareVerdict(not failing, n_star, failing, partial, lambdas, A0)
 
 
-def _char_det(lambdas: dict[int, Fraction], A0: list[list[Fraction]], n: int) -> Fraction:
-    s = sum((falling_factorial(n, j) * lam for j, lam in lambdas.items()),
-            Fraction(0))
+def _char_s(lambdas: dict[int, Fraction], n: int) -> Fraction:
+    """s(n) = sum_j n!/(n-j)! lambda_j."""
+    return sum((falling_factorial(n, j) * lam for j, lam in lambdas.items()),
+               Fraction(0))
+
+
+def _shifted_det(s: Fraction, A0: list[list[Fraction]]) -> Fraction:
+    """det(s I - A(0))."""
     N = len(A0)
-    m = [[(s if i == j else Fraction(0)) - A0[i][j] for j in range(N)]
-         for i in range(N)]
-    return _det(m)
+    return _det([[(s if i == j else Fraction(0)) - A0[i][j] for j in range(N)]
+                 for i in range(N)])

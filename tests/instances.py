@@ -6,7 +6,9 @@ Euler-type, L_j = sum over |beta| = j of b_beta(x) x^beta d_beta, whose
 star against a monomial is automatically divisible by it.  In
 ``random_weighted_problem`` P = x1^a + c x2^b is weighted homogeneous, so
 the Euler field b x1 d1 + a x2 d2 stars it to ab P, and every other
-coefficient is a multiple of P.
+coefficient is a multiple of P.  ``random_dense_problem`` is on the
+Poincare side instead: o(P) = 1 and some c_alpha(0) != 0, so every degree of
+``solve_direct`` is a dense linear solve.
 """
 
 import random
@@ -90,6 +92,64 @@ def random_weighted_problem(rng: random.Random, trunc: int = 8) -> ProblemSpec:
         H.setdefault((2,) + (0,) * (unknowns - 1), [
             Series.constant(dim, trunc, 1) + _poly(rng, dim, trunc, 2)
             for _ in range(unknowns)])
+    return ProblemSpec(dim, unknowns, k, P, operators, f, A, H)
+
+
+def random_dense_problem(rng: random.Random, trunc: int = 12) -> ProblemSpec:
+    """dim and unknowns 1..3, k = 1, 2; P of order 1 with a multi-term
+    linear part (dim >= 2) and higher terms; every c_alpha with c(0) != 0
+    and a non-constant tail, except that about a third of the draws with
+    dim >= 2 make L_1 the cancelling pair x1 d1 - x2 d2 (plus d3 in dim 3).
+    P, the c_alpha, A and f are each cut to a random trunc (-1..6, P to
+    1..6 so that it stays nonzero); A(0) may be singular."""
+    dim = rng.randint(1, 3)
+    unknowns = rng.randint(1, 3)
+    pair = dim >= 2 and rng.random() < 0.35
+    # in dim 2, L_1 = x1 d1 - x2 d2 keeps no c(0) != 0: L_2 must
+    k = 2 if pair and dim == 2 else rng.randint(1, 2)
+
+    def cut(s, low=-1):
+        return s.truncate(rng.randint(low, 6)) if rng.random() < 0.6 else s
+
+    linear = {e: Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2))
+              for e in iter_exponents(dim, 1) if e[0] or rng.random() < 0.7}
+    higher = {e: c for e, c in _poly(rng, dim, trunc, 3).terms.items()
+              if sum(e) >= 2}
+    P = cut(Series(dim, trunc, {**linear, **higher}), low=1)
+
+    def coefficient():
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 2))
+        tail = Series.variable(dim, trunc, rng.randrange(dim)).scale(
+            rng.choice([-1, 1, 2]))
+        return cut(Series.constant(dim, trunc, c) + tail
+                   + _poly(rng, dim, trunc, 2, max_terms=2))
+
+    operators = []
+    for j in range(1, k + 1):
+        if j == 1 and pair:
+            x1, x2 = (Series.variable(dim, trunc, i) for i in (0, 1))
+            terms = {(1, 0) + (0,) * (dim - 2): cut(x1),
+                     (0, 1) + (0,) * (dim - 2): cut(-x2)}
+            if dim == 3:
+                terms[(0, 0, 1)] = coefficient()
+        else:
+            alphas = list(iter_exponents(dim, j))
+            chosen = [a for a in alphas if rng.random() < 0.6]
+            terms = {a: coefficient() for a in chosen or [rng.choice(alphas)]}
+        operators.append(DiffOperator(dim, j, terms))
+    A0 = [[rng.randint(-3, 3) for _ in range(unknowns)]
+          for _ in range(unknowns)]
+    A = SeriesMatrix([[cut(Series.constant(dim, trunc, A0[i][l])
+                           + _poly(rng, dim, trunc, 2, max_terms=1))
+                       for l in range(unknowns)] for i in range(unknowns)])
+    f = [cut(_poly(rng, dim, trunc, 3)) for _ in range(unknowns)]
+    if all(s.is_zero for s in f):
+        f[0] = Series.variable(dim, trunc, 0)
+    H = {}
+    if rng.random() < 0.4:
+        gamma = (2,) + (0,) * (unknowns - 1)
+        H[gamma] = [_poly(rng, dim, trunc, 1, max_terms=2, zero_const=False)
+                    for _ in range(unknowns)]
     return ProblemSpec(dim, unknowns, k, P, operators, f, A, H)
 
 

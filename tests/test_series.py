@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, format_rational,
-                              invert_rational_matrix, iter_exponents)
+                              gauss_jordan, invert_rational_matrix,
+                              iter_exponents)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -494,6 +495,61 @@ def test_rational_matrix_inverse():
     with pytest.raises(SingularMatrix):
         invert_rational_matrix([[Fraction(1), Fraction(2)],
                                 [Fraction(2), Fraction(4)]])
+
+
+def _reference_gauss_jordan(a, n):
+    """Gauss-Jordan over whole rows: every pivot step scales the full pivot
+    row and updates every full row with a nonzero in the pivot column."""
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular over the rationals")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _random_augmented(rng, n, density, singular):
+    """n x n plus one to three augmented columns of small Fractions, with
+    about ``density`` of the entries nonzero; ``singular`` makes the last
+    row of A a combination of two others."""
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    width = n + rng.randint(1, 3)
+    rows = [[entry() for _ in range(width)] for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.8:
+            rows[i][i] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    if singular and n >= 3:
+        a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 3), 2)
+        rows[-1][:n] = [a * u + b * v for u, v in zip(rows[0], rows[1])][:n]
+    return rows
+
+
+def test_gauss_jordan_equals_the_full_row_reference():
+    rng = random.Random(918)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = _random_augmented(rng, n, rng.choice([0.15, 0.4, 1.0]),
+                                 rng.random() < 0.25)
+        try:
+            want = _reference_gauss_jordan([r[:] for r in rows], n)
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix, match=str(exc)):
+                gauss_jordan([r[:] for r in rows], n)
+            singular += 1
+            continue
+        assert gauss_jordan([r[:] for r in rows], n) == want
+    assert 30 <= singular <= 200
 
 
 def test_series_matrix_ops():

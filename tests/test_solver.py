@@ -16,8 +16,8 @@ from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import (Series, SeriesMatrix, invert_rational_matrix,
-                              iter_exponents)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, gauss_jordan,
+                              invert_rational_matrix, iter_exponents)
 from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
@@ -515,6 +515,156 @@ def test_direct_dense_branch_with_x_dependent_nonlinearity(monkeypatch):
             assert s.truncate(D).is_zero
 
 
+def _reference_direct(problem, degree):
+    """solve_direct with every degree-n column built in full: lhs and
+    A.apply of the basis vector x^m e_i at the working degree, keeping the
+    degree-n part and the least trunc.  A column certified below n leaves
+    its degree unsolved, as in solve_direct."""
+    working = max(degree + problem.order, problem.P.order())
+    prob = problem.with_trunc(working)
+    dim, unknowns = prob.dim, prob.unknowns
+    try:
+        A0inv = invert_rational_matrix(prob.A.constant_part())
+    except SingularMatrix as exc:
+        raise SingularLinearPart("D_yF(0,0) is singular") from exc
+    omega = prob.P.order()
+    raises_degree = all(
+        (pos + 1) * (omega - 1) + c.order() > 0
+        for pos, L in enumerate(prob.operators) if L is not None
+        for c in L.terms.values())
+    lin_acc = [Series.zero(dim, working) for _ in range(unknowns)]
+    parts = [[Series.zero(dim, working)] * unknowns]
+    products = {((), 0): Series.constant(dim, working, 1)}
+    H = [(_factors(gamma), vec) for gamma, vec in prob.H.items()]
+    for n in range(1, degree + 1):
+        rhs_vec = [la.homogeneous(n) - fi.homogeneous(n)
+                   for la, fi in zip(lin_acc, prob.f)]
+        for factors, vec in H:
+            for m in range(len(factors), n + 1):
+                ym = _tail_monomial_coeff(parts, factors, m, 1, products)
+                if ym is not None:
+                    rhs_vec = [r - c.homogeneous(n - m) * ym
+                               for r, c in zip(rhs_vec, vec)]
+        cert = min(r.trunc for r in rhs_vec)
+        if raises_degree:
+            zero = Series.zero(dim, working)
+            delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)), zero)
+                     for row in A0inv]
+        else:
+            monos = list(iter_exponents(dim, n))
+            size = unknowns * len(monos)
+            index = {(i, m): i * len(monos) + c
+                     for i in range(unknowns) for c, m in enumerate(monos)}
+            rows = [[Fraction(0)] * (size + 1) for _ in range(size)]
+            columns = INFINITE
+            for (i, m), col in index.items():
+                basis = [Series.zero(dim, working)] * unknowns
+                basis[i] = Series.monomial(dim, working, m)
+                col_vec = [a - b for a, b in
+                           zip(prob.lhs(basis), prob.A.apply(basis))]
+                columns = min(columns, *(v.trunc for v in col_vec))
+                for i2, v in enumerate(col_vec):
+                    for e, cval in v.homogeneous(n).terms.items():
+                        rows[index[(i2, e)]][col] += cval
+            cert = min(cert, columns)
+            if columns < n:
+                delta = [Series.zero(dim, cert)] * unknowns
+            else:
+                for i, r in enumerate(rhs_vec):
+                    for e, cval in r.terms.items():
+                        rows[index[(i, e)]][size] = -cval
+                try:
+                    sol = [row[0] for row in gauss_jordan(rows, size)]
+                except SingularMatrix as exc:
+                    raise SingularLinearPart(
+                        f"degree-{n} linear system is singular") from exc
+                delta = [Series(dim, cert, {m: sol[index[(i, m)]]
+                                            for m in monos})
+                         for i in range(unknowns)]
+        parts.append(delta)
+        if min(s.trunc for s in delta) < n:
+            break
+        upd = [a - b for a, b in zip(prob.lhs(delta), prob.A.apply(delta))]
+        lin_acc = [a + b for a, b in zip(lin_acc, upd)]
+    return [sum((part[i] for part in parts), Series.zero(dim, working))
+            .truncate(degree) for i in range(unknowns)]
+
+
+def _outcome(solve, prob, degree):
+    """The solution, or the type and message of what it raised."""
+    try:
+        return solve(prob, degree)
+    except SingularLinearPart as exc:
+        return type(exc), str(exc)
+
+
+def test_direct_equals_the_full_column_reference_on_dense_draws(monkeypatch):
+    # columns from the degree-n formula and certs from truncs and orders,
+    # against columns from a full lhs: values, truncs and raises
+    solves = []
+    real = solver._solve_linear
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_solve_linear", counted)
+    rng = random.Random(1803)
+    solved = singular = lowered = 0
+    for _ in range(240):
+        prob = instances.random_dense_problem(rng)
+        degree = rng.randint(1, 4)
+        before = len(solves)
+        got = _outcome(solve_direct, prob, degree)
+        assert got == _outcome(_reference_direct, prob, degree)
+        solved += len(solves) > before
+        if isinstance(got, tuple):
+            singular += got[1].startswith("degree-")
+        else:
+            lowered += min(s.trunc for s in got) < degree
+    assert solved >= 120 and singular >= 5 and lowered >= 100
+
+
+def test_degree_system_column_truncs_equal_the_full_lhs():
+    # per column, including the columns where the lowest terms of L_j(x^m)
+    # cancel and the order is taken exactly
+    rng = random.Random(77)
+    cancelled = 0
+    for _ in range(120):
+        prob = instances.random_dense_problem(rng)
+        degree = rng.randint(1, 5)
+        working = max(degree + prob.order, prob.P.order())
+        spec = prob.with_trunc(working)
+        systems = solver._DegreeSystems(spec, working)
+        zero = Series.zero(prob.dim, working)
+        for n in range(1, degree + 1):
+            for m in iter_exponents(prob.dim, n):
+                basis = [Series.monomial(prob.dim, working, m), zero]
+                want = spec.lhs(basis)
+                assert systems._lhs_trunc(n, m) == want[0].trunc
+                assert systems._lhs_trunc(n, None) == want[1].trunc
+                cancelled += any(
+                    L is not None and L.apply(basis[0]).is_zero
+                    for L in spec.operators)
+    assert cancelled > 0
+
+
+def test_direct_does_not_solve_a_matrix_certified_below_its_degree():
+    # c known to no degree: the x2 column loses its degree-1 entries, so
+    # the degree-1 system is not solved, although A(0) is invertible and
+    # the system is non-resonant
+    one = Series.constant(2, 50, 1)
+    prob = ProblemSpec(
+        2, 2, 1, Series.variable(2, 50, 0),
+        [DiffOperator(2, 1, {(1, 0): one, (0, 1): Series.zero(2, -1)})],
+        [Series(2, 50, {(1, 0): 1, (0, 1): 1}), Series.zero(2, 50)],
+        SeriesMatrix([[one.scale(3), one.scale(2)], [Series.zero(2, 50),
+                                                     one.scale(2)]]), {})
+    y = solve_direct(prob, 2)
+    assert y == [Series.zero(2, 0)] * 2
+    assert y == _reference_direct(prob, 2)
+
+
 def test_pipeline_equals_direct_on_non_monomial_germs():
     # P = x1^a + c x2^b, the long division by a lowest form with one or two
     # monomials, and faadibruno on a dense P, end to end against the oracle
@@ -671,6 +821,32 @@ def test_poincare_inconclusive():
         check_poincare(prob)
     verdict = check_poincare(prob, user_bound=12)
     assert verdict.partial and verdict.ok
+
+
+def test_poincare_computes_one_determinant_per_distinct_s(monkeypatch):
+    # divergent route: L_1 = x d_x against P = x gives lambda_1 = 0, so
+    # s(n) = 0 for n = 0..16 and det(-A(0)) is computed once; a singular
+    # A(0) still fails at every n
+    calls = []
+    real = solver._det
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(solver, "_det", counted)
+    trunc = 6
+    P = Series.variable(1, trunc, 0)
+    L1 = DiffOperator(1, 1, {(1,): Series.variable(1, trunc, 0)})
+    one, zero = const(1, trunc, 1), Series.zero(1, trunc)
+    for A, failing in (([[one, zero], [zero, one.scale(2)]], []),
+                       ([[one, one], [one, one]], list(range(17)))):
+        prob = ProblemSpec(1, 2, 1, P, [L1], [P, zero], SeriesMatrix(A), {})
+        calls.clear()
+        verdict = check_poincare(prob, user_bound=16)
+        assert len(calls) == 1
+        assert verdict.n_star == 16 and verdict.failing == failing
+        assert verdict.determinant(5) == (0 if failing else 2)
 
 
 # -- invert_series_matrix ----------------------------------------------------

@@ -387,6 +387,32 @@ def test_dense_direct_branch_certifies_no_more_than_its_data():
     _assert_agree(y, solve_direct(spec2(Series.constant(2, 50, 3)), 1))
 
 
+def test_dense_direct_branch_with_a_non_constant_c_known_to_degree_1():
+    # c = 1 + x2 on d1 is known only to degree 1, so the degree-n columns
+    # keep c(0) but its tail caps the cert: two tails that differ from
+    # degree 2 on already differ at x1^3
+    def spec(c):
+        return ProblemSpec(
+            2, 1, 1, Series(2, 50, {(1, 0): 1}),
+            [DiffOperator(2, 1, {(1, 0): c,
+                                 (0, 1): Series(2, 50, {(0, 1): 1})})],
+            [Series(2, 50, {(1, 0): 1, (0, 1): 1})],
+            SeriesMatrix([[Series.constant(2, 50, -1)]]),
+            {(2,): [Series.constant(2, 50, 1)]})
+
+    c = Series(2, 1, {(0, 0): 1, (0, 1): 1})
+    y = solve_direct(spec(c), 6)
+    assert y[0].trunc == 2
+    rng = random.Random(4)
+    tails = []
+    for _ in range(8):
+        perturbed = solve_direct(spec(_perturb(rng, c)), 6)
+        _assert_agree(y, perturbed)
+        assert perturbed[0].trunc >= y[0].trunc
+        tails.append(perturbed[0].coeff((3, 0)))
+    assert len(set(tails)) > 1
+
+
 def test_dense_direct_branch_stops_after_the_first_degree_certified_below_itself(
         monkeypatch):
     # f is known to degree 2, so degree 3 is certified to 2 and degrees
