@@ -838,11 +838,10 @@ class _DegreeSystems:
         nothing is solved and the part is zero, certified below n."""
         dim = self.prob.dim
         monos = list(iter_exponents(dim, n))
-        cert = min(r.trunc for r in rhs_vec)
         columns = self._column_cert(n, monos)
+        cert = min(columns, *(r.trunc for r in rhs_vec))
         if columns < n:
-            return [Series.zero(dim, min(cert, columns))] * len(rhs_vec)
-        cert = min(cert, columns)
+            return [Series.zero(dim, cert)] * len(rhs_vec)
         rhs_flat = [0] * (len(rhs_vec) * len(monos))
         index = {m: c for c, m in enumerate(monos)}
         for i, r in enumerate(rhs_vec):
