@@ -7,8 +7,8 @@ star against a monomial is automatically divisible by it.  In
 ``random_weighted_problem`` P = x1^a + c x2^b is weighted homogeneous, so
 the Euler field b x1 d1 + a x2 d2 stars it to ab P, and every other
 coefficient is a multiple of P.  ``random_dense_problem`` is on the
-Poincare side instead: o(P) = 1 and some c_alpha(0) != 0, so every degree of
-``solve_direct`` is a dense linear solve.
+Poincare side instead: o(P) = 1 and some c_alpha(0) != 0, so ``solve_direct``
+takes its dense branch unless a cut removes every c_alpha(0).
 """
 
 import random
@@ -97,8 +97,8 @@ def random_weighted_problem(rng: random.Random, trunc: int = 8) -> ProblemSpec:
 
 def random_dense_problem(rng: random.Random, trunc: int = 12) -> ProblemSpec:
     """dim and unknowns 1..3, k = 1, 2; P of order 1 with a multi-term
-    linear part (dim >= 2) and higher terms; every c_alpha with c(0) != 0
-    and a non-constant tail, except that about a third of the draws with
+    linear part (dim >= 2) and higher terms; before the cuts, every c_alpha
+    has c(0) != 0 and a non-constant tail, except that about a third of the draws with
     dim >= 2 make L_1 the cancelling pair x1 d1 - x2 d2 (plus d3 in dim 3).
     P, the c_alpha, A and f are each cut to a random trunc (-1..6, P to
     1..6 so that it stays nonzero); A(0) may be singular."""
