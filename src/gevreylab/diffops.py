@@ -10,11 +10,13 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, DivisibilityViolation
 from .series import (
+    INFINITE,
     Exponent,
     Series,
     exp_degree,
     falling_factorial,
     grlex_key,
+    sum_of_products,
     unit_exp,
 )
 
@@ -70,13 +72,10 @@ class DiffOperator:
         """sum_alpha a_alpha * d_alpha(f)."""
         if f.dim != self.dim:
             raise DimensionMismatch("operand dim mismatch")
-        out = None
-        for alpha, coef in self.terms.items():
-            term = coef * f.diff(alpha)
-            out = term if out is None else out + term
-        if out is None:
+        if not self.terms:
             return Series.zero(self.dim, max(f.trunc - self.order, -1))
-        return out
+        return sum_of_products(self.dim, INFINITE, [
+            (1, coef, f.diff(alpha)) for alpha, coef in self.terms.items()])
 
     def star(self, P: Series) -> Series:
         """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""

@@ -236,23 +236,10 @@ class Series:
         # an integer convolution of the numerators, divided by the common
         # denominator once per output coefficient
         da, left = _numerators(self.terms)
-        db, items = _numerators(other.terms)
-        # the right factor by degree, so the inner loop stops at trunc
-        right = sorted(((sum(e), e, c) for e, c in items), key=itemgetter(0))
+        db, right = _numerators(other.terms)
         terms: dict[Exponent, int] = {}
-        get = terms.get
-        for e1, c1 in left:
-            room = trunc - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        d = da * db
-        if d == 1:
-            return Series._of(self.dim, trunc, terms.items())
-        return Series._of(self.dim, trunc,
-                          [(e, Fraction(c, d)) for e, c in terms.items()])
+        _convolve(terms, left, right, trunc)
+        return _over(self.dim, trunc, terms, da * db)
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -407,6 +394,62 @@ def _numerators(terms: Mapping[Exponent, Rational]):
                for e, c in terms.items()]
 
 
+def _convolve(acc: dict[Exponent, int], left, right, trunc) -> None:
+    """Add every product of a term of ``left`` and a term of ``right``, both
+    [(e, n)] with int n, into ``acc`` through total degree ``trunc``: the
+    one integer convolution loop."""
+    # the right factor by degree, so the inner loop stops at trunc
+    right = sorted(((sum(e), e, c) for e, c in right), key=itemgetter(0))
+    get = acc.get
+    for e1, c1 in left:
+        room = trunc - sum(e1)
+        for d2, e2, c2 in right:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _over(dim: int, trunc, acc: dict[Exponent, int], d: int) -> Series:
+    """The series with coefficients acc[e] / d, one Fraction per nonzero
+    numerator."""
+    if d == 1:
+        return Series._of(dim, trunc, acc.items())
+    return Series._of(dim, trunc,
+                      [(e, Fraction(c, d)) for e, c in acc.items() if c])
+
+
+def sum_of_products(dim: int, trunc, triples) -> Series:
+    """sum c * a * b over (c, a, b) triples with int c, equal (terms and
+    trunc) to the left fold of ``+`` over ``(a * b).scale(c)`` from
+    ``Series.zero(dim, trunc)``.
+
+    Certified to the least of ``trunc`` and every product's
+    ``product_trunc`` (a zero c or a zero factor still bounds it).  Each
+    product is accumulated only through that degree, as int numerators over
+    L, the lcm of the products' denominators, and each output coefficient
+    is normalised once, as a Fraction over L, instead of once per
+    intermediate sum."""
+    parts = []
+    for c, a, b in triples:
+        if a.dim != dim or b.dim != dim:
+            raise DimensionMismatch(f"dim {dim} vs {a.dim}, {b.dim}")
+        trunc = min(trunc, product_trunc(a.trunc, a.order(),
+                                         b.trunc, b.order()))
+        if c and a.terms and b.terms:
+            da, left = _numerators(a.terms)
+            db, right = _numerators(b.terms)
+            parts.append((c, da * db, left, right))
+    den = lcm(*[d for _, d, _, _ in parts])
+    acc: dict[Exponent, int] = {}
+    for c, d, left, right in parts:
+        c *= den // d
+        if c != 1:
+            left = [(e, c * n) for e, n in left]
+        _convolve(acc, left, right, trunc)
+    return _over(dim, trunc, acc, den)
+
+
 def product_trunc(ta, oa, tb, ob) -> int:
     """Certified degree of a product of factors with truncs ta, tb and
     orders oa, ob (INFINITE for a zero factor): unknown tails are shifted
@@ -536,13 +579,9 @@ class SeriesMatrix:
     def apply(self, vec: Sequence[Series]) -> list[Series]:
         if self.cols != len(vec):
             raise DimensionMismatch("vector length does not match matrix")
-        out = []
-        for i in range(self.rows):
-            acc = self.entries[i][0] * vec[0]
-            for l in range(1, self.cols):
-                acc = acc + self.entries[i][l] * vec[l]
-            out.append(acc)
-        return out
+        return [sum_of_products(self.dim, INFINITE,
+                                [(1, a, v) for a, v in zip(row, vec)])
+                for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):

@@ -68,6 +68,7 @@ from .series import (
     invert_rational_matrix,
     iter_exponents,
     product_trunc,
+    sum_of_products,
     unit_exp,
 )
 
@@ -485,31 +486,33 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
+    one = Series.constant(dim, INFINITE, 1)
     for n in range(k, order + 1):
-        rhs = [Series.zero(dim, degree) for _ in range(unknowns)]
+        # the (c, a, b) triples of each row's right side sum c a b
+        rhs: list[list] = [[] for _ in range(unknowns)]
         if n == k:
-            rhs = [r + f for r, f in zip(rhs, eq.forcing)]
+            for terms, f in zip(rhs, eq.forcing):
+                terms.append((1, f, one))
         for (j, b, alpha), g in eq.linear.items():
             l = n - j
             if l < k or b > l:
                 continue
             w = exp_degree(alpha)
             scale = falling_factorial(l, b)
-            for i in range(unknowns):
-                ul = us[l][i]
+            for terms, ul in zip(rhs, us[l]):
                 if w and ul.trunc - w < 0:
                     raise TruncationTooSmall(
                         f"order {n}: needs degree {w} derivative of a series "
                         f"certified only to {ul.trunc}")
-                term = (g * ul.diff(alpha)).scale(scale)
-                rhs[i] = rhs[i] + term
+                terms.append((scale, g, ul.diff(alpha)))
         for gamma, vec in eq.nonlinear.items():
             conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
-            for i in range(unknowns):
-                rhs[i] = rhs[i] + vec[i] * conv
-        us.append(solve_B(rhs))
+            for terms, c in zip(rhs, vec):
+                terms.append((1, c, conv))
+        us.append(solve_B([sum_of_products(dim, degree, terms)
+                           for terms in rhs]))
     return us
 
 
@@ -554,19 +557,19 @@ def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
     if key in products:
         return products[key]
     head, i = factors[:-1], factors[-1]
-    out = None
+    terms = []
     # a factor zero only below the base trunc still bounds what it feeds
-    base = products[((), 0)].trunc
+    base = products[((), 0)]
     # the head's product starts at grade k |head|; the empty one is grade 0
     for d in range(k * len(head), (m - k if head else 0) + 1):
         u = us[m - d][i]
-        if u.is_zero and u.trunc >= base:
+        if u.is_zero and u.trunc >= base.trunc:
             continue
         prev = _tail_monomial_coeff(us, head, d, k, products)
         if prev is not None:
-            term = prev * u
-            out = term if out is None else out + term
-    products[key] = out
+            terms.append((1, prev, u))
+    out = products[key] = (
+        sum_of_products(base.dim, INFINITE, terms) if terms else None)
     return out
 
 
@@ -588,16 +591,14 @@ class PExpansion:
     def evaluate(self) -> Vector:
         """sum_n y_n P^n; certified to min over terms and the tail bound
         (order+1) * o(P) - 1."""
-        omega = self.P.order()
-        out = None
-        Pn = self.P.pow(0)
-        for n, yn in enumerate(self.coeffs):
-            if n:
-                Pn = Pn * self.P
-            term = [yi * Pn for yi in yn]
-            out = term if out is None else [a + b for a, b in zip(out, term)]
-        cert = min(self.degree, len(self.coeffs) * omega - 1,
-                   *(s.trunc for s in out))
+        cert = min(self.degree, len(self.coeffs) * self.P.order() - 1)
+        powers = [self.P.pow(0)]
+        for _ in self.coeffs[1:]:
+            powers.append(powers[-1] * self.P)
+        out = [sum_of_products(self.P.dim, cert, [
+            (1, yi, Pn) for yi, Pn in zip(col, powers)])
+            for col in zip(*self.coeffs)]
+        cert = min(s.trunc for s in out)
         return [s.truncate(cert) for s in out]
 
     def norms(self, rho) -> list[tuple[int, Fraction, int]]:

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, format_rational,
                               gauss_jordan, invert_rational_matrix,
-                              iter_exponents)
+                              iter_exponents, sum_of_products)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -457,6 +459,63 @@ def test_mul_and_norm_on_large_coprime_denominators():
             assert norm == sum((abs(c) * Fraction(rho) ** sum(e)
                                 for e, c in ra[0].items()), Fraction(0))
     assert wide > 100
+
+
+def _fold(dim, trunc, triples):
+    """The plain left fold that ``sum_of_products`` must equal."""
+    return reduce(Series.__add__, [(a * b).scale(c) for c, a, b in triples],
+                  Series.zero(dim, trunc))
+
+
+TRUNCS = list(range(-1, 9)) + [INFINITE]
+
+
+def _operand(rng, dim):
+    """A _draw_hard series recut to a trunc in -1..8 or INFINITE; a tenth
+    of the draws are zero."""
+    trunc = rng.choice(TRUNCS)
+    if rng.random() < 0.1:
+        return Series.zero(dim, trunc)
+    return Series(dim, trunc, _draw_hard(rng, dim).terms)
+
+
+def test_sum_of_products_equals_a_plain_fold():
+    x1 = Series.variable(2, INFINITE, 0)
+    assert sum_of_products(2, 5, []) == Series.zero(2, 5)
+    assert sum_of_products(2, INFINITE, []) == Series.zero(2, INFINITE)
+    # c = 0 and a zero factor still bound the trunc
+    for triples, trunc in (([(0, x1, x1.truncate(4))], 5),
+                           ([(1, Series.zero(2, 3), x1)], 4)):
+        got = sum_of_products(2, 7, triples)
+        assert got == _fold(2, 7, triples) == Series.zero(2, trunc)
+    rng = random.Random(1931)
+    wide = cancelled = 0
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        triples, mirrored = [], []
+        for _ in range(rng.randint(0, 6)):
+            if triples and rng.random() < 0.3:
+                # an earlier triple negated, factors swapped: it cancels
+                c, a, b = rng.choice(triples)
+                triples.append((-c, b, a))
+                mirrored.append((c, a, b))
+                continue
+            c = rng.choice([0, 1, -1, 2, -3, 7, 2**70, rng.randint(-9, 9)])
+            triples.append((c, _operand(rng, dim), _operand(rng, dim)))
+        trunc = rng.choice(TRUNCS)
+        got = sum_of_products(dim, trunc, triples)
+        want = _fold(dim, trunc, triples)
+        _assert_matches(got, (want.terms, want.trunc))
+        dens = {v.denominator for c, a, b in triples if c
+                for v in (*a.terms.values(), *b.terms.values())}
+        wide += lcm(*dens) > max(dens, default=1)
+        cancelled += any(c and not (a * b).truncate(got.trunc).is_zero
+                         for c, a, b in mirrored)
+    assert wide > 150 and cancelled > 20, (wide, cancelled)
+    with pytest.raises(DimensionMismatch):
+        sum_of_products(2, 3, [(1, x1, x1), (1, x1, Series.variable(1, 3, 0))])
+    with pytest.raises(DimensionMismatch):
+        sum_of_products(1, 3, [(1, x1, x1)])
 
 
 def test_series_attributes_cannot_be_assigned():

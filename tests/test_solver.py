@@ -296,6 +296,61 @@ def test_solve_lifted_certifies_no_more_than_a_factor_zero_through_its_trunc():
     assert zero.is_zero and zero.trunc < 6
 
 
+def _lifted_k2(nonlinear):
+    """A 2x2 lifted equation with k = 2, an x-dependent B, linear terms of
+    both kinds (t d_x and t^2 d_t) and, if asked, quadratic terms."""
+    x1, x2 = Series.variable(2, 8, 0), Series.variable(2, 8, 1)
+    one = const(2, 8, 1)
+    B = SeriesMatrix([[one + x1, x2], [x2.scale(Fraction(1, 3)), one.scale(2)]])
+    linear = {(1, 0, (1, 0)): x2, (1, 1, (0, 0)): one.scale(Fraction(-1, 2)),
+              (2, 0, (0, 1)): x1 + x2}
+    H = {(2, 0): [one, x1], (1, 1): [x2.scale(3), const(2, 8, -1)]}
+    return LiftedEquation(2, 2, 2, B, [x1, x1 * x2], linear,
+                          H if nonlinear else {})
+
+
+def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
+    # every term of an order's right side goes into one sum_of_products
+    # call per unknown: no intermediate sum or scaled product is formed
+    counts = {"__add__": 0, "scale": 0}
+    for name in counts:
+        method = getattr(Series, name)
+
+        def counting(self, other, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, other)
+        monkeypatch.setattr(Series, name, counting)
+    # kernel calls made by solve_lifted itself, not by the products of the
+    # nonlinear terms (_tail_monomial_coeff, which recurses through its
+    # module name)
+    calls, inside = [], []
+    kernel, tail = solver.sum_of_products, solver._tail_monomial_coeff
+
+    def counting_kernel(dim, trunc, triples):
+        if not inside:
+            calls.append(len(triples))
+        return kernel(dim, trunc, triples)
+
+    def marked_tail(*args):
+        inside.append(1)
+        try:
+            return tail(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(solver, "sum_of_products", counting_kernel)
+    monkeypatch.setattr(solver, "_tail_monomial_coeff", marked_tail)
+    for nonlinear in (False, True):
+        eq = _lifted_k2(nonlinear)
+        calls.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        us = solve_lifted(eq, 6, 8)
+        assert counts == {"__add__": 0, "scale": 0}
+        assert len(calls) == 2 * (6 - 2 + 1)
+        assert all(not s.is_zero for vec in us[2:] for s in vec)
+        # the quadratic terms reach the right side from order 4 on
+        assert max(calls) == 3 + 2 * nonlinear, calls
+
+
 def test_run_reports_a_singular_B0_as_a_poincare_violation():
     # documents cannot reach this, since the reduction keeps B(0) = A(0)
     # and refuses a singular A(0) itself, so the run is handed the lifted

@@ -14,7 +14,8 @@ import gevreylab.solver as solver
 from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, InputError,
                               SingularLinearPart, TruncationTooSmall)
-from gevreylab.series import INFINITE, Series, SeriesMatrix, iter_exponents
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, iter_exponents,
+                              sum_of_products)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               invert_series_matrix, solve_direct,
                               solve_implicit, solve_lifted)
@@ -180,6 +181,13 @@ def _faadibruno(rng, dim):
         faadibruno(P, alpha).coefficient(j) for j in range(1, sum(alpha) + 1)]
 
 
+def _sum_of_products(rng, dim):
+    cs = [rng.choice([0, 1, -1, 3]) for _ in range(rng.randint(0, 3))]
+    trunc = rng.choice([rng.randint(0, 6), INFINITE])
+    return [_series(rng, dim) for _ in range(2 * len(cs))], lambda *s: [
+        sum_of_products(dim, trunc, list(zip(cs, s[::2], s[1::2])))]
+
+
 def _solve_implicit(rng, dim):
     # f(0) = 0 and a unit diagonal in A(0), so that y(0) = 0 and A(0) is
     # mostly invertible
@@ -239,6 +247,7 @@ KERNELS = {
     "check_divisibility": _check_divisibility,
     "ProblemSpec.lhs": _lhs,
     "GradedSolve.solve": _graded_solve,
+    "sum_of_products": _sum_of_products,
 }
 
 SOLVERS = {
