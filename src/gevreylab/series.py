@@ -4,10 +4,11 @@ A series is stored as a finite map from exponent tuples to nonzero exact
 coefficients, together with a total-degree bound ``trunc`` up to which the
 stored data is certified exact.  An integral coefficient is stored as an
 ``int`` and any other as a ``Fraction`` with denominator > 1, so ``int``
-arithmetic pays for no gcd; floats are refused.  Products and majorant norms
-run on integer numerators over one common denominator (the lcm of the
-coefficient denominators) and normalise once per output coefficient, not
-once per pair of terms.  Every operation propagates ``trunc``
+arithmetic pays for no gcd; floats are refused.  Products, sums of products
+(``sum_of_products``) and majorant norms run on integer numerators over one
+common denominator (the lcm of the denominators) and normalise once per
+output coefficient, not once per pair of terms or per partial sum.  Every
+operation propagates ``trunc``
 pessimistically and none raises it (``truncate`` only lowers it), so
 ``trunc`` doubles as the certified degree of the value: coefficients of
 total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
@@ -183,7 +184,7 @@ class Series:
         """Least total degree with a nonzero coefficient, INFINITE for 0."""
         if not self.terms:
             return INFINITE
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.terms))
 
     def homogeneous(self, n: int) -> "Series":
         return Series._of(self.dim, self.trunc,
@@ -237,9 +238,7 @@ class Series:
         # denominator once per output coefficient
         da, left = _numerators(self.terms)
         db, right = _numerators(other.terms)
-        terms: dict[Exponent, int] = {}
-        _convolve(terms, left, right, trunc)
-        return _over(self.dim, trunc, terms, da * db)
+        return _convolve(self.dim, trunc, ((left, right),), da * db)
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -394,29 +393,26 @@ def _numerators(terms: Mapping[Exponent, Rational]):
                for e, c in terms.items()]
 
 
-def _convolve(acc: dict[Exponent, int], left, right, trunc) -> None:
-    """Add every product of a term of ``left`` and a term of ``right``, both
-    [(e, n)] with int n, into ``acc`` through total degree ``trunc``: the
-    one integer convolution loop."""
-    # the right factor by degree, so the inner loop stops at trunc
-    right = sorted(((sum(e), e, c) for e, c in right), key=itemgetter(0))
+def _convolve(dim: int, trunc, pairs, den: int) -> Series:
+    """sum left * right / den over ``pairs`` of int numerator lists
+    [(e, n)], through total degree ``trunc``: the one integer convolution
+    loop, with one Fraction per nonzero output coefficient."""
+    acc: dict[Exponent, int] = {}
     get = acc.get
-    for e1, c1 in left:
-        room = trunc - sum(e1)
-        for d2, e2, c2 in right:
-            if d2 > room:
-                break
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + c1 * c2
-
-
-def _over(dim: int, trunc, acc: dict[Exponent, int], d: int) -> Series:
-    """The series with coefficients acc[e] / d, one Fraction per nonzero
-    numerator."""
-    if d == 1:
+    for left, right in pairs:
+        # the right factor by degree, so the inner loop stops at trunc
+        right = sorted(((sum(e), e, c) for e, c in right), key=itemgetter(0))
+        for e1, c1 in left:
+            room = trunc - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    if den == 1:
         return Series._of(dim, trunc, acc.items())
     return Series._of(dim, trunc,
-                      [(e, Fraction(c, d)) for e, c in acc.items() if c])
+                      [(e, Fraction(c, den)) for e, c in acc.items() if c])
 
 
 def sum_of_products(dim: int, trunc, triples) -> Series:
@@ -441,13 +437,12 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
             db, right = _numerators(b.terms)
             parts.append((c, da * db, left, right))
     den = lcm(*[d for _, d, _, _ in parts])
-    acc: dict[Exponent, int] = {}
+    pairs = []
     for c, d, left, right in parts:
         c *= den // d
-        if c != 1:
-            left = [(e, c * n) for e, n in left]
-        _convolve(acc, left, right, trunc)
-    return _over(dim, trunc, acc, den)
+        pairs.append(([(e, c * n) for e, n in left] if c != 1 else left,
+                      right))
+    return _convolve(dim, trunc, pairs, den)
 
 
 def product_trunc(ta, oa, tb, ob) -> int:

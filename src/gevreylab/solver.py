@@ -15,12 +15,19 @@ Two independent routes are provided:
   each degree is certified from the truncs and orders of P^j, the
   c_alpha, A and the right side by the arithmetic of ``product_trunc``,
   without forming the products.  It is used to cross-check the pipeline,
-  so each solver keeps its own recurrence.  They share two kernels only:
-  ``Series.__mul__`` and ``_tail_monomial_coeff``, which forms the graded
-  parts of y^gamma from cached lower parts (grade t^n in the pipeline,
-  total degree n in the oracle).  The kernel is checked against plain
-  products in both gradings in ``tests/test_solver.py``, and the two
-  solvers against each other by acceptance criterion 3.
+  so each solver keeps its own recurrence.  They share three kernels
+  only: ``Series.__mul__``; ``sum_of_products``, which forms a sum of
+  products in one integer pass and is checked against a plain fold of
+  ``+`` over scaled products by
+  ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
+  ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
+  cached lower parts (grade t^n in the pipeline, total degree n in the
+  oracle) and is checked against plain products in both gradings in
+  ``tests/test_solver.py``.  The two solvers are checked against each
+  other by acceptance criterion 3.
+
+Each order's right side in ``solve_lifted`` (forcing, linear and
+nonlinear terms) is one ``sum_of_products`` call per unknown.
 
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
 one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
