@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 check failure, 3 unusable input (a parse or
 semantic error in the problem document, a document without the top
 operator L_k for solve or estimate, an unreadable or malformed input
-file, an --out-dir that cannot be created, an unknown example, a bad
+file, an --out-dir that cannot be created, an output file that cannot be
+written, an unknown example, a bad
 --param, --degree, --order, --rho or --poincare-bound value; the run
 options obey the rules of ``option`` lines), 4 solver error.  Exits 3 and
 4 print a one-line ``error[...]`` diagnostic on stderr, but a ``solve``
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,7 +27,7 @@ from .errors import (GevreyLabError, InconclusiveBound, InputError, ParseError,
                      RegressionMismatch, SemanticError)
 from .gevrey import estimate_order
 from .registry import list_examples, run_example
-from .series import format_rational
+from .series import format_rational, json_text
 # solve_direct stays bound here for callers that look it up on this module
 from .solver import Run, check_poincare, solve_direct
 
@@ -91,6 +92,13 @@ def cmd_check(args) -> int:
     return EXIT_CHECK
 
 
+def _write(path: Path, text: str, newline: str | None = None) -> None:
+    try:
+        path.write_text(text, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise InputError("io", f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_solve(args) -> int:
     run = _load_run(args)
     out_dir = Path(args.out_dir)
@@ -101,19 +109,17 @@ def cmd_solve(args) -> int:
     pexp = run.pexp
     direct = run.direct
     res_zero = all(s.is_zero for s in run.residual)
-    (out_dir / "solution.json").write_text(
-        json.dumps(pexp.to_json(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    (out_dir / "solution_x.json").write_text(
-        json.dumps({"degree": run.degree,
-                    "solution": [s.to_json() for s in direct]},
-                   sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    with (out_dir / "norms.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "norm", "certified_degree"])
-        for n, norm, cdeg in run.norms:
-            writer.writerow([n, format_rational(norm), cdeg])
+    _write(out_dir / "solution.json", json_text({
+        "P": pexp.P, "coeffs": pexp.coeffs,
+        "degree": pexp.degree, "order": pexp.order}) + "\n")
+    _write(out_dir / "solution_x.json", json_text({
+        "degree": run.degree, "solution": direct}) + "\n")
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["n", "norm", "certified_degree"])
+    for n, norm, cdeg in run.norms:
+        writer.writerow([n, format_rational(norm), cdeg])
+    _write(out_dir / "norms.csv", rows.getvalue(), newline="")
     status = "vanishes" if res_zero else "DOES NOT vanish"
     print(f"residual {status} through certified degree {run.certified}")
     if not run.agrees:

@@ -389,9 +389,7 @@ class ProblemDocument:
         for name in ("degree", "order", "rho", "window"):
             value = self.options[name]
             if value != DEFAULT_OPTIONS[name]:
-                text = format_rational(Fraction(value)) \
-                    if name in ("rho", "window") else str(value)
-                lines.append(f"option {name} = {text}")
+                lines.append(f"option {name} = {format_rational(value)}")
         return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ the helpers at the top of the module supply the arithmetic on them.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import comb, inf, lcm
 from operator import add, itemgetter, sub
@@ -460,11 +461,48 @@ def product_trunc(ta, oa, tb, ob) -> int:
 
 
 def format_rational(c: Rational) -> str:
-    """Canonical "p/q" string with q > 0 and gcd(p, q) = 1."""
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    """Canonical "p/q" string with q > 0 and gcd(p, q) = 1, and "p" for an
+    integral value; an int or a Fraction is read as it is, never converted."""
+    if type(c) is int:
+        return str(c)
+    n, d = c.numerator, c.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, where ``value`` is a
+    dict with str keys, a list, a Series or a JSON scalar and each Series
+    stands for its ``to_json`` dict; ``pad`` is the indent of the line the
+    value starts on.  A Series is written term by term from its own data,
+    without building that dict, and the scalars go through ``json.dumps``
+    (an INFINITE trunc is ``Infinity``).  This is the one writer of the
+    solution files of ``gevrey-lab solve``."""
+    inner = pad + "  "
+    if isinstance(value, Series):
+        p2 = inner + "  "
+        p3 = p2 + "  "
+        sep = ",\n" + p3 + "  "
+        # a formatted coefficient holds only digits, "-" and "/": no escapes
+        terms = ",\n".join(
+            f'{p2}{{\n{p3}"coef": "{format_rational(c)}",\n{p3}"exp": [\n'
+            f'{p3}  {sep.join(map(str, e))}\n{p3}]\n{p2}}}'
+            for e, c in value.sorted_terms())
+        terms = f"[\n{terms}\n{inner}]" if terms else "[]"
+        return (f'{{\n{inner}"dim": {json.dumps(value.dim)},\n'
+                f'{inner}"terms": {terms},\n'
+                f'{inner}"trunc": {json.dumps(value.trunc)}\n{pad}}}')
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{inner}{json.dumps(k)}: {json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [inner + json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def format_monomial(e: Sequence[int], var: str = "x") -> str:

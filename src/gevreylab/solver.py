@@ -616,14 +616,6 @@ class PExpansion:
             out.append((n, norm, min(s.trunc for s in yn)))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "P": self.P.to_json(),
-            "degree": self.degree,
-            "order": self.order,
-            "coeffs": [[s.to_json() for s in yn] for yn in self.coeffs],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "PExpansion":
         return cls(

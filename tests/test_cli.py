@@ -11,6 +11,7 @@ import gevreylab.gevrey
 import gevreylab.registry
 import gevreylab.solver
 from gevreylab.cli import (EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main)
+from gevreylab.dsl import parse_problem
 from gevreylab.errors import RegressionMismatch
 from gevreylab.registry import ENTRIES, run_example
 from gevreylab.series import Series, SeriesMatrix
@@ -140,6 +141,46 @@ def test_solve_degree_flag(tmp_path, capsys):
         assert f'"degree": {degree}' in \
             results[0][1]["solution_x.json"].decode()
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("text", [DOC, EULER], ids=["doc", "euler"])
+def test_solve_files_are_the_sorted_two_space_json_of_the_run(tmp_path, capsys,
+                                                              text):
+    path = write(tmp_path, "p.gl", text)
+    out_dir = tmp_path / "out"
+    assert main(["solve", path, "--out-dir", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    run = parse_problem(text).run()
+    pexp = run.pexp
+    files = {
+        "solution.json": {
+            "P": pexp.P.to_json(),
+            "coeffs": [[s.to_json() for s in yn] for yn in pexp.coeffs],
+            "degree": pexp.degree, "order": pexp.order},
+        "solution_x.json": {
+            "degree": run.degree,
+            "solution": [s.to_json() for s in run.direct]},
+    }
+    for name, data in files.items():
+        want = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert (out_dir / name).read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["solution.json", "solution_x.json",
+                                  "norms.csv"])
+def test_solve_exits_3_when_an_output_file_cannot_be_written(tmp_path, capsys,
+                                                             name):
+    # a directory in the file's place; a read-only directory would not stop
+    # a run as root
+    path = write(tmp_path, "p.gl", EULER)
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    assert main(["solve", path, "--out-dir", str(out_dir)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        f"error[io]: cannot write {out_dir / name}: ")
 
 
 @pytest.mark.parametrize("P, flags, certified", [

@@ -1,5 +1,6 @@
 """Tests for exact truncated series arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -12,7 +13,7 @@ from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, format_rational,
                               gauss_jordan, invert_rational_matrix,
-                              iter_exponents, sum_of_products)
+                              iter_exponents, json_text, sum_of_products)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -537,8 +538,78 @@ def test_json_roundtrip_and_order():
 
 def test_format_rational():
     assert format_rational(Fraction(1, 3)) == "1/3"
+    assert format_rational(Fraction(-5, 2**101)) == f"-5/{2**101}"
     assert format_rational(Fraction(-4, 2)) == "-2"
     assert format_rational(Fraction(0)) == "0"
+    assert format_rational(7) == "7"
+    assert format_rational(0) == "0"
+    assert format_rational(-3**90) == str(-3**90)
+
+
+def _json_draw(rng, dim):
+    """A series for the solution-file writer: trunc -1, finite or INFINITE;
+    a sixth of the draws empty; int and Fraction coefficients, negative ones
+    and numerators above 2^100."""
+    trunc = rng.choice([-1, 0, 2, 5, INFINITE])
+    top = 5 if trunc == INFINITE else trunc
+    if top < 0 or rng.random() < 0.17:
+        return Series.zero(dim, trunc)
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        e = rng.choice(list(iter_exponents(dim, rng.randint(0, top))))
+        num = rng.choice([rng.randint(-9, 9), rng.randint(-2**130, 2**130)])
+        terms[e] = num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 12))
+    return Series(dim, trunc, terms)
+
+
+def _layout(s):
+    """The terms of s as the solution files list them, spelled out here
+    without grlex_key or format_rational: degree first, then the larger
+    exponent of x1, x2, ... first; "p" or "p/q" in lowest terms."""
+    items = sorted(s.terms.items(),
+                   key=lambda item: (sum(item[0]), [-b for b in item[0]]))
+    return [{"coef": str(c), "exp": list(e)} for e, c in items]
+
+
+def dumps(data):
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_json_text_equals_json_dumps():
+    assert json_text(Series.zero(2, -1)) == dumps(Series.zero(2, -1).to_json())
+    assert '"trunc": Infinity' in json_text(Series.constant(1, INFINITE, 3))
+    rng = random.Random(2020)
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        s = _json_draw(rng, dim)
+        assert json_text(s) == dumps(s.to_json())
+        assert json.loads(json_text(s))["terms"] == _layout(s)
+        # solution.json and solution_x.json, rows of one or more unknowns
+        unknowns = rng.choice([1, 1, 2, 3])
+        coeffs = [[_json_draw(rng, dim) for _ in range(unknowns)]
+                  for _ in range(rng.randint(1, 4))]
+        degree = rng.randint(0, 12)
+        assert json_text({"P": s, "coeffs": coeffs, "degree": degree,
+                          "order": len(coeffs) - 1}) == dumps({
+            "P": s.to_json(),
+            "coeffs": [[y.to_json() for y in yn] for yn in coeffs],
+            "degree": degree, "order": len(coeffs) - 1})
+        assert json_text({"degree": degree, "solution": coeffs[0]}) == dumps(
+            {"degree": degree, "solution": [y.to_json() for y in coeffs[0]]})
+        for y in (s, *coeffs[0]):
+            seen.add(("dim", y.dim))
+            seen.add(("trunc", y.trunc if y.trunc in (-1, INFINITE) else 0))
+            seen.add(("empty", y.is_zero))
+            for c in y.terms.values():
+                seen.add(("coef", type(c), c < 0, abs(c.numerator) > 2**100))
+        seen.add(("unknowns", min(unknowns, 2)))
+    want = {("dim", 1), ("dim", 2), ("dim", 3), ("trunc", -1), ("trunc", 0),
+            ("trunc", INFINITE), ("empty", True), ("empty", False),
+            ("unknowns", 1), ("unknowns", 2)}
+    want |= {("coef", t, neg, big) for t in (int, Fraction)
+             for neg in (False, True) for big in (False, True)}
+    assert want <= seen, want - seen
 
 
 def test_iter_exponents():
