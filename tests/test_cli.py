@@ -143,7 +143,13 @@ def test_solve_degree_flag(tmp_path, capsys):
         assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("text", [DOC, EULER], ids=["doc", "euler"])
+# several monomials share a total degree, so the term order within a degree
+# shows in the files
+MIXED = DOC.replace("2*x1*x2\n", "2*x1*x2 + x1 - 3*x2\n")
+
+
+@pytest.mark.parametrize("text", [DOC, EULER, MIXED],
+                         ids=["doc", "euler", "mixed"])
 def test_solve_files_are_the_sorted_two_space_json_of_the_run(tmp_path, capsys,
                                                               text):
     path = write(tmp_path, "p.gl", text)
