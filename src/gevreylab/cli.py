@@ -1,10 +1,10 @@
 """Command line interface: gevrey-lab {check|solve|estimate|examples}.
 
-Exit codes: 0 success, 2 check failure, 3 unusable input (a parse or
-semantic error in the problem document, a document without the top
-operator L_k for solve or estimate, an unreadable or malformed input
-file, an --out-dir that cannot be created, an output file that cannot be
-written, an unknown example, a bad
+Exit codes: 0 success, 2 check failure, 3 unusable input (a usage error
+on the command line, a parse or semantic error in the problem document,
+a document without the top operator L_k for solve or estimate, an
+unreadable or malformed input file, an --out-dir that cannot be created,
+an output file that cannot be written, an unknown example, a bad
 --param, --degree, --order, --rho or --poincare-bound value; the run
 options obey the rules of ``option`` lines), 4 solver error.  Exits 3 and
 4 print a one-line ``error[...]`` diagnostic on stderr, but a ``solve``
@@ -191,11 +191,20 @@ def _parse_param(item: str) -> tuple[str, int | tuple[int, ...]]:
                                   f"or key=(N,...)") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as an InputError, so
+    ``main`` returns 3 with one ``error[usage]`` line instead of argparse
+    printing its usage text and exiting 2.  ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise InputError("usage", message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; it stores no handlers,
     so ``main`` looks each command's function up at call time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gevrey-lab",
         description="Exact series solver and Gevrey-order lab for singular "
                     "PDE systems P^k L_k(y) + ... + P L_1(y) = F(x, y)")
@@ -232,12 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "examples" and args.action == "run" and not args.name:
-        parser.error("examples run requires a name")
-    if args.command == "estimate" and not args.file and not args.norms:
-        parser.error("estimate requires a file or --norms")
     try:
+        args = parser.parse_args(argv)
+        if (args.command == "examples" and args.action == "run"
+                and not args.name):
+            parser.error("examples run requires a name")
+        if args.command == "estimate" and not args.file and not args.norms:
+            parser.error("estimate requires a file or --norms")
         return globals()[f"cmd_{args.command}"](args)
     except (ParseError, SemanticError, InputError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

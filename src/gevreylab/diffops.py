@@ -108,27 +108,12 @@ def partial_star(alpha: Sequence[int], P: Series) -> Series:
     return out
 
 
-class FaaDiBrunoTable:
-    """Coefficients A_{alpha,j}, 1 <= j <= |alpha|, in the expansion of
-    d_alpha(P^n) into falling-factorial multiples of powers of P."""
-
-    __slots__ = ("P", "alpha", "A")
-
-    def __init__(self, P: Series, alpha: Exponent, A: dict[int, Series]):
-        self.P = P
-        self.alpha = alpha
-        self.A = A
-
-    def coefficient(self, j: int) -> Series:
-        """A_{alpha,j}, the zero series when absent (j > |alpha|)."""
-        if j in self.A:
-            return self.A[j]
-        return Series.zero(self.P.dim, self.P.trunc)
-
-def faadibruno(P: Series, alpha: Sequence[int]) -> FaaDiBrunoTable:
-    """Build the A_{alpha,j} table by the one-step recurrence
-    A_{alpha+e_l,j} = d_l(A_{alpha,j}) + d_l(P) A_{alpha,j-1},
-    incrementing the coordinates from left to right."""
+def faadibruno(P: Series, alpha: Sequence[int]) -> dict[int, Series]:
+    """The coefficients A_{alpha,j}, keyed by every j in 1..|alpha|, in the
+    expansion d_alpha(P^n) = sum_j n!/(n-j)! A_{alpha,j} P^(n-j), built by
+    the one-step recurrence A_{alpha+e_l,j} = d_l(A_{alpha,j}) +
+    d_l(P) A_{alpha,j-1}, incrementing the coordinates from left to
+    right."""
     alpha = tuple(alpha)
     if exp_degree(alpha) < 1:
         raise ValueError("|alpha| must be >= 1")
@@ -152,7 +137,7 @@ def faadibruno(P: Series, alpha: Sequence[int]) -> FaaDiBrunoTable:
             if term is not None:
                 new[j] = term
         A = new
-    return FaaDiBrunoTable(P, alpha, A)
+    return A
 
 
 class DivisibilityVerdict:

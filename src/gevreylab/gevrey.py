@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyTermSet, InsufficientData, NonPositiveNorm
-from .series import (Exponent, Series, exp_degree, format_rational,
-                     gauss_jordan)
+from .series import Exponent, Series, exp_degree, gauss_jordan
 from .solver import LiftedEquation
 
 
@@ -48,14 +47,6 @@ class GevreyEstimate:
         self.rho = Fraction(rho)
         self.ln_A = ln_A
         self.ln_C = ln_C
-
-    def to_json(self) -> dict:
-        return {
-            "fitted_order": self.fitted_order,
-            "window": list(self.window),
-            "slopes": self.slopes,
-            "rho": format_rational(self.rho),
-        }
 
     def __repr__(self):
         return (f"GevreyEstimate(fitted_order={self.fitted_order:.4f}, "

@@ -7,8 +7,10 @@ stored data is certified exact.  An integral coefficient is stored as an
 arithmetic pays for no gcd; floats are refused.  Products, sums of products
 (``sum_of_products``) and majorant norms run on integer numerators over one
 common denominator (the lcm of the denominators) and normalise once per
-output coefficient, not once per pair of terms or per partial sum.  Every
-operation propagates ``trunc``
+output coefficient, not once per pair of terms or per partial sum; the
+order recurrence calls their numerator-level core
+(``sum_of_numerator_products``) directly, on derivatives taken as
+numerators (``diff_numerators``).  Every operation propagates ``trunc``
 pessimistically and none raises it (``truncate`` only lowers it), so
 ``trunc`` doubles as the certified degree of the value: coefficients of
 total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, inf, lcm, perm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -257,18 +259,10 @@ class Series:
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
         trunc = max(self.trunc - sum(alpha), -1)
-        terms = []
-        for e, c in self.terms.items():
-            low = tuple(map(sub, e, alpha))
-            if min(low) < 0:
-                continue
-            # fold the falling factorials n (n-1) ... (m+1) into c
-            for n, m in zip(e, low):
-                while n > m:
-                    c *= n
-                    n -= 1
-            terms.append((low, c))
-        return Series._of(self.dim, trunc, terms)
+        # perm(n, a) = n!/(n-a)! is 0 for a term that d_alpha kills
+        return Series._of(self.dim, trunc, [
+            (tuple(map(sub, e, alpha)), c * prod(map(perm, e, alpha)))
+            for e, c in self.terms.items()])
 
     # -- division -----------------------------------------------------------
 
@@ -422,11 +416,8 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
     ``Series.zero(dim, trunc)``.
 
     Certified to the least of ``trunc`` and every product's
-    ``product_trunc`` (a zero c or a zero factor still bounds it).  Each
-    product is accumulated only through that degree, as int numerators over
-    L, the lcm of the products' denominators, and each output coefficient
-    is normalised once, as a Fraction over L, instead of once per
-    intermediate sum."""
+    ``product_trunc`` (a zero c or a zero factor still bounds it).  The
+    factors go to ``sum_of_numerator_products`` as int numerators."""
     parts = []
     for c, a, b in triples:
         if a.dim != dim or b.dim != dim:
@@ -437,6 +428,16 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
             da, left = _numerators(a.terms)
             db, right = _numerators(b.terms)
             parts.append((c, da * db, left, right))
+    return sum_of_numerator_products(dim, trunc, parts)
+
+
+def sum_of_numerator_products(dim: int, trunc, parts) -> Series:
+    """sum c * left * right / d over (c, d, left, right) parts, with int c
+    and d and int numerator lists [(e, n)] as factors, through total degree
+    ``trunc``, which the caller certifies.  Each product is accumulated as
+    int numerators over L, the lcm of the d, and each output coefficient
+    is normalised once, as a Fraction over L, instead of once per
+    intermediate sum."""
     den = lcm(*[d for _, d, _, _ in parts])
     pairs = []
     for c, d, left, right in parts:
@@ -444,6 +445,23 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
         pairs.append(([(e, c * n) for e, n in left] if c != 1 else left,
                       right))
     return _convolve(dim, trunc, pairs, den)
+
+
+def diff_numerators(s: Series, alpha: Exponent):
+    """``s.diff(alpha)`` as (D, [(e, n)], trunc, order): its terms as int
+    numerators over D, the common denominator of ``s``'s coefficients, with
+    the falling factorials folded into each n, and its trunc and order.  No
+    Fraction is built."""
+    trunc = max(s.trunc - sum(alpha), -1)
+    den, items = _numerators(s.terms)
+    if trunc < 0:
+        return den, [], trunc, INFINITE
+    # every term of s is of degree <= s.trunc, so what survives is of
+    # degree <= trunc
+    terms = [(tuple(map(sub, e, alpha)), v) for e, c in items
+             if (v := c * prod(map(perm, e, alpha)))]
+    return den, terms, trunc, min(map(sum, map(itemgetter(0), terms)),
+                                  default=INFINITE)
 
 
 def product_trunc(ta, oa, tb, ob) -> int:

@@ -17,7 +17,8 @@ Two independent routes are provided:
   without forming the products.  It is used to cross-check the pipeline,
   so each solver keeps its own recurrence.  They share three kernels
   only: ``Series.__mul__``; ``sum_of_products``, which forms a sum of
-  products in one integer pass and is checked against a plain fold of
+  products in one integer pass through its numerator-level core
+  ``sum_of_numerator_products`` and is checked against a plain fold of
   ``+`` over scaled products by
   ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
   ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
@@ -27,7 +28,12 @@ Two independent routes are provided:
   other by acceptance criterion 3.
 
 Each order's right side in ``solve_lifted`` (forcing, linear and
-nonlinear terms) is one ``sum_of_products`` call per unknown.
+nonlinear terms) is one ``sum_of_numerator_products`` call per unknown.
+Its linear terms are grouped by (j, alpha), with one left factor per group
+and order and one numerator derivative (``diff_numerators``) per
+(l, unknown, alpha); the oracle calls neither, and
+``tests/test_solver.py`` checks the grouped form against the per-term
+``sum_of_products`` loop it replaces, terms and truncs.
 
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
 one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
@@ -66,6 +72,8 @@ from .series import (
     Series,
     SeriesMatrix,
     _det,
+    _numerators,
+    diff_numerators,
     exp_binomial,
     exp_degree,
     exp_le,
@@ -75,6 +83,7 @@ from .series import (
     invert_rational_matrix,
     iter_exponents,
     product_trunc,
+    sum_of_numerator_products,
     sum_of_products,
     unit_exp,
 )
@@ -452,12 +461,13 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     def put(key, series):
         linear[key] = linear[key] + series if key in linear else series
 
-    tables: dict[Exponent, object] = {}
+    tables: dict[Exponent, dict[int, Series]] = {}
 
     def A_coeff(beta: Exponent, l: int) -> Series:
+        """A_{beta,l}; 1 <= l <= |beta| is always a key of the table."""
         if beta not in tables:
             tables[beta] = faadibruno(P, beta)
-        return tables[beta].coefficient(l)
+        return tables[beta][l]
 
     for pos, L in enumerate(problem.operators):
         j = pos + 1
@@ -485,7 +495,16 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
 def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     """Coefficients u_0..u_order of the unique solution sum u_n t^n with
     u_0 = ... = u_{k-1} = 0.  Certified degrees are carried on each series.
-    Raises SingularLinearPart when B(0) is singular."""
+    Raises SingularLinearPart when B(0) is singular.
+
+    The linear terms run on int numerators, grouped by (j, alpha): at
+    order n, with l = n - j, the members g_b with b <= l form one left
+    factor sum_b l!/(l-b)! g_b over the lcm of the group's denominators,
+    convolved once against d_alpha u_l.  Each d_alpha u_{l,i} is taken
+    once (``diff_numerators``) and dropped after order l + the largest j
+    of its alpha.  A row is certified to the least ``product_trunc`` over
+    every member, as ``sum_of_products`` certifies its triples, never from
+    the combined factor, whose order rises when its terms cancel."""
     dim, unknowns, k = eq.dim, eq.unknowns, eq.k
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
@@ -493,33 +512,76 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
-    one = Series.constant(dim, INFINITE, 1)
+    # every coefficient as (trunc, order, numerator lists) once per call
+    forcing = [(f.trunc, f.order(), *_numerators(f.terms)) for f in eq.forcing]
+    one = [((0,) * dim, 1)]
+    nonlinear = {gamma: [(c.trunc, c.order(), *_numerators(c.terms))
+                         for c in vec] for gamma, vec in eq.nonlinear.items()}
+    groups: dict[tuple[int, Exponent], tuple] = {}
+    for (j, b, alpha), g in eq.linear.items():
+        groups.setdefault((j, alpha), []).append((b, g))
+    last: dict[Exponent, int] = {}  # the last j that reads a d_alpha u_l
+    for (j, alpha), gs in groups.items():
+        den = lcm(*[c.denominator for _, g in gs for c in g.terms.values()])
+        groups[(j, alpha)] = den, [
+            (b, g.trunc, g.order(), [(e, c.numerator * (den // c.denominator))
+                                     for e, c in g.terms.items()])
+            for b, g in gs]
+        last[alpha] = max(j, last.get(alpha, j))
+    derivatives: dict[tuple[int, Exponent], list] = {}
     for n in range(k, order + 1):
-        # the (c, a, b) triples of each row's right side sum c a b
-        rhs: list[list] = [[] for _ in range(unknowns)]
+        # each row's right side sum c left right / d over its (c, d, left,
+        # right) parts, certified to its trunc
+        truncs = [degree] * unknowns
+        parts: list[list] = [[] for _ in range(unknowns)]
         if n == k:
-            for terms, f in zip(rhs, eq.forcing):
-                terms.append((1, f, one))
-        for (j, b, alpha), g in eq.linear.items():
+            for i, (t, o, d, left) in enumerate(forcing):
+                truncs[i] = min(truncs[i], product_trunc(t, o, INFINITE, 0))
+                if left:
+                    parts[i].append((1, d, left, one))
+        for (j, alpha), (den, gs) in groups.items():
             l = n - j
-            if l < k or b > l:
+            live = [m for m in gs if m[0] <= l]
+            if l < k or not live:
                 continue
-            w = exp_degree(alpha)
-            scale = falling_factorial(l, b)
-            for terms, ul in zip(rhs, us[l]):
-                if w and ul.trunc - w < 0:
-                    raise TruncationTooSmall(
-                        f"order {n}: needs degree {w} derivative of a series "
-                        f"certified only to {ul.trunc}")
-                terms.append((scale, g, ul.diff(alpha)))
-        for gamma, vec in eq.nonlinear.items():
+            ds = derivatives.get((l, alpha))
+            if ds is None:
+                w = exp_degree(alpha)
+                for ul in us[l]:
+                    if w and ul.trunc - w < 0:
+                        raise TruncationTooSmall(
+                            f"order {n}: needs degree {w} derivative of a "
+                            f"series certified only to {ul.trunc}")
+                ds = derivatives[(l, alpha)] = [diff_numerators(ul, alpha)
+                                                for ul in us[l]]
+            if len(live) == 1:
+                c, left = falling_factorial(l, live[0][0]), live[0][3]
+            else:
+                c, acc = 1, {}
+                for b, _, _, nums in live:
+                    scale = falling_factorial(l, b)
+                    for e, v in nums:
+                        acc[e] = acc.get(e, 0) + scale * v
+                left = [(e, v) for e, v in acc.items() if v]
+            for i, (d, right, t, o) in enumerate(ds):
+                truncs[i] = min(truncs[i], *(product_trunc(gt, go, t, o)
+                                             for _, gt, go, _ in live))
+                if left and right:
+                    parts[i].append((c, den * d, left, right))
+        for gamma, vec in nonlinear.items():
             conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
-            for terms, c in zip(rhs, vec):
-                terms.append((1, c, conv))
-        us.append(solve_B([sum_of_products(dim, degree, terms)
-                           for terms in rhs]))
+            d, right = _numerators(conv.terms)
+            o = conv.order()
+            for i, (ct, co, dc, left) in enumerate(vec):
+                truncs[i] = min(truncs[i], product_trunc(ct, co, conv.trunc, o))
+                if left and right:
+                    parts[i].append((1, dc * d, left, right))
+        for key in [key for key in derivatives if key[0] + last[key[1]] <= n]:
+            del derivatives[key]
+        us.append(solve_B([sum_of_numerator_products(dim, t, p)
+                           for t, p in zip(truncs, parts)]))
     return us
 
 

@@ -431,6 +431,36 @@ def test_bad_input_exits_3_with_one_line(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error[")
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{tmp}/p.gl", "--rho", "-1/2"],
+    ["examples", "run"],
+    ["estimate"],
+    ["solve"],
+    ["frobnicate"],
+    [],
+    ["check", "{tmp}/p.gl", "--degree", "x"],
+    ["check", "{tmp}/p.gl", "--no-such-flag"],
+], ids=["rho-taken-for-an-option", "examples-run-without-name",
+        "estimate-without-input", "solve-without-file", "unknown-command",
+        "no-command", "degree-not-int", "unknown-flag"])
+def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, argv):
+    # argparse's own errors return 3 from main, with one error[usage] line
+    # and no usage text, instead of raising SystemExit(2)
+    write(tmp_path, "p.gl", EULER)
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error[usage]: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: gevrey-lab" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["check", "{doc}"], {"reduce_problem": 0, "solve_direct": 0}),
     (["solve", "{doc}", "--degree", "12", "--order", "6",

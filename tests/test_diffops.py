@@ -14,11 +14,10 @@ def const(dim, trunc, c):
     return Series.constant(dim, trunc, c)
 
 
-def identity_rhs(table, n):
+def identity_rhs(P, table, n):
     """sum_j n!/(n-j)! P^(n-j) A_{alpha,j} -- should equal d_alpha(P^n)."""
-    P = table.P
     out = None
-    for j, A in table.A.items():
+    for j, A in table.items():
         if j > n:
             continue
         term = P.pow(n - j) * A.scale(falling_factorial(n, j))
@@ -94,14 +93,14 @@ def test_partial_star():
 def test_faadibruno_base_case():
     P = Series.monomial(2, 6, (1, 1)) + Series.monomial(2, 6, (2, 0))
     table = faadibruno(P, (1, 0))
-    assert table.coefficient(1) == P.diff((1, 0))
+    assert table[1] == P.diff((1, 0))
 
 
 def test_faadibruno_top_is_partial_star():
     P = Series.monomial(2, 6, (1, 1)) + Series.monomial(2, 6, (0, 2))
     for alpha in [(2, 0), (1, 1), (2, 1), (0, 3)]:
         table = faadibruno(P, alpha)
-        top = table.coefficient(sum(alpha))
+        top = table[sum(alpha)]
         want = partial_star(alpha, P)
         assert top.equal_upto(want, min(top.trunc, want.trunc))
 
@@ -109,11 +108,11 @@ def test_faadibruno_top_is_partial_star():
 def test_faadibruno_univariate_square():
     P = Series.monomial(1, 12, (2,))
     table = faadibruno(P, (2,))
-    assert table.coefficient(1) == const(1, 10, 2)
-    assert table.coefficient(2).terms == {(2,): Fraction(4)}
+    assert table[1] == const(1, 10, 2)
+    assert table[2].terms == {(2,): Fraction(4)}
     # d^2(P^n) = 2n(2n-1) x^(2n-2)
     for n in range(1, 6):
-        got = identity_rhs(table, n)
+        got = identity_rhs(P, table, n)
         want = P.pow(n).diff((2,))
         assert got.equal_upto(want, min(got.trunc, want.trunc))
 
@@ -140,9 +139,10 @@ def test_faadibruno_identity_randomized():
         if not 1 <= sum(alpha) <= 4:
             continue
         table = faadibruno(P, alpha)
+        assert sorted(table) == list(range(1, sum(alpha) + 1))
         for n in range(1, 7):
             lhs = P.pow(n).diff(alpha)
-            rhs = identity_rhs(table, n)
+            rhs = identity_rhs(P, table, n)
             t = min(lhs.trunc, rhs.trunc)
             assert lhs.equal_upto(rhs, t), (P, alpha, n)
         checked += 1
@@ -167,7 +167,7 @@ def test_faadibruno_path_independence():
         # coordinates of P in the reverse order
         backward = faadibruno(swap(P), alpha[::-1])
         for j in range(1, sum(alpha) + 1):
-            a, b = forward.coefficient(j), swap(backward.coefficient(j))
+            a, b = forward[j], swap(backward[j])
             assert a.equal_upto(b, min(a.trunc, b.trunc))
 
 

@@ -119,13 +119,13 @@ def test_estimate_nonpositive():
         estimate_order(norms)
 
 
-def test_estimate_json_shape():
+def test_estimate_fields():
     est = estimate_order(_synthetic_norms(Fraction(1), Fraction(1), 20))
-    data = est.to_json()
-    assert set(data) == {"fitted_order", "window", "slopes", "rho"}
-    assert data["rho"] == "1/2"
-    assert len(data["slopes"]) == data["window"][1] - data["window"][0] + 1
     assert isinstance(est, GevreyEstimate)
+    assert isinstance(est.fitted_order, float)
+    assert est.rho == Fraction(1, 2) and type(est.rho) is Fraction
+    lo, hi = est.window
+    assert len(est.slopes) == hi - lo + 1
 
 
 def test_monomial_fit_witness_factorial():

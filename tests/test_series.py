@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, format_rational,
-                              gauss_jordan, invert_rational_matrix,
-                              iter_exponents, json_text, sum_of_products)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, diff_numerators,
+                              format_rational, gauss_jordan,
+                              invert_rational_matrix, iter_exponents,
+                              json_text, sum_of_products)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -517,6 +518,30 @@ def test_sum_of_products_equals_a_plain_fold():
         sum_of_products(2, 3, [(1, x1, x1), (1, x1, Series.variable(1, 3, 0))])
     with pytest.raises(DimensionMismatch):
         sum_of_products(1, 3, [(1, x1, x1)])
+
+
+def test_diff_numerators_equals_diff():
+    # terms (as numerators over the series' denominator), trunc and order
+    # of Series.diff, on hard draws cut to every trunc, zero series and
+    # orders that kill every term
+    rng = random.Random(2102)
+    killed = 0
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        s = _operand(rng, dim)
+        alpha = tuple(rng.randint(0, 2) for _ in range(dim))
+        want = s.diff(alpha)
+        den, items, trunc, order = diff_numerators(s, alpha)
+        assert den == lcm(*[c.denominator for c in s.terms.values()])
+        assert all(type(n) is int and n for _, n in items)
+        got = {e: Fraction(n, den) for e, n in items}
+        assert (got, trunc, order) == (want.terms, want.trunc, want.order())
+        killed += want.is_zero and not s.is_zero
+    assert killed > 20, killed
+    x = Series(2, 5, {(3, 1): Fraction(1, 6), (0, 2): 4})
+    assert diff_numerators(x, (2, 0)) == (6, [((1, 1), 6)], 3, 2)
+    assert diff_numerators(x, (0, 0)) == (6, [((3, 1), 1), ((0, 2), 24)], 5, 2)
+    assert diff_numerators(x, (3, 3)) == (6, [], -1, INFINITE)
 
 
 def test_series_attributes_cannot_be_assigned():

@@ -4,6 +4,7 @@ oracle, and the Poincare checker."""
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +17,10 @@ from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, gauss_jordan,
-                              invert_rational_matrix, iter_exponents)
-from gevreylab.solver import (LiftedEquation, ProblemSpec, Run,
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, falling_factorial,
+                              gauss_jordan, invert_rational_matrix,
+                              iter_exponents, sum_of_products)
+from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
                               check_poincare, invert_series_matrix,
@@ -310,8 +312,9 @@ def _lifted_k2(nonlinear):
 
 
 def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
-    # every term of an order's right side goes into one sum_of_products
-    # call per unknown: no intermediate sum or scaled product is formed
+    # every part of an order's right side goes into one
+    # sum_of_numerator_products call per unknown: no intermediate sum or
+    # scaled product is formed
     counts = {"__add__": 0, "scale": 0}
     for name in counts:
         method = getattr(Series, name)
@@ -324,12 +327,12 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
     # nonlinear terms (_tail_monomial_coeff, which recurses through its
     # module name)
     calls, inside = [], []
-    kernel, tail = solver.sum_of_products, solver._tail_monomial_coeff
+    kernel, tail = solver.sum_of_numerator_products, solver._tail_monomial_coeff
 
-    def counting_kernel(dim, trunc, triples):
+    def counting_kernel(dim, trunc, parts):
         if not inside:
-            calls.append(len(triples))
-        return kernel(dim, trunc, triples)
+            calls.append(len(parts))
+        return kernel(dim, trunc, parts)
 
     def marked_tail(*args):
         inside.append(1)
@@ -337,7 +340,7 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
             return tail(*args)
         finally:
             inside.pop()
-    monkeypatch.setattr(solver, "sum_of_products", counting_kernel)
+    monkeypatch.setattr(solver, "sum_of_numerator_products", counting_kernel)
     monkeypatch.setattr(solver, "_tail_monomial_coeff", marked_tail)
     for nonlinear in (False, True):
         eq = _lifted_k2(nonlinear)
@@ -349,6 +352,163 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
         assert all(not s.is_zero for vec in us[2:] for s in vec)
         # the quadratic terms reach the right side from order 4 on
         assert max(calls) == 3 + 2 * nonlinear, calls
+
+
+def _reference_solve_lifted(eq, order, degree):
+    """The order recurrence with one ``sum_of_products`` triple per linear
+    key and unknown, (l!/(l-b)!, g, u_l.diff(alpha)): the per-term loop
+    that ``solve_lifted`` runs on grouped int numerators instead."""
+    dim, unknowns, k = eq.dim, eq.unknowns, eq.k
+    us = [[Series.zero(dim, degree) for _ in range(unknowns)]
+          for _ in range(k)]
+    products = {((), 0): Series.constant(dim, degree, 1)}
+    one = Series.constant(dim, INFINITE, 1)
+    solve_B = GradedSolve(eq.B).solve if order >= k else None
+    for n in range(k, order + 1):
+        rhs = [[] for _ in range(unknowns)]
+        if n == k:
+            for terms, f in zip(rhs, eq.forcing):
+                terms.append((1, f, one))
+        for (j, b, alpha), g in eq.linear.items():
+            l = n - j
+            if l < k or b > l:
+                continue
+            w = sum(alpha)
+            for terms, ul in zip(rhs, us[l]):
+                if w and ul.trunc - w < 0:
+                    raise TruncationTooSmall(
+                        f"order {n}: needs degree {w} derivative of a series "
+                        f"certified only to {ul.trunc}")
+                terms.append((falling_factorial(l, b), g, ul.diff(alpha)))
+        for gamma, vec in eq.nonlinear.items():
+            conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
+            if conv is None or (conv.is_zero and conv.trunc >= degree):
+                continue
+            for terms, c in zip(rhs, vec):
+                terms.append((1, c, conv))
+        us.append(solve_B([sum_of_products(dim, degree, terms)
+                           for terms in rhs]))
+    return us
+
+
+def _outcome_lifted(solve, eq, order, degree):
+    try:
+        return solve(eq, order, degree)
+    except TruncationTooSmall as exc:
+        return str(exc)
+
+
+def test_solve_lifted_equals_the_per_term_recurrence():
+    # terms and truncs of every order, or the same TruncationTooSmall, on
+    # the lifted equations of random admissible and weighted problems, some
+    # of whose inputs are cut to a low trunc
+    rng = random.Random(2121)
+    seen = {"several b": 0, "raised": 0, "solved": 0}
+    for case in range(320):
+        draw = random_admissible_problem if case % 2 else random_weighted_problem
+        prob = draw(rng, trunc=6)
+        if rng.random() < 0.3:
+            prob = prob.with_trunc(rng.randint(prob.P.order(), 5))
+        try:
+            eq = build_lifted(reduce_problem(prob, 6))
+        except (TruncationTooSmall, ArithmeticError):
+            continue
+        order = rng.randint(eq.k, 6)
+        want = _outcome_lifted(_reference_solve_lifted, eq, order, 6)
+        assert _outcome_lifted(solve_lifted, eq, order, 6) == want, case
+        seen["raised"] += isinstance(want, str)
+        seen["solved"] += not isinstance(want, str)
+        groups = [(j, alpha) for j, _, alpha in eq.linear]
+        seen["several b"] += len(set(groups)) < len(groups)
+    assert seen["several b"] >= 50 and seen["raised"] >= 1, seen
+    assert seen["solved"] >= 300, seen
+
+
+def _lifted_scalar(linear, forcing, nonlinear=None, k=1, trunc=8):
+    """A scalar lifted equation in one variable with B = 1."""
+    return LiftedEquation(1, 1, k, scalar_matrix(1, trunc, 1), [forcing],
+                          linear, nonlinear or {})
+
+
+def test_solve_lifted_groups_equal_the_per_term_recurrence_by_hand():
+    x = Series.variable(1, 8, 0)
+    cases = {
+        # several b in one group (j, alpha), and one b > l at low orders
+        "several b": {(1, 0, (1,)): x.pow(2), (1, 1, (1,)): x.scale(3),
+                      (1, 2, (1,)): const(1, 8, Fraction(-1, 5)),
+                      (1, 4, (1,)): x, (2, 0, (0,)): x.scale(Fraction(1, 2))},
+        # a coefficient zero through its trunc still bounds its group
+        "zero member": {(1, 0, (0,)): x, (1, 1, (0,)): Series.zero(1, 3)},
+        "zero group": {(1, 0, (1,)): Series.zero(1, 2),
+                       (1, 0, (0,)): x.scale(2)},
+    }
+    for name, linear in cases.items():
+        for forcing in (x, x.truncate(3), Series.zero(1, 4)):
+            eq = _lifted_scalar(linear, forcing,
+                                {(2,): [x + const(1, 8, 1)]})
+            want = _outcome_lifted(_reference_solve_lifted, eq, 7, 8)
+            assert _outcome_lifted(solve_lifted, eq, 7, 8) == want, (
+                name, forcing)
+
+
+def test_solve_lifted_certifies_a_cancelling_group_from_its_members():
+    # at l = 2 the group (1, 0) forms x + 2 (-x/2) = 0; u_2 = x^2/2 is
+    # certified to 4, so u_3 = 0 is certified to min(1 + 4, 5 + 2) = 5 by
+    # the members (the zero factor would claim 5 + 2 = 7)
+    x = Series.variable(1, 8, 0)
+    eq = _lifted_scalar({(1, 0, (0,)): x,
+                         (1, 1, (0,)): x.scale(Fraction(-1, 2)).truncate(5)},
+                        x.truncate(3))
+    us = solve_lifted(eq, 3, 8)
+    assert us[2][0] == Series.monomial(1, 4, (2,), Fraction(1, 2))
+    assert us[3][0] == Series.zero(1, 5)
+    assert us == _reference_solve_lifted(eq, 3, 8)
+
+
+def test_solve_lifted_takes_each_derivative_once_and_drops_it(monkeypatch):
+    # no Series.diff; one diff_numerators per (l, i, alpha), and no
+    # derivative alive once its last reader, order l + max j, is done
+    diffs = []
+    monkeypatch.setattr(Series, "diff",
+                        lambda self, alpha: diffs.append(alpha))
+
+    class Held(list):
+        """A derivative that a weak reference can watch."""
+
+    taken, snapshots = [], []
+    kernel, solve = solver.diff_numerators, GradedSolve.solve
+
+    def watched(s, alpha):
+        out = Held(kernel(s, alpha))
+        taken.append((s, alpha, weakref.ref(out)))
+        return out
+
+    def solve_order(self, r):
+        snapshots.append([ref() is not None for _, _, ref in taken])
+        return solve(self, r)
+    monkeypatch.setattr(solver, "diff_numerators", watched)
+    monkeypatch.setattr(GradedSolve, "solve", solve_order)
+    for nonlinear in (False, True):
+        eq = _lifted_k2(nonlinear)
+        taken.clear()
+        snapshots.clear()
+        us = solve_lifted(eq, 6, 8)
+        assert diffs == []
+        where = {id(s): (l, i) for l, vec in enumerate(us)
+                 for i, s in enumerate(vec)}
+        keys = [(*where[id(s)], alpha) for s, alpha, _ in taken]
+        assert len(keys) == len(set(keys))
+        # the derivatives the per-term loop reads at least once
+        assert {(l, i, alpha) for (j, b, alpha) in eq.linear
+                for l in range(2, 6 - j + 1) if b <= l
+                for i in range(2)} == set(keys)
+        last = {}
+        for j, _, alpha in eq.linear:
+            last[alpha] = max(j, last.get(alpha, j))
+        for n, alive in enumerate(snapshots, start=eq.k):
+            for (l, _, alpha), held in zip(keys, alive):
+                assert not held or n <= l + last[alpha], (n, l, alpha)
+        assert not any(ref() for _, _, ref in taken)
 
 
 def test_run_reports_a_singular_B0_as_a_poincare_violation():

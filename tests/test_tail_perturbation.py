@@ -178,7 +178,7 @@ def _lhs(rng, dim):
 def _faadibruno(rng, dim):
     alpha = _alpha(rng, dim, rng.randint(1, 3))
     return [_series(rng, dim)], lambda P: [
-        faadibruno(P, alpha).coefficient(j) for j in range(1, sum(alpha) + 1)]
+        faadibruno(P, alpha)[j] for j in range(1, sum(alpha) + 1)]
 
 
 def _sum_of_products(rng, dim):
