@@ -56,7 +56,7 @@ def exp_le(beta: Exponent, alpha: Exponent) -> bool:
 
 def exp_binomial(alpha: Exponent, beta: Exponent) -> int:
     """Product of componentwise binomial coefficients (alpha choose beta)."""
-    return _prod(comb(a, b) for a, b in zip(alpha, beta))
+    return prod(map(comb, alpha, beta))
 
 
 def unit_exp(dim: int, j: int) -> Exponent:
@@ -67,13 +67,6 @@ def unit_exp(dim: int, j: int) -> Exponent:
 def grlex_key(beta: Exponent):
     """Sort key for graded lexicographic order."""
     return (sum(beta), tuple(-b for b in beta))
-
-
-def _prod(it: Iterable[int]) -> int:
-    out = 1
-    for v in it:
-        out *= v
-    return out
 
 
 def iter_exponents(dim: int, total: int):

@@ -14,7 +14,8 @@ Two independent routes are provided:
   (P_1^j c_alpha(0) d_alpha, with P_1 the linear part of P, and A(0)), and
   each degree is certified from the truncs and orders of P^j, the
   c_alpha, A and the right side by the arithmetic of ``product_trunc``,
-  without forming the products.  It is used to cross-check the pipeline,
+  without forming the products; lhs(y) - f - A y is kept by degree, each
+  read once.  It is used to cross-check the pipeline,
   so each solver keeps its own recurrence.  They share three kernels
   only: ``Series.__mul__``; ``sum_of_products``, which forms a sum of
   products in one integer pass through its numerator-level core
@@ -42,6 +43,8 @@ a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
 column.  ``tests/test_solver.py`` checks the kernel against a dense
 reference inverse applied to r, terms and truncs.
 
+Both routes read P^j from ``ProblemSpec.power``, formed once per spec.
+
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
 """
@@ -49,7 +52,7 @@ at the origin and the solution is convergent.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import lcm
 from operator import add, sub
@@ -97,9 +100,11 @@ PolyMap = dict[tuple[int, ...], Vector]  # y-monomial gamma -> coefficient vecto
 
 class ProblemSpec:
     """The full datum (d, N, k, P, L_1..L_k, F) with F split as
-    f(x) + A(x) y + H(x, y), H carrying only y-degree >= 2 terms."""
+    f(x) + A(x) y + H(x, y), H carrying only y-degree >= 2 terms.  Each
+    P^j is formed once per spec, on first use (``power``)."""
 
-    __slots__ = ("dim", "unknowns", "order", "P", "operators", "f", "A", "H")
+    __slots__ = ("dim", "unknowns", "order", "P", "operators", "f", "A", "H",
+                 "_powers")
 
     def __init__(self, dim: int, unknowns: int, order: int, P: Series,
                  operators: Sequence[DiffOperator | None], f: Vector,
@@ -121,6 +126,16 @@ class ProblemSpec:
         self.f = list(f)
         self.A = A
         self.H = {tuple(g): list(v) for g, v in H.items()}
+        self._powers: list[Series] = []
+
+    def power(self, j: int) -> Series:
+        """P^j, equal to ``P.pow(j)``, formed once as P^(j-1) P and kept."""
+        powers = self._powers
+        if not powers:
+            powers.append(Series.constant(self.dim, self.P.trunc, 1))
+        while len(powers) <= j:
+            powers.append(powers[-1] * self.P)
+        return powers[j]
 
     def with_trunc(self, trunc: int) -> "ProblemSpec":
         """Each input cut to min(its trunc, trunc), so an input known only to
@@ -145,7 +160,7 @@ class ProblemSpec:
         for pos, L in enumerate(self.operators):
             if L is None:
                 continue
-            Pj = self.P.pow(pos + 1)
+            Pj = self.power(pos + 1)
             term = [Pj * L.apply(yi) for yi in y]
             out = term if out is None else [a + b for a, b in zip(out, term)]
         if out is None:
@@ -356,6 +371,7 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     trunc: int) -> tuple[SeriesMatrix, PolyMap]:
     """Re-expand H(x, y0 + w) - H(x, y0) in w: linear part, tail."""
     shifted: PolyMap = {}
+    power = cache(lambda i, p: y0[i].pow(p))  # each y0[i]^p once per call
     for gamma, vec in H.items():
         for delta in product(*(range(g + 1) for g in gamma)):
             if not any(delta):
@@ -363,7 +379,7 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
             factor = Series.constant(dim, trunc, exp_binomial(gamma, delta))
             for i, (g, d) in enumerate(zip(gamma, delta)):
                 if g - d:
-                    factor = factor * y0[i].pow(g - d)
+                    factor = factor * power(i, g - d)
             if factor.is_zero:
                 continue
             cur = shifted.setdefault(
@@ -394,9 +410,8 @@ class ReducedProblem:
 
 def reduce_problem(problem: ProblemSpec, degree: int) -> ReducedProblem:
     """Peel off the first k expansion coefficients by implicit solves."""
-    P = problem.P
     dim, unknowns, k = problem.dim, problem.unknowns, problem.order
-    verdict = check_divisibility(P, problem.operators)
+    verdict = check_divisibility(problem.P, problem.operators)
     if not verdict.ok:
         j, monomial = sorted(verdict.witnesses.items())[0]
         raise DivisibilityViolation(
@@ -407,17 +422,17 @@ def reduce_problem(problem: ProblemSpec, degree: int) -> ReducedProblem:
     g, B, H = problem.f, problem.A, problem.H
     head = []
     for m in range(k):
-        Pm = P.pow(m)
+        Pm = problem.power(m)
         ym = solve_implicit(
             [gi.divide_exact(Pm) for gi in g], B,
-            {gamma: [c * Pm.pow(sum(gamma) - 1) for c in vec]
+            {gamma: [c * problem.power(m * (sum(gamma) - 1)) for c in vec]
              for gamma, vec in H.items()}, degree)
         head.append(ym)
         ymPm = [yi * Pm for yi in ym]
         g = [-s for s in problem.lhs(ymPm)]
         Am, H = _shift_poly_map(H, ymPm, dim, unknowns, degree)
         B = B + Am
-    h = [gi.divide_exact(P.pow(k)) for gi in g]
+    h = [gi.divide_exact(problem.power(k)) for gi in g]
     return ReducedProblem(problem, head, B, H, h, verdict.quotients)
 
 
@@ -796,11 +811,12 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     When every left-side term raises the degree, the degree-n system is
     just -A(0) acting monomial by monomial; otherwise ``_DegreeSystems``
     writes down its exact rational matrix and ``_solve_linear`` solves it
-    by Gauss-Jordan elimination.  Each degree is certified no further than
-    the data it is built from.  It stops after the first degree certified
-    below itself, where the result is cut, so a singular system beyond that
-    degree is not reached; a degree whose matrix is certified below it is
-    not solved at all.
+    by Gauss-Jordan elimination.  The right side's linear part is read from
+    lhs(y) - f - A y kept by degree, and y is the union of its parts.  Each
+    degree is certified no further than the data it is built from.  It
+    stops after the first degree certified below itself, where the result
+    is cut, so a singular system beyond that degree is not reached; a
+    degree whose matrix is certified below it is not solved at all.
     """
     # never below o(P), so that cutting the inputs to it keeps P
     working = max(degree + problem.order, problem.P.order())
@@ -819,17 +835,33 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         for c in L.terms.values()
     )
     systems = None if raises_degree else _DegreeSystems(prob, working)
-    # residual R(y) = lhs(y) - f - A y - H(y): its linear pieces are kept
-    # incrementally, and [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m}
-    # [y^gamma]_m is formed from parts[d], the degree-d part of y, d < n,
-    # and the products cached in ``products``
-    lin_acc = [Series.zero(dim, working) for _ in range(unknowns)]  # lhs(y)-A y
+    # lhs(y) - f - A y by unknown and total degree, with one running trunc
+    # per unknown: each solved part delta adds lhs(delta) - A delta, of
+    # degree >= n, and degree n is read once, as the right side's linear
+    # part.  [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m} [y^gamma]_m is
+    # formed from parts[d], the degree-d part of y, d < n, and the products
+    # cached in ``products``
+    buckets = [{} for _ in range(unknowns)]  # degree -> exponent -> coef
+    truncs = [working] * unknowns
+
+    def collect(vec: Vector, op, low: int) -> None:
+        # add or subtract (op) each term of degree low + 1 .. degree
+        for i, s in enumerate(vec):
+            truncs[i] = min(truncs[i], s.trunc)
+            bucket = buckets[i]
+            for e, c in s.terms.items():
+                d = sum(e)
+                if low < d <= degree:
+                    part = bucket.setdefault(d, {})
+                    part[e] = op(part.get(e, 0), c)
+
+    collect(prob.f, sub, 0)
     parts = [[Series.zero(dim, working)] * unknowns]
     products = {((), 0): Series.constant(dim, working, 1)}
     H = [(_factors(gamma), vec) for gamma, vec in prob.H.items()]
     for n in range(1, degree + 1):
-        rhs_vec = [la.homogeneous(n) - fi.homogeneous(n)
-                   for la, fi in zip(lin_acc, prob.f)]
+        rhs_vec = [Series._of(dim, t, b.pop(n, {}).items())
+                   for t, b in zip(truncs, buckets)]
         for factors, vec in H:
             for m in range(len(factors), n + 1):
                 ym = _tail_monomial_coeff(parts, factors, m, 1, products)
@@ -847,11 +879,13 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         if min(s.trunc for s in delta) < n:
             # certified below n: every later degree would be cut off
             break
-        upd = [a - b for a, b in
-               zip(prob.lhs(delta), prob.A.apply(delta))]
-        lin_acc = [a + b for a, b in zip(lin_acc, upd)]
-    return [sum((part[i] for part in parts), Series.zero(dim, working))
-            .truncate(degree) for i in range(unknowns)]
+        collect(prob.lhs(delta), add, n)
+        collect(prob.A.apply(delta), sub, n)
+    # the parts have distinct degrees: y is their union, at the least trunc
+    cert = min(degree, *(s.trunc for part in parts for s in part))
+    return [Series._of(dim, cert, [t for part in parts
+                                   for t in part[i].terms.items()])
+            for i in range(unknowns)]
 
 
 class _DegreeSystems:
@@ -884,7 +918,7 @@ class _DegreeSystems:
             if L is None:
                 continue
             j = pos + 1
-            Pj = prob.P.pow(j)
+            Pj = prob.power(j)
             self.certs.append((j, L, Pj.trunc, Pj.order(), [
                 (alpha, c.trunc, c.order()) for alpha, c in L.terms.items()]))
             lead = [(alpha, c.constant_term())

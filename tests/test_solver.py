@@ -17,9 +17,10 @@ from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, falling_factorial,
-                              gauss_jordan, invert_rational_matrix,
-                              iter_exponents, sum_of_products)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, exp_binomial,
+                              falling_factorial, gauss_jordan,
+                              invert_rational_matrix, iter_exponents,
+                              sum_of_products, unit_exp)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
@@ -213,6 +214,63 @@ def test_reduce_divisibility_refusal():
     with pytest.raises(DivisibilityViolation) as err:
         reduce_problem(prob, trunc)
     assert err.value.monomial == (0,)
+
+
+def test_spec_powers_equal_pow_and_the_powers_of_powers():
+    # the cached P^j against P.pow(j), filled in random order, and
+    # P^(m q) against (P^m)^q, the form the reduction used, terms and truncs
+    rng = random.Random(2204)
+    finite = 0
+    for _ in range(40):
+        prob = random_admissible_problem(rng)
+        trunc = rng.choice([INFINITE, rng.randint(2, 9)])
+        P = instances._poly(rng, prob.dim, trunc, 3, max_terms=4)
+        if P.is_zero:
+            continue
+        finite += trunc != INFINITE
+        spec = ProblemSpec(prob.dim, prob.unknowns, prob.order, P,
+                           prob.operators, prob.f, prob.A, prob.H)
+        for j in rng.sample(range(7), 7):
+            assert spec.power(j) == P.pow(j), j
+        for m, q in product(range(4), range(1, 4)):
+            assert spec.power(m * q) == P.pow(m).pow(q), (m, q)
+    assert finite >= 10
+
+
+def _reference_shift_poly_map(H, y0, dim, unknowns, trunc):
+    """_shift_poly_map with y0[i]^(g - d) formed again for every delta."""
+    shifted = {}
+    for gamma, vec in H.items():
+        for delta in product(*(range(g + 1) for g in gamma)):
+            if not any(delta):
+                continue
+            factor = Series.constant(dim, trunc, exp_binomial(gamma, delta))
+            for i, (g, d) in enumerate(zip(gamma, delta)):
+                if g - d:
+                    factor = factor * y0[i].pow(g - d)
+            if factor.is_zero:
+                continue
+            cur = shifted.setdefault(
+                delta, [Series.zero(dim, trunc) for _ in range(unknowns)])
+            for i in range(unknowns):
+                cur[i] = cur[i] + vec[i] * factor
+    zero = [Series.zero(dim, trunc)] * unknowns
+    cols = [shifted.pop(unit_exp(unknowns, j), zero) for j in range(unknowns)]
+    return SeriesMatrix(list(zip(*cols))), {
+        g: v for g, v in shifted.items() if any(not s.is_zero for s in v)}
+
+
+def test_shift_poly_map_equals_the_per_delta_powers():
+    rng = random.Random(2205)
+    gammas = [(2, 0), (1, 1), (2, 1), (0, 3), (3, 2), (1, 2)]
+    for _ in range(30):
+        dim, trunc = rng.randint(1, 2), rng.randint(3, 8)
+        H = {g: [instances._poly(rng, dim, trunc, 2) for _ in range(2)]
+             for g in rng.sample(gammas, rng.randint(1, 4))}
+        y0 = [instances._poly(rng, dim, rng.randint(2, trunc), 3)
+              for _ in range(2)]
+        got = solver._shift_poly_map(H, y0, dim, 2, trunc)
+        assert got == _reference_shift_poly_map(H, y0, dim, 2, trunc)
 
 
 # -- build_lifted ------------------------------------------------------------
@@ -878,6 +936,137 @@ def test_direct_does_not_solve_a_matrix_certified_below_its_degree():
     y = solve_direct(prob, 2)
     assert y == [Series.zero(2, 0)] * 2
     assert y == _reference_direct(prob, 2)
+
+
+def _sparse_draw(rng):
+    """A random admissible or weighted problem with o(P) >= 2, where every
+    left-side term raises the degree; about a third of the k = 2 draws get
+    an Euler-type L_3, for k = 3."""
+    while True:
+        draw = rng.choice([random_admissible_problem, random_weighted_problem])
+        prob = draw(rng)
+        if prob.P.order() >= 2:
+            break
+    if prob.order == 2 and rng.random() < 0.35:
+        beta = rng.choice(list(iter_exponents(prob.dim, 3)))
+        L3 = DiffOperator(prob.dim, 3, {
+            beta: Series.monomial(prob.dim, prob.P.trunc, beta, -1)})
+        prob = ProblemSpec(prob.dim, prob.unknowns, 3, prob.P,
+                           prob.operators + [L3], prob.f, prob.A, prob.H)
+    return prob
+
+
+def _cut_one_input(rng, prob, trunc):
+    """prob with one A entry or one operator coefficient known only
+    through degree ``trunc``."""
+    A = [list(row) for row in prob.A.entries]
+    ops = list(prob.operators)
+    if rng.random() < 0.5:
+        i, l = rng.randrange(prob.unknowns), rng.randrange(prob.unknowns)
+        A[i][l] = A[i][l].truncate(trunc)
+    else:
+        pos = rng.choice([p for p, L in enumerate(ops) if L is not None])
+        terms = dict(ops[pos].terms)
+        alpha = rng.choice(list(terms))
+        terms[alpha] = terms[alpha].truncate(trunc)
+        ops[pos] = DiffOperator(prob.dim, pos + 1, terms)
+    return ProblemSpec(prob.dim, prob.unknowns, prob.order, prob.P, ops,
+                       prob.f, SeriesMatrix(A), prob.H)
+
+
+def test_direct_equals_the_running_sum_reference_on_both_branches(
+        monkeypatch):
+    # lhs(y) - f - A y kept by degree against the running sum it replaced:
+    # values, truncs and raises, on sparse-branch draws (every left-side
+    # term raises the degree) and on dense ones; each draw is uncut, cut
+    # whole below the degree, has one A entry or operator coefficient known
+    # to a low degree (so the running trunc drops below the degree mid-run),
+    # or has A cut to nothing, which makes A(0) = 0 singular
+    dense = []
+    real = solver._DegreeSystems
+
+    def counted(*args):
+        dense.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_DegreeSystems", counted)
+    rng = random.Random(2203)
+    seen = {}
+    for branch, draw, count in (("sparse", _sparse_draw, 150),
+                                ("dense", instances.random_dense_problem, 40)):
+        for _ in range(count):
+            prob = draw(rng)
+            degree = rng.randint(3, 7 if branch == "sparse" else 4)
+            cut = rng.choice(["none", "whole", "one", "singular"])
+            if cut == "whole":
+                # never below o(P), which would zero P
+                omega = prob.P.order()
+                prob = prob.with_trunc(rng.randint(omega,
+                                                   max(omega, degree - 1)))
+            elif cut == "one":
+                prob = _cut_one_input(rng, prob, rng.randint(0, degree - 2))
+            elif cut == "singular":
+                prob = ProblemSpec(
+                    prob.dim, prob.unknowns, prob.order, prob.P,
+                    prob.operators, prob.f, SeriesMatrix(
+                        [[s.truncate(-1) for s in row]
+                         for row in prob.A.entries]), prob.H)
+            before = len(dense)
+            got = _outcome(solve_direct, prob, degree)
+            assert got == _outcome(_reference_direct, prob, degree)
+            # a singular A(0) is refused before either branch is chosen
+            reached = ("dense" if len(dense) > before
+                       else "none" if isinstance(got, tuple) else "sparse")
+            if isinstance(got, tuple):
+                outcome = "raised"
+            elif min(s.trunc for s in got) < degree:
+                outcome = "lowered"
+            else:
+                outcome = "full"
+            key = (reached, cut, outcome, prob.order)
+            seen[key] = seen.get(key, 0) + 1
+
+    def total(**want):
+        names = ("branch", "cut", "outcome", "k")
+        return sum(n for key, n in seen.items()
+                   if all(want.get(a, v) == v for a, v in zip(names, key)))
+
+    assert total(branch="sparse") >= 100 and total(branch="dense") >= 25
+    assert all(total(branch="sparse", k=k) >= 10 for k in (1, 2, 3))
+    assert total(branch="sparse", cut="none", outcome="full") >= 30
+    assert total(branch="sparse", cut="one", outcome="full") >= 15
+    assert total(branch="sparse", cut="one", outcome="lowered") >= 15
+    assert total(branch="sparse", cut="whole", outcome="lowered") >= 25
+    assert total(branch="dense", outcome="lowered") >= 15
+    assert total(branch="none", cut="singular", outcome="raised") >= 30
+
+
+def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
+    # k = 2, dim 2, at degree 30: P^j is formed once for the spec that
+    # solve_direct cuts, and degree n of lhs(y) - f - A y is read from its
+    # bucket, not by scanning a running sum with homogeneous(n)
+    prob = bivariate_order2(INFINITE)
+    degree = 30
+    calls = {"pow": [], "homogeneous": [], "__mul__": []}
+    for name, seen in calls.items():
+        def counted(self, *args, _real=getattr(Series, name), _seen=seen):
+            _seen.append(self)
+            return _real(self, *args)
+        monkeypatch.setattr(Series, name, counted)
+    y = solve_direct(prob, degree)
+    assert len(calls["pow"]) <= prob.order
+    assert len(calls["homogeneous"]) <= degree * prob.unknowns
+    assert all(s in prob.f for s in calls["homogeneous"])
+    table = a_table(degree // 2)
+    assert y[0].trunc == degree
+    assert all(y[0].coeff((n, n)) == -table[n] for n in range(len(table)))
+    # a second lhs on the same spec multiplies only P^j by L_j(y_i)
+    prob.lhs(y)
+    for seen in calls.values():
+        seen.clear()
+    prob.lhs(y)
+    assert calls["pow"] == []
+    assert len(calls["__mul__"]) == prob.unknowns
 
 
 def test_pipeline_equals_direct_on_non_monomial_germs():
