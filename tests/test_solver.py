@@ -1056,7 +1056,9 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     y = solve_direct(prob, degree)
     assert len(calls["pow"]) <= prob.order
     assert len(calls["homogeneous"]) <= degree * prob.unknowns
-    assert all(s in prob.f for s in calls["homogeneous"])
+    # f is cut to the working degree, so compare terms
+    assert all(any(s.terms == fi.terms for fi in prob.f)
+               for s in calls["homogeneous"])
     table = a_table(degree // 2)
     assert y[0].trunc == degree
     assert all(y[0].coeff((n, n)) == -table[n] for n in range(len(table)))
