@@ -81,13 +81,11 @@ class DiffOperator:
         """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""
         if P.dim != self.dim:
             raise DimensionMismatch("operand dim mismatch")
-        out = None
-        for alpha, coef in self.terms.items():
-            term = coef * partial_star(alpha, P)
-            out = term if out is None else out + term
-        if out is None:
+        if not self.terms:
             return Series.zero(self.dim, max(P.trunc - 1, -1))
-        return out
+        return sum_of_products(self.dim, INFINITE, [
+            (1, coef, partial_star(alpha, P))
+            for alpha, coef in self.terms.items()])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))

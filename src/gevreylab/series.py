@@ -83,14 +83,8 @@ def iter_exponents(dim: int, total: int):
 INFINITE = inf
 
 
-def falling_factorial(n: int, j: int) -> int:
-    """n (n-1) ... (n-j+1); equals 1 for j=0 and 0 for j > n."""
-    if j < 0:
-        raise ValueError("negative j")
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
+# n (n-1) ... (n-j+1) for n, j >= 0: 1 for j = 0 and 0 for j > n
+falling_factorial = perm
 
 
 # ---------------------------------------------------------------------------

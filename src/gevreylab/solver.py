@@ -17,10 +17,11 @@ Two independent routes are provided:
   without forming the products; lhs(y) - f - A y is kept by degree, each
   read once.  It is used to cross-check the pipeline,
   so each solver keeps its own recurrence.  They share three kernels
-  only: ``Series.__mul__``; ``sum_of_products``, which forms a sum of
-  products in one integer pass through its numerator-level core
-  ``sum_of_numerator_products`` and is checked against a plain fold of
-  ``+`` over scaled products by
+  only: ``Series.__mul__``; ``sum_of_products``, which forms each sum of
+  products (``lhs``, ``eval_poly_map``, ``_shift_poly_map``, the oracle's
+  [H(y)]_n and A(0)^-1 r among them) in one integer pass through its
+  numerator-level core ``sum_of_numerator_products`` and is checked
+  against a plain fold of ``+`` over scaled products by
   ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
   ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
   cached lower parts (grade t^n in the pipeline, total degree n in the
@@ -39,9 +40,9 @@ and order and one numerator derivative (``diff_numerators``) per
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
 one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
 a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
-``invert_series_matrix`` is a client of that kernel, one solve per unit
-column.  ``tests/test_solver.py`` checks the kernel against a dense
-reference inverse applied to r, terms and truncs.
+``invert_series_matrix`` is a client of that kernel's unit-column solves
+(``GradedSolve.columns``).  ``tests/test_solver.py`` checks the kernel
+against a dense reference inverse applied to r, terms and truncs.
 
 Both routes read P^j from ``ProblemSpec.power``, formed once per spec.
 
@@ -156,17 +157,14 @@ class ProblemSpec:
     def lhs(self, y: Vector) -> Vector:
         """sum_j P^j L_j(y), componentwise; only an absent L_j is skipped,
         since zero coefficients still bound the certified degree."""
-        out = None
-        for pos, L in enumerate(self.operators):
-            if L is None:
-                continue
-            Pj = self.power(pos + 1)
-            term = [Pj * L.apply(yi) for yi in y]
-            out = term if out is None else [a + b for a, b in zip(out, term)]
-        if out is None:
+        ops = [(self.power(pos + 1), L)
+               for pos, L in enumerate(self.operators) if L is not None]
+        if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
-        return out
+        return [sum_of_products(self.dim, INFINITE,
+                                [(1, Pj, L.apply(yi)) for Pj, L in ops])
+                for yi in y]
 
     def residual(self, y: Vector) -> Vector:
         return [a - b for a, b in
@@ -182,14 +180,9 @@ def eval_F(f: Vector, A: SeriesMatrix, H: PolyMap, y: Vector) -> Vector:
 def eval_poly_map(H: PolyMap, y: Vector, dim: int, unknowns: int) -> Vector:
     """sum_gamma A_gamma(x) y^gamma, each monomial certified from its own
     factors; an empty H is the exact zero."""
-    if not H:
-        return [Series.zero(dim, INFINITE) for _ in range(unknowns)]
-    out = None
-    for gamma, vec in H.items():
-        mono = _y_power(y, gamma, dim)
-        term = [c * mono for c in vec]
-        out = term if out is None else [a + b for a, b in zip(out, term)]
-    return out
+    monos = [(vec, _y_power(y, gamma, dim)) for gamma, vec in H.items()]
+    return [sum_of_products(dim, INFINITE, [(1, vec[i], m) for vec, m in monos])
+            for i in range(unknowns)]
 
 
 def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
@@ -216,16 +209,16 @@ class GradedSolve:
     min_l product_trunc(T, o((M^-1)_il), r_l.trunc, o(r_l)), as a product
     by the inverse is.  The orders of the inverse's entries come from the
     zero pattern of X0 and, only where an order still unknown could lower
-    that bound, from the inverse of M cut to the least degree that settles
-    it (cached per degree).  Raises SingularLinearPart when M(0) is
-    singular and ValueError for an exact M that is not constant."""
+    that bound, from the inverse itself, through T (``columns``).  Raises
+    SingularLinearPart when M(0) is singular and ValueError for an exact M
+    that is not constant."""
 
-    __slots__ = ("dim", "n", "trunc", "M", "constant", "dX", "X0", "dK", "K",
-                 "_orders")
+    __slots__ = ("dim", "n", "trunc", "constant", "dX", "X0", "dK", "K",
+                 "_columns")
 
     def __init__(self, M: SeriesMatrix):
         n = self.n = M.rows
-        self.dim, self.M = M.dim, M
+        self.dim = M.dim
         trunc = self.trunc = min(s.trunc for row in M.entries for s in row)
         try:
             X0 = invert_rational_matrix(M.constant_part())
@@ -262,9 +255,7 @@ class GradedSolve:
         self.K = {d: [(i, l, [(e, c.numerator * (dK // c.denominator)
                                 * dK ** (d - 1)) for e, c in terms])
                       for i, l, terms in Kd] for d, Kd in K.items()}
-        # orders of the entries of M^-1 known through degree D, None for
-        # an entry without terms through D
-        self._orders = {0: [[0 if v else None for v in row] for row in X0]}
+        self._columns = None
 
     def solve(self, r: Sequence[Series]) -> Vector:
         if not self.K:
@@ -321,47 +312,41 @@ class GradedSolve:
                          product_trunc(T, T, t, order)]
             return min(vals), max(vals)
 
-        def rows(orders, D):
+        def rows(order_of, D):
             out = []
             for i in range(n):
-                pairs = [bounds(orders[i][l], D, *right[l]) for l in range(n)]
+                pairs = [bounds(order_of(i, l), D, *right[l]) for l in range(n)]
                 out.append((min(lo for lo, _ in pairs),
                             min(hi for _, hi in pairs)))
             return out
 
-        D = 0
-        while True:
-            orders = self._orders_through(D)
-            truncs = rows(orders, D)
-            if all(lo == hi for lo, hi in truncs):
-                return [lo for lo, _ in truncs]
-            # the least degree through which the orders settle every row,
-            # whatever the entries not yet known turn out to be
-            D = next(E for E in range(D + 1, T + 1)
-                     if all(lo == hi for lo, hi in rows(orders, E)))
+        # the orders at degree 0, from X0; where a row does not settle, the
+        # orders through T, which settle every row
+        truncs = rows(lambda i, l: 0 if self.X0[i][l] else None, 0)
+        if any(lo != hi for lo, hi in truncs):
+            columns = self.columns()
+            truncs = rows(lambda i, l: None if columns[l][i].is_zero
+                          else columns[l][i].order(), T)
+        return [lo for lo, _ in truncs]
 
-    def _orders_through(self, D: int):
-        if D not in self._orders:
-            cut = SeriesMatrix([[s.truncate(D) for s in row]
-                                for row in self.M.entries])
-            self._orders[D] = [[None if s.is_zero else s.order() for s in row]
-                               for row in invert_series_matrix(cut).entries]
-        return self._orders[D]
+    def columns(self) -> list[Vector]:
+        """The columns of M^-1, column j the solve of the unit column e_j of
+        constants certified to T, so every entry is certified to T; formed
+        once.  Each row of such a solve settles at degree 0: the 1 of e_j
+        caps it at T, and each zero of e_j bounds it below by T."""
+        if self._columns is None:
+            n, dim, T = self.n, self.dim, self.trunc
+            self._columns = [
+                self.solve([Series.constant(dim, T, int(i == j))
+                            for i in range(n)]) for j in range(n)]
+        return self._columns
 
 
 def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
-    """Exact inverse of a matrix with invertible constant part M(0): column
-    j is ``GradedSolve(M).solve(e_j)`` for the unit column e_j of constants
-    certified to the least trunc T among the entries of M, so every entry
-    is certified to T.  Each row settles at degree 0: the 1 of e_j caps it
-    at T, and each zero of e_j bounds it below by T.  The solvers do not
-    form it: ``GradedSolve`` calls it only on M cut to the degree that
-    settles a certified degree its entry orders decide."""
-    kernel = GradedSolve(M)
-    n, dim, T = kernel.n, kernel.dim, kernel.trunc
-    return SeriesMatrix(list(zip(*(
-        kernel.solve([Series.constant(dim, T, int(i == j)) for i in range(n)])
-        for j in range(n)))))
+    """Exact inverse of a matrix with invertible constant part M(0), every
+    entry certified to the least trunc T among the entries of M: the unit
+    column solves of ``GradedSolve.columns``.  The solvers do not form it."""
+    return SeriesMatrix(list(zip(*GradedSolve(M).columns())))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +355,7 @@ def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
 def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     trunc: int) -> tuple[SeriesMatrix, PolyMap]:
     """Re-expand H(x, y0 + w) - H(x, y0) in w: linear part, tail."""
-    shifted: PolyMap = {}
+    terms: dict[Exponent, list] = {}  # delta -> [(vec, factor)]
     power = cache(lambda i, p: y0[i].pow(p))  # each y0[i]^p once per call
     for gamma, vec in H.items():
         for delta in product(*(range(g + 1) for g in gamma)):
@@ -380,12 +365,12 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
             for i, (g, d) in enumerate(zip(gamma, delta)):
                 if g - d:
                     factor = factor * power(i, g - d)
-            if factor.is_zero:
-                continue
-            cur = shifted.setdefault(
-                delta, [Series.zero(dim, trunc) for _ in range(unknowns)])
-            for i in range(unknowns):
-                cur[i] = cur[i] + vec[i] * factor
+            if not factor.is_zero:
+                terms.setdefault(delta, []).append((vec, factor))
+    shifted = {delta: [sum_of_products(dim, trunc, [(1, vec[i], factor)
+                                                    for vec, factor in pairs])
+                       for i in range(unknowns)]
+               for delta, pairs in terms.items()}
     zero = [Series.zero(dim, trunc)] * unknowns
     cols = [shifted.pop(unit_exp(unknowns, j), zero) for j in range(unknowns)]
     return SeriesMatrix(list(zip(*cols))), {
@@ -823,7 +808,8 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     prob = problem.with_trunc(working)
     dim, unknowns = prob.dim, prob.unknowns
     try:
-        A0inv = invert_rational_matrix(prob.A.constant_part())
+        A0inv = [[Series.constant(dim, INFINITE, v) for v in row] for row in
+                 invert_rational_matrix(prob.A.constant_part())]
     except SingularMatrix as exc:
         raise SingularLinearPart("D_yF(0,0) is singular") from exc
     omega = prob.P.order()
@@ -839,8 +825,8 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     # per unknown: each solved part delta adds lhs(delta) - A delta, of
     # degree >= n, and degree n is read once, as the right side's linear
     # part.  [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m} [y^gamma]_m is
-    # formed from parts[d], the degree-d part of y, d < n, and the products
-    # cached in ``products``
+    # formed from parts[d], the degree-d part of y, d < n, the products
+    # cached in ``products`` and each c_gamma split by degree once
     buckets = [{} for _ in range(unknowns)]  # degree -> exponent -> coef
     truncs = [working] * unknowns
 
@@ -858,21 +844,24 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     collect(prob.f, sub, 0)
     parts = [[Series.zero(dim, working)] * unknowns]
     products = {((), 0): Series.constant(dim, working, 1)}
-    H = [(_factors(gamma), vec) for gamma, vec in prob.H.items()]
+    H = [(_factors(gamma), [[c.homogeneous(d) for d in range(degree + 1)]
+                            for c in vec]) for gamma, vec in prob.H.items()]
+    one = Series.constant(dim, INFINITE, 1)
     for n in range(1, degree + 1):
+        hy = [(split, m, ym) for factors, split in H
+              for m in range(len(factors), n + 1)
+              if (ym := _tail_monomial_coeff(parts, factors, m, 1, products))
+              is not None]
         rhs_vec = [Series._of(dim, t, b.pop(n, {}).items())
                    for t, b in zip(truncs, buckets)]
-        for factors, vec in H:
-            for m in range(len(factors), n + 1):
-                ym = _tail_monomial_coeff(parts, factors, m, 1, products)
-                if ym is None:
-                    continue
-                rhs_vec = [r - c.homogeneous(n - m) * ym
-                           for r, c in zip(rhs_vec, vec)]
+        if hy:
+            rhs_vec = [sum_of_products(dim, r.trunc, [(1, r, one), *(
+                (-1, split[i][n - m], ym) for split, m, ym in hy)])
+                for i, r in enumerate(rhs_vec)]
         if systems is None:
-            zero = Series.zero(dim, working)
-            delta = [sum((r.scale(a) for r, a in zip(rhs_vec, row)), zero)
-                     for row in A0inv]
+            cert = min(working, *(r.trunc for r in rhs_vec))
+            delta = [sum_of_products(dim, cert, [
+                (1, a, r) for a, r in zip(row, rhs_vec)]) for row in A0inv]
         else:
             delta = systems.solve(n, rhs_vec)
         parts.append(delta)

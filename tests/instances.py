@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from gevreylab.diffops import DiffOperator
-from gevreylab.series import (Series, SeriesMatrix, invert_rational_matrix,
-                              iter_exponents)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix,
+                              invert_rational_matrix, iter_exponents)
 from gevreylab.errors import SingularMatrix
 from gevreylab.solver import ProblemSpec
 
@@ -180,3 +180,17 @@ def _right_side(rng, dim, unknowns, trunc):
         if any(not s.is_zero for s in vec):
             H[gamma] = vec
     return f, A, H
+
+
+def mixed_series(rng: random.Random, dim: int, low: int = 0) -> Series:
+    """Up to four terms of degree low..4 with int and Fraction coefficients,
+    certified to a trunc in -1..8 or exact (INFINITE); a tenth of the draws
+    are zero through their trunc."""
+    trunc = rng.choice([*range(-1, 9), INFINITE])
+    if rng.random() < 0.1:
+        return Series.zero(dim, trunc)
+    return Series(dim, trunc, {
+        rng.choice(list(iter_exponents(dim, rng.randint(low, 4)))):
+        rng.choice([rng.randint(-4, 4),
+                    Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+        for _ in range(rng.randint(1, 4))})

@@ -7,7 +7,9 @@ import pytest
 
 from gevreylab.diffops import (DiffOperator, check_divisibility, faadibruno,
                                falling_factorial, partial_star, stirling_first)
-from gevreylab.series import Series
+from gevreylab.series import Series, iter_exponents
+
+from instances import mixed_series
 
 
 def const(dim, trunc, c):
@@ -88,6 +90,38 @@ def test_partial_star():
     assert partial_star((1, 1), P).terms == {(1, 1): Fraction(1)}
     Q = Series.monomial(1, 6, (2,))
     assert partial_star((2,), Q).terms == {(2,): Fraction(4)}
+
+
+def _fold_star(L, P):
+    """DiffOperator.star as the fold of + that ``sum_of_products`` replaced."""
+    out = None
+    for alpha, coef in L.terms.items():
+        term = coef * partial_star(alpha, P)
+        out = term if out is None else out + term
+    if out is None:
+        return Series.zero(L.dim, max(P.trunc - 1, -1))
+    return out
+
+
+def test_star_equals_the_fold_it_replaces():
+    # terms, trunc and storage (int or Fraction), with coefficients and P
+    # cut, exact or zero through their trunc, and operators without terms
+    rng = random.Random(2303)
+    empty = zero = 0
+    for _ in range(200):
+        dim, order = rng.randint(1, 3), rng.randint(1, 3)
+        alphas = list(iter_exponents(dim, order))
+        L = DiffOperator(dim, order, {
+            a: mixed_series(rng, dim)
+            for a in rng.sample(alphas, rng.randint(0, min(3, len(alphas))))})
+        P = mixed_series(rng, dim)
+        got, want = L.star(P), _fold_star(L, P)
+        assert got.trunc == want.trunc
+        assert {e: (type(c), c) for e, c in got.terms.items()} == \
+            {e: (type(c), c) for e, c in want.terms.items()}
+        empty += not L.terms
+        zero += any(c.is_zero for c in L.terms.values())
+    assert empty > 10 and zero > 10, (empty, zero)
 
 
 def test_faadibruno_base_case():

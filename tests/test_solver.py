@@ -29,7 +29,8 @@ from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               solve_lifted, solve_p_expansion)
 
 import instances
-from instances import random_admissible_problem, random_weighted_problem
+from instances import (mixed_series, random_admissible_problem,
+                       random_weighted_problem)
 
 
 def const(dim, trunc, c):
@@ -271,6 +272,81 @@ def test_shift_poly_map_equals_the_per_delta_powers():
               for _ in range(2)]
         got = solver._shift_poly_map(H, y0, dim, 2, trunc)
         assert got == _reference_shift_poly_map(H, y0, dim, 2, trunc)
+
+
+def _stored(vec):
+    """Each component's trunc and terms, with the type each coefficient is
+    stored as (int or Fraction)."""
+    return [(s.trunc, {e: (type(c), c) for e, c in s.terms.items()})
+            for s in vec]
+
+
+def _fold_lhs(spec, y):
+    """ProblemSpec.lhs as the fold of + that ``sum_of_products`` replaced."""
+    out = None
+    for pos, L in enumerate(spec.operators):
+        if L is None:
+            continue
+        term = [spec.power(pos + 1) * L.apply(yi) for yi in y]
+        out = term if out is None else [a + b for a, b in zip(out, term)]
+    if out is None:
+        return [Series.zero(spec.dim, min(yi.trunc for yi in y))] * len(y)
+    return out
+
+
+def _fold_eval_poly_map(H, y, dim, unknowns):
+    """eval_poly_map as the fold of + that ``sum_of_products`` replaced."""
+    if not H:
+        return [Series.zero(dim, INFINITE)] * unknowns
+    out = None
+    for gamma, vec in H.items():
+        mono = _y_power(y, gamma, dim)
+        term = [c * mono for c in vec]
+        out = term if out is None else [a + b for a, b in zip(out, term)]
+    return out
+
+
+def test_spec_sums_of_products_equal_the_folds_they_replace():
+    # lhs, eval_poly_map and _shift_poly_map: terms, truncs and storage,
+    # with every input cut, exact or zero through its trunc, int and
+    # Fraction coefficients, absent operators and an empty H
+    rng = random.Random(2301)
+    seen = {"no operator": 0, "empty H": 0, "zero": 0, "exact": 0}
+    for _ in range(150):
+        dim, unknowns, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        P = mixed_series(rng, dim, low=1)
+        if P.is_zero:
+            P = Series.variable(dim, rng.choice([2, 5, INFINITE]), 0)
+        ops = [None if rng.random() < 0.3 else DiffOperator(dim, j, {
+            a: mixed_series(rng, dim)
+            for a in rng.sample(list(iter_exponents(dim, j)), 1)})
+            for j in range(1, k + 1)]
+        gammas = [g for g in product(range(4), repeat=unknowns)
+                  if 2 <= sum(g) <= 3]
+        H = {g: [mixed_series(rng, dim) for _ in range(unknowns)]
+             for g in rng.sample(gammas, rng.randint(0, min(2, len(gammas))))}
+        spec = ProblemSpec(dim, unknowns, k, P, ops,
+                           [Series.zero(dim, 8)] * unknowns,
+                           scalar_matrix(dim, 8, 1), H)
+        y = [mixed_series(rng, dim) for _ in range(unknowns)]
+        assert _stored(spec.lhs(y)) == _stored(_fold_lhs(spec, y))
+        assert _stored(solver.eval_poly_map(H, y, dim, unknowns)) == \
+            _stored(_fold_eval_poly_map(H, y, dim, unknowns))
+        trunc = rng.choice([rng.randint(2, 8), INFINITE])
+        y0 = [mixed_series(rng, dim, low=1) for _ in range(unknowns)]
+        got = solver._shift_poly_map(H, y0, dim, unknowns, trunc)
+        want = _reference_shift_poly_map(H, y0, dim, unknowns, trunc)
+        assert [_stored(row) for row in got[0].entries] == \
+            [_stored(row) for row in want[0].entries]
+        assert {g: _stored(v) for g, v in got[1].items()} == \
+            {g: _stored(v) for g, v in want[1].items()}
+        inputs = [P, *y, *y0, *(c for v in H.values() for c in v),
+                  *(c for L in ops if L for c in L.terms.values())]
+        seen["no operator"] += all(L is None for L in ops)
+        seen["empty H"] += not H
+        seen["zero"] += any(s.is_zero for s in inputs)
+        seen["exact"] += any(s.trunc == INFINITE for s in inputs)
+    assert min(seen.values()) >= 10, seen
 
 
 # -- build_lifted ------------------------------------------------------------
@@ -1062,13 +1138,103 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     table = a_table(degree // 2)
     assert y[0].trunc == degree
     assert all(y[0].coeff((n, n)) == -table[n] for n in range(len(table)))
-    # a second lhs on the same spec multiplies only P^j by L_j(y_i)
+    # a second lhs on the same spec forms P^j L_j(y_i) as one kernel call
+    # per unknown, whose left factors are the cached P^j
     prob.lhs(y)
     for seen in calls.values():
         seen.clear()
+    kernel = []
+    real = solver.sum_of_products
+
+    def counted(dim, trunc, triples):
+        kernel.append(triples)
+        return real(dim, trunc, triples)
+
+    monkeypatch.setattr(solver, "sum_of_products", counted)
     prob.lhs(y)
-    assert calls["pow"] == []
-    assert len(calls["__mul__"]) == prob.unknowns
+    assert calls["pow"] == [] and calls["__mul__"] == []
+    assert len(kernel) == prob.unknowns
+    powers = [prob.power(pos + 1) for pos, L in enumerate(prob.operators)
+              if L is not None]
+    assert all(len(triples) == len(powers) and
+               all(a is Pj for (_, a, _), Pj in zip(triples, powers))
+               for triples in kernel)
+
+
+def test_direct_H_and_sparse_parts_equal_the_folds_they_replace():
+    # [H(y)]_n, one kernel call per unknown and degree, and the sparse
+    # branch's part A(0)^-1 r, one kernel call per unknown, against
+    # _reference_direct, which keeps the folds of + they replaced: terms,
+    # truncs, storage and raises.  H gets x-dependent coefficients that are
+    # cut, exact or zero through their trunc, with int and Fraction
+    # coefficients, and every input may be cut to a low degree
+    rng = random.Random(2302)
+    seen = {}
+    for branch, draw in (("sparse", _sparse_draw),
+                         ("dense", instances.random_dense_problem)) * 40:
+        prob = draw(rng)
+        dim, unknowns = prob.dim, prob.unknowns
+        gammas = [g for g in product(range(3), repeat=unknowns)
+                  if 2 <= sum(g) <= 3]
+        # half of the coefficients keep their terms exact, so that some
+        # draws certify the full degree
+        H = {g: [c if rng.random() < 0.5 else Series(dim, INFINITE, c.terms)
+                 for c in (mixed_series(rng, dim) for _ in range(unknowns))]
+             for g in rng.sample(gammas, rng.randint(1, min(2, len(gammas))))}
+        prob = ProblemSpec(dim, unknowns, prob.order, prob.P, prob.operators,
+                           prob.f, prob.A, H)
+        degree = rng.randint(3, 6 if branch == "sparse" else 4)
+        if rng.random() < 0.3:
+            prob = _cut_one_input(rng, prob, rng.randint(0, degree - 1))
+        got = _outcome(solve_direct, prob, degree)
+        want = _outcome(_reference_direct, prob, degree)
+        if isinstance(want, tuple):
+            assert got == want
+            outcome = "raised"
+        else:
+            assert _stored(got) == _stored(want)
+            outcome = ("lowered" if min(s.trunc for s in got) < degree
+                       else "full")
+        seen[branch, outcome] = seen.get((branch, outcome), 0) + 1
+    # random_dense_problem cuts most of its inputs, so its draws seldom
+    # certify the full degree
+    assert all(seen.get(key, 0) >= 5 for key in (
+        ("sparse", "full"), ("sparse", "lowered"), ("dense", "lowered"))), seen
+    assert seen.get(("dense", "full"), 0) > 0, seen
+
+
+H_GUARD_DOC = """dim 1; unknowns 2; order 1
+P = x1^2
+L 1 : (1,) -> x1
+F 1 = x1 + -1*y1 + y1^2 + x1*y1^2 + 1/2*x1^2*y1*y2 + x1*y2^2 + -1*x1^2*y1^2*y2
+F 2 = x1^2 + -2*y2 + 3*y1^2 + -1*x1^2*y1^2 + 2*x1*y1*y2 + -1*y2^2 + -1/3*y1^2*y2
+"""
+
+
+def test_direct_splits_each_H_coefficient_once(monkeypatch):
+    # x-dependent H on the sparse branch at degree 12: each H coefficient
+    # is split by degree once per call, with at most degree + 1
+    # homogeneous calls, and no degree's part scales a right-side row
+    spec = parse_problem(H_GUARD_DOC).spec
+    degree = 12
+    calls = {"homogeneous": [], "scale": []}
+    for name, seen in calls.items():
+        def counted(self, *args, _real=getattr(Series, name), _seen=seen):
+            _seen.append(self)
+            return _real(self, *args)
+        monkeypatch.setattr(Series, name, counted)
+    y = solve_direct(spec, degree)
+    coefficients = [c for vec in spec.H.values() for c in vec]
+    assert len({str(c) for c in coefficients}) == len(coefficients) == 8
+    assert any(sum(e) for c in coefficients for e in c.terms)
+    # the oracle cuts the spec to its working degree, so compare terms
+    for c in coefficients:
+        split = sum(s.terms == c.terms for s in calls["homogeneous"])
+        assert 0 < split <= degree + 1, (str(c), split)
+    assert len(calls["homogeneous"]) <= (degree + 1) * len(coefficients)
+    assert calls["scale"] == []
+    assert all(s.trunc == degree for s in y)
+    assert all(s.truncate(degree).is_zero for s in spec.residual(y))
 
 
 def test_pipeline_equals_direct_on_non_monomial_germs():
@@ -1441,7 +1607,11 @@ def _right_side(rng, dim):
     return Series(dim, trunc, terms)
 
 
-def test_graded_solve_equals_the_inverse_applied():
+def test_graded_solve_equals_the_inverse_applied(monkeypatch):
+    # the kernel certifies from the orders of its own unit column solves,
+    # and never forms an inverse through invert_series_matrix
+    inverted = []
+    monkeypatch.setattr(solver, "invert_series_matrix", inverted.append)
     rng = random.Random(14)
     settled_late = 0
     for draw in range(600):
@@ -1452,9 +1622,10 @@ def test_graded_solve_equals_the_inverse_applied():
         for _ in range(3):
             r = [_right_side(rng, dim) for _ in range(n)]
             assert kernel.solve(r) == inverse.apply(r), (M.entries, r)
-        settled_late += len(kernel._orders) > 1
+        settled_late += kernel._columns is not None
     # some truncs needed the orders of inverse entries above degree 0
     assert settled_late > 0
+    assert inverted == []
 
 
 def test_graded_solve_singular_and_exact_matrices():
@@ -1493,6 +1664,9 @@ def test_linear_solves_never_invert_at_the_working_degree(monkeypatch):
         return inverse(M)
 
     monkeypatch.setattr(solver, "invert_series_matrix", counting)
+    # the kernel's own unit-column solves form B^-1 through B's trunc
+    monkeypatch.setattr(GradedSolve, "columns",
+                        lambda self: truncs.append(self.trunc))
     pexp = run.pexp
     assert any(sum(e) for row in run.lifted.B.entries for s in row
                for e in s.terms)
