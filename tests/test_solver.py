@@ -308,7 +308,7 @@ def _fold_eval_poly_map(H, y, dim, unknowns):
 
 def test_spec_sums_of_products_equal_the_folds_they_replace():
     # lhs, eval_poly_map and _shift_poly_map: terms, truncs and storage,
-    # with every input cut, exact or zero through its trunc, int and
+    # with inputs cut, exact or zero through their trunc, int and
     # Fraction coefficients, absent operators and an empty H
     rng = random.Random(2301)
     seen = {"no operator": 0, "empty H": 0, "zero": 0, "exact": 0}
