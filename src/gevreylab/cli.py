@@ -56,9 +56,11 @@ def cmd_check(args) -> int:
     if args.poincare_bound is not None and args.poincare_bound < 0:
         raise InputError("bad-option",
                          "--poincare-bound must be a non-negative integer")
-    spec = _load_run(args).spec
+    run = _load_run(args)
+    spec = run.spec
     verdict = check_divisibility(spec.P, spec.operators)
-    lk = spec.operators[-1]
+    # L_k uncut, as ``Run.pexp`` checks it
+    lk = run.problem.operators[-1]
     lk_ok = lk is not None and not lk.is_zero
     print(f"dim {spec.dim}, unknowns {spec.unknowns}, order {spec.order}")
     for j in range(1, spec.order + 1):

@@ -13,7 +13,6 @@ from .series import (
     INFINITE,
     Exponent,
     Series,
-    exp_degree,
     falling_factorial,
     grlex_key,
     sum_of_products,
@@ -55,7 +54,7 @@ class DiffOperator:
             alpha = tuple(alpha)
             if len(alpha) != dim:
                 raise DimensionMismatch(f"index {alpha} in dimension {dim}")
-            if exp_degree(alpha) != order:
+            if sum(alpha) != order:
                 raise ValueError(f"|{alpha}| != operator order {order}")
             if coef.dim != dim:
                 raise DimensionMismatch("coefficient dim mismatch")
@@ -97,7 +96,7 @@ class DiffOperator:
 def partial_star(alpha: Sequence[int], P: Series) -> Series:
     """(d_1 P)^a1 ... (d_d P)^ad for |alpha| >= 1."""
     alpha = tuple(alpha)
-    if exp_degree(alpha) < 1:
+    if sum(alpha) < 1:
         raise ValueError("|alpha| must be >= 1")
     out = Series.constant(P.dim, P.trunc, 1)
     for i, a in enumerate(alpha):
@@ -113,7 +112,7 @@ def faadibruno(P: Series, alpha: Sequence[int]) -> dict[int, Series]:
     d_l(P) A_{alpha,j-1}, incrementing the coordinates from left to
     right."""
     alpha = tuple(alpha)
-    if exp_degree(alpha) < 1:
+    if sum(alpha) < 1:
         raise ValueError("|alpha| must be >= 1")
     steps = []
     for i, a in enumerate(alpha):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyTermSet, InsufficientData, NonPositiveNorm
-from .series import Exponent, Series, exp_degree, gauss_jordan
+from .series import Exponent, Series, gauss_jordan
 from .solver import LiftedEquation
 
 
@@ -25,7 +25,7 @@ def theoretical_order(eq: LiftedEquation) -> Fraction:
     """Largest weight (b + |alpha|) / j over the linear terms with a
     coefficient that is nonzero within its certified degree."""
     orders = [
-        Fraction(b + exp_degree(alpha), j)
+        Fraction(b + sum(alpha), j)
         for (j, b, alpha), g in eq.linear.items()
         if not g.is_zero
     ]
@@ -152,7 +152,7 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s) -> MonomialFitVerdic
     degrees must not exceed SLOPE_CAP."""
     alpha = tuple(alpha)
     s = Fraction(s)
-    if exp_degree(alpha) < 1:
+    if sum(alpha) < 1:
         raise ValueError("alpha must be a nonzero multi-index")
     per_degree: dict[int, tuple[float, Exponent]] = {}
     for beta, c in f.terms.items():
@@ -161,7 +161,7 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s) -> MonomialFitVerdic
         bound = min(float(s) / a * _ln_factorial(b)
                     for a, b in zip(alpha, beta) if a)
         v = _ln(abs(c)) - bound
-        n = exp_degree(beta)
+        n = sum(beta)
         if n not in per_degree or v > per_degree[n][0]:
             per_degree[n] = (v, beta)
     if len(per_degree) < 2:

@@ -38,10 +38,6 @@ Rational = Fraction | int
 # ---------------------------------------------------------------------------
 # multi-index helpers
 
-def exp_degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 def exp_sub(alpha: Exponent, beta: Exponent) -> Exponent:
     """alpha - beta; requires beta <= alpha componentwise."""
     out = tuple(a - b for a, b in zip(alpha, beta))

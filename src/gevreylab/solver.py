@@ -15,13 +15,13 @@ Two independent routes are provided:
   each degree is certified from the truncs and orders of P^j, the
   c_alpha, A and the right side by the arithmetic of ``product_trunc``,
   without forming the products; lhs(y) - f - A y is kept by degree, each
-  read once.  It is used to cross-check the pipeline,
-  so each solver keeps its own recurrence.  They share three kernels
-  only: ``Series.__mul__``; ``sum_of_products``, which forms each sum of
-  products (``lhs``, ``eval_poly_map``, ``_shift_poly_map``, the oracle's
-  [H(y)]_n and A(0)^-1 r among them) in one integer pass through its
-  numerator-level core ``sum_of_numerator_products`` and is checked
-  against a plain fold of ``+`` over scaled products by
+  read once.  It is used to cross-check the pipeline, so each solver keeps
+  its own recurrence.  They share three kernels only: ``Series.__mul__``;
+  ``sum_of_products``, which forms each sum of products (``lhs``,
+  ``eval_poly_map``, ``_shift_poly_map``, the oracle's [H(y)]_n and, by
+  ``SeriesMatrix.apply``, its sparse branch's A(0)^-1 r among them) in one
+  integer pass through its numerator-level core ``sum_of_numerator_products``
+  and is checked against a plain fold of ``+`` over scaled products by
   ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
   ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
   cached lower parts (grade t^n in the pipeline, total degree n in the
@@ -55,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import add, sub
 from typing import Sequence
 
@@ -79,7 +79,6 @@ from .series import (
     _numerators,
     diff_numerators,
     exp_binomial,
-    exp_degree,
     exp_le,
     exp_sub,
     falling_factorial,
@@ -186,11 +185,8 @@ def eval_poly_map(H: PolyMap, y: Vector, dim: int, unknowns: int) -> Vector:
 
 
 def _y_power(y: Vector, gamma: Sequence[int], dim: int) -> Series:
-    out = Series.constant(dim, INFINITE, 1)
-    for yi, g in zip(y, gamma):
-        for _ in range(g):
-            out = out * yi
-    return out
+    return prod((y[i] for i in _factors(gamma)),
+                start=Series.constant(dim, INFINITE, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +197,12 @@ class GradedSolve:
     per M and applied per right side r without forming M^-1.
 
     T is the least trunc among the entries of M, X0 = M(0)^-1 and
-    K_d = -X0 N_d for the degree-d part N_d of M - M(0), 0 < d <= T.  A
-    constant M costs one product by X0.  Otherwise u = X0 r + K u is solved
-    lowest degree first on a degree-bucketed remainder, the long-division
-    scheme of ``Series.divide_exact``: once u_d is final, K_e u_d goes to
-    degree d + e.  Row i is certified to
+    K_d = -X0 N_d for the degree-d part N_d of M - M(0), 0 < d <= T: one
+    pass over the terms of M fills one dict per d and entry (i, j), then
+    int numerators.  A constant M costs one product by X0.  Otherwise
+    u = X0 r + K u is solved lowest degree first on a degree-bucketed
+    remainder, the long-division scheme of ``Series.divide_exact``: once
+    u_d is final, K_e u_d goes to degree d + e.  Row i is certified to
     min_l product_trunc(T, o((M^-1)_il), r_l.trunc, o(r_l)), as a product
     by the inverse is.  The orders of the inverse's entries come from the
     zero pattern of X0 and, only where an order still unknown could lower
@@ -224,37 +221,33 @@ class GradedSolve:
             X0 = invert_rational_matrix(M.constant_part())
         except SingularMatrix as exc:
             raise SingularLinearPart(str(exc)) from exc
-        # the terms of K_d, gathered in one pass over the terms of M
-        K_terms: dict[int, list[list[dict[Exponent, Fraction]]]] = {}
+        K: dict[int, dict[tuple[int, int], dict[Exponent, Fraction]]] = {}
         for l, row in enumerate(M.entries):
             for j, s in enumerate(row):
                 for e, c in s.terms.items():
                     d = sum(e)
                     if not 0 < d <= trunc:
                         continue
-                    Kd = K_terms.setdefault(
-                        d, [[{} for _ in range(n)] for _ in range(n)])
+                    Kd = K.setdefault(d, {})
                     for i in range(n):
-                        Kd[i][j][e] = Kd[i][j].get(e, 0) - X0[i][l] * c
-        if K_terms and trunc == INFINITE:
+                        t = Kd.setdefault((i, j), {})
+                        t[e] = t.get(e, 0) - X0[i][l] * c
+        if K and trunc == INFINITE:
             raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
-        K = {d: [(i, j, [(e, c) for e, c in t.items() if c])
-                 for i, row in enumerate(Kd) for j, t in enumerate(row)
-                 if any(t.values())]
-             for d, Kd in sorted(K_terms.items())}
         self.constant = SeriesMatrix([
             [Series.constant(self.dim, self.trunc, v) for v in row]
             for row in X0])
         # X0 = X0n / dX and K_e = Kn_e / dK on int numerators, with
-        # dK^(e-1) folded into Kn_e (see ``solve``)
+        # dK^(e-1) folded into Kn_e (see ``solve``), zero terms dropped
         self.dX = lcm(*(v.denominator for row in X0 for v in row))
         self.X0 = [[v.numerator * (self.dX // v.denominator) for v in row]
                    for row in X0]
         dK = self.dK = lcm(*(c.denominator for Kd in K.values()
-                             for _, _, terms in Kd for _, c in terms))
-        self.K = {d: [(i, l, [(e, c.numerator * (dK // c.denominator)
-                                * dK ** (d - 1)) for e, c in terms])
-                      for i, l, terms in Kd] for d, Kd in K.items()}
+                             for t in Kd.values() for c in t.values()))
+        self.K = {d: [(i, j, [(e, c.numerator * (dK // c.denominator)
+                                * dK ** (d - 1)) for e, c in t.items() if c])
+                      for (i, j), t in sorted(Kd.items()) if any(t.values())]
+                  for d, Kd in sorted(K.items())}
         self._columns = None
 
     def solve(self, r: Sequence[Series]) -> Vector:
@@ -461,14 +454,8 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
     def put(key, series):
         linear[key] = linear[key] + series if key in linear else series
 
-    tables: dict[Exponent, dict[int, Series]] = {}
-
-    def A_coeff(beta: Exponent, l: int) -> Series:
-        """A_{beta,l}; 1 <= l <= |beta| is always a key of the table."""
-        if beta not in tables:
-            tables[beta] = faadibruno(P, beta)
-        return tables[beta][l]
-
+    # the A_{beta,l}, 1 <= l <= |beta|, of each beta, formed once per call
+    table = cache(lambda beta: faadibruno(P, beta))
     for pos, L in enumerate(problem.operators):
         j = pos + 1
         if L is None:
@@ -484,7 +471,7 @@ def build_lifted(reduced: ReducedProblem) -> LiftedEquation:
                 for beta in product(*(range(a + 1) for a in alpha)):
                     if sum(beta) >= l:
                         put((j - l, l, exp_sub(alpha, beta)),
-                            (coef * A_coeff(beta, l)).scale(
+                            (coef * table(beta)[l]).scale(
                                 exp_binomial(alpha, beta)))
     nonlinear = {gamma: [-s for s in vec] for gamma, vec in reduced.H.items()}
     forcing = [-s for s in reduced.h]
@@ -546,7 +533,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 continue
             ds = derivatives.get((l, alpha))
             if ds is None:
-                w = exp_degree(alpha)
+                w = sum(alpha)
                 for ul in us[l]:
                     if w and ul.trunc - w < 0:
                         raise TruncationTooSmall(
@@ -554,20 +541,17 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                             f"series certified only to {ul.trunc}")
                 ds = derivatives[(l, alpha)] = [diff_numerators(ul, alpha)
                                                 for ul in us[l]]
-            if len(live) == 1:
-                c, left = falling_factorial(l, live[0][0]), live[0][3]
-            else:
-                c, acc = 1, {}
-                for b, _, _, nums in live:
-                    scale = falling_factorial(l, b)
-                    for e, v in nums:
-                        acc[e] = acc.get(e, 0) + scale * v
-                left = [(e, v) for e, v in acc.items() if v]
+            acc = {}
+            for b, _, _, nums in live:
+                scale = falling_factorial(l, b)
+                for e, v in nums:
+                    acc[e] = acc.get(e, 0) + scale * v
+            left = [(e, v) for e, v in acc.items() if v]
             for i, (d, right, t, o) in enumerate(ds):
                 truncs[i] = min(truncs[i], *(product_trunc(gt, go, t, o)
                                              for _, gt, go, _ in live))
                 if left and right:
-                    parts[i].append((c, den * d, left, right))
+                    parts[i].append((1, den * d, left, right))
         for gamma, vec in nonlinear.items():
             conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
             if conv is None or (conv.is_zero and conv.trunc >= degree):
@@ -794,22 +778,24 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
 
     At total degree n the unknown homogeneous component enters linearly.
     When every left-side term raises the degree, the degree-n system is
-    just -A(0) acting monomial by monomial; otherwise ``_DegreeSystems``
-    writes down its exact rational matrix and ``_solve_linear`` solves it
-    by Gauss-Jordan elimination.  The right side's linear part is read from
-    lhs(y) - f - A y kept by degree, and y is the union of its parts.  Each
-    degree is certified no further than the data it is built from.  It
-    stops after the first degree certified below itself, where the result
-    is cut, so a singular system beyond that degree is not reached; a
-    degree whose matrix is certified below it is not solved at all.
+    just -A(0) acting monomial by monomial, solved by applying A(0)^-1
+    (``SeriesMatrix.apply``); otherwise ``_DegreeSystems`` writes down its
+    exact rational matrix and ``_solve_linear`` solves it by Gauss-Jordan
+    elimination.  The right side's linear part is read from lhs(y) - f -
+    A y kept by degree, and y is the union of its parts.  Each degree is
+    certified no further than the data it is built from.  It stops after
+    the first degree certified below itself, where the result is cut, so a
+    singular system beyond that degree is not reached; a degree whose
+    matrix is certified below it is not solved at all.
     """
     # never below o(P), so that cutting the inputs to it keeps P
     working = max(degree + problem.order, problem.P.order())
     prob = problem.with_trunc(working)
     dim, unknowns = prob.dim, prob.unknowns
     try:
-        A0inv = [[Series.constant(dim, INFINITE, v) for v in row] for row in
-                 invert_rational_matrix(prob.A.constant_part())]
+        A0inv = SeriesMatrix([[Series.constant(dim, INFINITE, v) for v in row]
+                              for row in invert_rational_matrix(
+                                  prob.A.constant_part())])
     except SingularMatrix as exc:
         raise SingularLinearPart("D_yF(0,0) is singular") from exc
     omega = prob.P.order()
@@ -860,8 +846,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                 for i, r in enumerate(rhs_vec)]
         if systems is None:
             cert = min(working, *(r.trunc for r in rhs_vec))
-            delta = [sum_of_products(dim, cert, [
-                (1, a, r) for a, r in zip(row, rhs_vec)]) for row in A0inv]
+            delta = [s.truncate(cert) for s in A0inv.apply(rhs_vec)]
         else:
             delta = systems.solve(n, rhs_vec)
         parts.append(delta)
@@ -952,9 +937,7 @@ class _DegreeSystems:
                     low = tuple(map(sub, m, alpha))
                     if min(low) < 0:
                         continue
-                    v = c0
-                    for a, b in zip(m, alpha):
-                        v *= falling_factorial(a, b)
+                    v = c0 * prod(map(falling_factorial, m, alpha))
                     for q, qc in P1j:
                         key = (index[tuple(map(add, low, q))], col)
                         block[key] = block.get(key, 0) + v * qc

@@ -80,6 +80,29 @@ def test_check_reports_witness(tmp_path, capsys):
     assert "not divisible by P (witness monomial (0,))" in out
 
 
+LATE_TOP = """\
+dim 1; unknowns 1; order 1
+P = x1
+L 1 : (1,) -> x1^30
+F 1 = y1 + x1
+option degree = 10
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--degree", "40"]],
+                         ids=["default-degree", "degree-40"])
+def test_check_route_does_not_depend_on_degree(tmp_path, capsys, flags):
+    # L_1 = x1^30 d1 is zero through the working degree 14 but not zero:
+    # check reads L_k uncut, as solve does, so both accept the document
+    path = write(tmp_path, "p.gl", LATE_TOP)
+    assert main(["check", path, *flags]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "divergent route applies" in out
+    assert "neither route applies" not in out
+    assert main(["solve", path, "--out-dir", str(tmp_path / "out"),
+                 *flags]) == EXIT_OK
+
+
 def test_solve_outputs(tmp_path, capsys):
     path = write(tmp_path, "p.gl", DOC)
     out_dir = tmp_path / "out"

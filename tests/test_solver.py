@@ -391,6 +391,29 @@ def test_build_lifted_keeps_a_coefficient_zero_through_its_trunc():
     assert eq.linear[(1, 0, (1,))] == zero_to_2
 
 
+def test_build_lifted_forms_each_faadibruno_table_once(monkeypatch):
+    # ejeLast k = 3, L_j = x1 d1^j: the Leibniz terms read A_{beta,l} for
+    # 7 pairs (l, beta <= alpha, |beta| >= l) but only 3 distinct beta
+    text, _ = build_document("ejeLast", {"k": 3, "degree": 8, "order": 5})
+    run = parse_problem(text).run()
+    reduced = run.reduced
+    calls = []
+    kernel = solver.faadibruno
+
+    def counted(P, beta):
+        calls.append(beta)
+        return kernel(P, beta)
+    monkeypatch.setattr(solver, "faadibruno", counted)
+    eq = build_lifted(reduced)
+    reads = [beta for j, L in enumerate(run.spec.operators, start=1)
+             for l in range(1, j) for alpha in L.terms
+             for beta in product(*(range(a + 1) for a in alpha))
+             if sum(beta) >= l]
+    assert len(reads) == 7
+    assert sorted(calls) == sorted(set(reads)) == [(1, 0), (2, 0), (3, 0)]
+    assert build_lifted(reduced).linear == eq.linear
+
+
 def test_solve_lifted_zero():
     dim = 1
     eq = LiftedEquation(dim, 1, 1, scalar_matrix(1, 6, 1),
