@@ -12,8 +12,8 @@ Two kinds of case go through ``cli.main`` with ``check``, ``solve`` or
   top operator, a cut degree or an ``--order`` below k, which reach the
   solvers.
 
-Numbers put into a document stay below 4, so that no case asks for a
-large working degree and the whole fuzz runs in a few seconds.
+Numbers the fuzz puts into a document stay below 4, so that no case asks
+for a large working degree and the whole fuzz runs in a few seconds.
 """
 
 import random
