@@ -69,7 +69,8 @@ def cmd_check(args) -> int:
                   f"(witness monomial {verdict.witnesses[j]})")
         else:
             q = verdict.quotients[j]
-            print(f"  L_{j}*(P) = P * ({q})")
+            print(f"  L_{j}*(P) = P * ({q}), quotient certified through "
+                  f"degree {q.trunc}")
     divergent = bool(verdict) and lk_ok
     if divergent:
         print(f"divergent route applies: unique formal solution, "

@@ -25,7 +25,10 @@ Two independent routes are provided:
   ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
   ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
   cached lower parts (grade t^n in the pipeline, total degree n in the
-  oracle) and is checked against plain products in both gradings in
+  oracle): a single factor is its own grade-m part, cut to its product's
+  trunc, and a square takes each unordered pair of grades once.  It is
+  checked against plain products in both gradings, and against the plain
+  prefix recurrence in terms, truncs and storage, in
   ``tests/test_solver.py``.  The two solvers are checked against each
   other by acceptance criterion 3.
 
@@ -254,6 +257,8 @@ class GradedSolve:
         if not self.K:
             return self.constant.apply(r)
         truncs = self._truncs(r)
+        if all(s.is_zero for s in r):
+            return [Series._of(self.dim, t, ()) for t in truncs]
         top = max((t for t in truncs if t != INFINITE), default=-1)
         n, X0, dK = self.n, self.X0, self.dK
         # w_d = dX dr dK^d u_d is integral when dr clears the denominators
@@ -272,13 +277,19 @@ class GradedSolve:
                         bucket = w[d][i]
                         bucket[e] = bucket.get(e, 0) + X0[i][l] * c
         for d in range(top + 1):
+            wd = w[d]
+            if not any(wd):
+                continue
             for shift, Kd in self.K.items():
                 if d + shift > top:
                     break
                 target = w[d + shift]
                 for i, l, terms in Kd:
+                    source = wd[l]
+                    if not source:
+                        continue
                     bucket, get = target[i], target[i].get
-                    for e1, c1 in w[d][l].items():
+                    for e1, c1 in source.items():
                         for e2, c2 in terms:
                             e = tuple(map(add, e1, e2))
                             bucket[e] = get(e, 0) + c1 * c2
@@ -605,22 +616,34 @@ def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
     in ``solve_lifted`` and the total degree in x, with k = 1, in
     ``solve_direct``.  Cached in ``products`` by (factors, m) from the empty
     product, 1 at ((), 0); with two or more factors it reads only u_l with
-    l <= m - k, so it is final once those are."""
+    l <= m - k, so it is final once those are.
+
+    One factor is u_m itself, cut to the trunc of its product by 1.  A
+    square u_i^2 takes each unordered pair of grades once, with c = 2 off
+    the diagonal: both orders give the same product and trunc.  Longer
+    monomials keep their prefix order, which fixes their truncs."""
     key = (factors, m)
     if key in products:
         return products[key]
     head, i = factors[:-1], factors[-1]
-    terms = []
     # a factor zero only below the base trunc still bounds what it feeds
     base = products[((), 0)]
-    # the head's product starts at grade k |head|; the empty one is grade 0
-    for d in range(k * len(head), (m - k if head else 0) + 1):
+    if not head:
+        u = us[m][i]
+        out = products[key] = (
+            None if u.is_zero and u.trunc >= base.trunc else
+            u.truncate(product_trunc(base.trunc, 0, u.trunc, u.order())))
+        return out
+    square = head == (i,)
+    terms = []
+    # the head's product starts at grade k |head|
+    for d in range(k * len(head), (m // 2 if square else m - k) + 1):
         u = us[m - d][i]
         if u.is_zero and u.trunc >= base.trunc:
             continue
         prev = _tail_monomial_coeff(us, head, d, k, products)
         if prev is not None:
-            terms.append((1, prev, u))
+            terms.append((2 if square and 2 * d < m else 1, prev, u))
     out = products[key] = (
         sum_of_products(base.dim, INFINITE, terms) if terms else None)
     return out

@@ -103,6 +103,20 @@ def test_check_route_does_not_depend_on_degree(tmp_path, capsys, flags):
                  *flags]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flags, line", [
+    ([], "L_1*(P) = P * (0), quotient certified through degree 13"),
+    (["--degree", "40"],
+     "L_1*(P) = P * (1*x1^29), quotient certified through degree 43"),
+], ids=["default-degree", "degree-40"])
+def test_check_prints_how_far_the_quotient_is_certified(tmp_path, capsys,
+                                                        flags, line):
+    # the quotient x1^29 reads 0 when cut below its order: the line says
+    # through which degree the printed quotient is exact
+    path = write(tmp_path, "p.gl", LATE_TOP)
+    assert main(["check", path, *flags]) == EXIT_OK
+    assert f"  {line}\n" in capsys.readouterr().out
+
+
 def test_solve_outputs(tmp_path, capsys):
     path = write(tmp_path, "p.gl", DOC)
     out_dir = tmp_path / "out"

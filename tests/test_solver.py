@@ -764,6 +764,123 @@ def test_tail_monomial_coeff_in_the_x_grading():
     assert mixed > 0
 
 
+def _reference_tail_monomial_coeff(us, factors, m, k, products):
+    """The prefix recurrence that ``_tail_monomial_coeff`` replaces: every
+    factor, also the only one, convolved with its head's product, and a
+    square's cross products formed in both orders."""
+    key = (factors, m)
+    if key in products:
+        return products[key]
+    head, i = factors[:-1], factors[-1]
+    terms = []
+    base = products[((), 0)]
+    for d in range(k * len(head), (m - k if head else 0) + 1):
+        u = us[m - d][i]
+        if u.is_zero and u.trunc >= base.trunc:
+            continue
+        prev = _reference_tail_monomial_coeff(us, head, d, k, products)
+        if prev is not None:
+            terms.append((1, prev, u))
+    out = products[key] = (
+        sum_of_products(base.dim, INFINITE, terms) if terms else None)
+    return out
+
+
+def _same_part(got, want):
+    if got is None or want is None:
+        return got is want
+    return (got.trunc == want.trunc and got.terms == want.terms
+            and {e: type(c) for e, c in got.terms.items()}
+            == {e: type(c) for e, c in want.terms.items()})
+
+
+def test_tail_monomial_coeff_equals_the_prefix_recurrence():
+    # terms, trunc, int | Fraction storage and None-ness, in the t grading
+    # (k = 1, 2, 3) and the x grading (k = 1): squares at odd and even
+    # grades, factors zero only through a trunc below the base trunc, and
+    # single factors certified past base trunc + order, which the product
+    # by 1 cuts
+    rng = random.Random(2525)
+    base_trunc = 8
+    seen = dict.fromkeys(("odd square", "even square", "low zero", "cut"), 0)
+    for case in range(120):
+        x_grading = case % 4 == 3
+        k = 1 if x_grading else 1 + case % 3
+        dim, unknowns = rng.randint(1, 2), rng.randint(1, 2)
+        top = base_trunc + 1 if x_grading else 3 * k + 4
+        us = [[Series.zero(dim, base_trunc)] * unknowns for _ in range(k)]
+        for l in range(k, top + 1):
+            vec = []
+            for _ in range(unknowns):
+                if rng.random() < 0.15:
+                    vec.append(Series.zero(dim, rng.randint(-1, base_trunc + 2)))
+                elif x_grading:
+                    trunc = rng.choice([base_trunc, rng.randint(l - 1, 12)])
+                    vec.append(Series(dim, trunc, {
+                        rng.choice(list(iter_exponents(dim, l))):
+                        rng.choice([rng.randint(-3, 3),
+                                    Fraction(rng.randint(-5, 5),
+                                             rng.randint(2, 4))])
+                        for _ in range(rng.randint(1, 3))}))
+                else:
+                    s = mixed_series(rng, dim)
+                    if rng.random() < 0.3:
+                        # certified past the base trunc + its order
+                        s = Series(dim, 14, {**s.terms,
+                                             (13,) + (0,) * (dim - 1): 2})
+                    vec.append(s)
+            us.append(vec)
+        gammas = [g for g in product(range(5), repeat=unknowns)
+                  if 1 <= sum(g) <= 4]
+        got_cache = {((), 0): Series.constant(dim, base_trunc, 1)}
+        want_cache = {((), 0): Series.constant(dim, base_trunc, 1)}
+        for m in range(top + 1):
+            for gamma in rng.sample(gammas, min(4, len(gammas))):
+                factors = _factors(gamma)
+                if len(factors) == 1 and m < k:
+                    continue
+                got = _tail_monomial_coeff(us, factors, m, k, got_cache)
+                want = _reference_tail_monomial_coeff(us, factors, m, k,
+                                                      want_cache)
+                assert _same_part(got, want), (case, factors, m)
+                if len(factors) == 2 and len(set(factors)) == 1 and got:
+                    seen["odd square" if m % 2 else "even square"] += 1
+        for vec in us[k:]:
+            for u in vec:
+                seen["low zero"] += u.is_zero and u.trunc < base_trunc
+                seen["cut"] += (not u.is_zero
+                                and u.trunc > base_trunc + u.order())
+    assert all(seen.values()), seen
+
+
+def test_tail_monomial_coeff_forms_each_square_pair_once(monkeypatch):
+    # u_i^2 at grade m with lowest grade k is one sum_of_products call with
+    # one triple per unordered pair of grades, m // 2 - k + 1, not one per
+    # ordered pair, m - 2k + 1; a single factor needs no product by 1
+    calls = []
+    kernel = solver.sum_of_products
+
+    def counting(dim, trunc, triples):
+        triples = list(triples)
+        calls.append(len(triples))
+        return kernel(dim, trunc, triples)
+    monkeypatch.setattr(solver, "sum_of_products", counting)
+    for k in (1, 2, 3):
+        us = [[Series.zero(2, 20)] for _ in range(k)] + [
+            [Series(2, 20, {(l, 0): l, (0, l): Fraction(1, l)})]
+            for l in range(k, 13)]
+        for m in range(2 * k, 13):
+            products = {((), 0): Series.constant(2, 20, 1)}
+            calls.clear()
+            one = _tail_monomial_coeff(us, (0,), m, k, products)
+            assert calls == [] and one.terms == us[m][0].terms
+            square = _tail_monomial_coeff(us, (0, 0), m, k, products)
+            assert calls == [m // 2 - k + 1], (k, m, calls)
+            want = _reference_tail_monomial_coeff(
+                us, (0, 0), m, k, {((), 0): Series.constant(2, 20, 1)})
+            assert _same_part(square, want)
+
+
 # -- the two full solvers ----------------------------------------------------
 
 def test_direct_bivariate_order2_diagonal():
@@ -1636,7 +1753,7 @@ def test_graded_solve_equals_the_inverse_applied(monkeypatch):
     inverted = []
     monkeypatch.setattr(solver, "invert_series_matrix", inverted.append)
     rng = random.Random(14)
-    settled_late = 0
+    settled_late = zero_sides = 0
     for draw in range(600):
         n, dim = rng.randint(1, 3), rng.randint(1, 3)
         M = _graded_matrix(rng, n, dim, constant=draw % 5 == 0)
@@ -1645,9 +1762,12 @@ def test_graded_solve_equals_the_inverse_applied(monkeypatch):
         for _ in range(3):
             r = [_right_side(rng, dim) for _ in range(n)]
             assert kernel.solve(r) == inverse.apply(r), (M.entries, r)
+            zero_sides += bool(kernel.K) and all(s.is_zero for s in r)
         settled_late += kernel._columns is not None
-    # some truncs needed the orders of inverse entries above degree 0
+    # some truncs needed the orders of inverse entries above degree 0, and
+    # some all-zero right sides met a non-constant matrix
     assert settled_late > 0
+    assert zero_sides > 0
     assert inverted == []
 
 
