@@ -13,8 +13,13 @@ from .series import (
     INFINITE,
     Exponent,
     Series,
+    _numerators,
+    _over,
+    diff_numerators,
     falling_factorial,
     grlex_key,
+    numerator_products,
+    product_trunc,
     sum_of_products,
     unit_exp,
 )
@@ -69,12 +74,30 @@ class DiffOperator:
 
     def apply(self, f: Series) -> Series:
         """sum_alpha a_alpha * d_alpha(f)."""
+        den, items, trunc, _ = self.apply_numerators(f)
+        return _over(self.dim, trunc, items, den)
+
+    def apply_numerators(self, f: Series):
+        """``apply(f)`` as (D, [(e, n)], trunc, order), like
+        ``diff_numerators``, with no Fraction built.  Certified as
+        ``sum_of_products`` certifies (c_alpha, d_alpha(f)) triples, a zero
+        c_alpha included; the order is read after cancelled terms are
+        dropped (x1 d1 - x2 d2 sends x1 x2 to 0)."""
         if f.dim != self.dim:
             raise DimensionMismatch("operand dim mismatch")
         if not self.terms:
-            return Series.zero(self.dim, max(f.trunc - self.order, -1))
-        return sum_of_products(self.dim, INFINITE, [
-            (1, coef, f.diff(alpha)) for alpha, coef in self.terms.items()])
+            return 1, [], max(f.trunc - self.order, -1), INFINITE
+        trunc, parts = INFINITE, []
+        for alpha, coef in self.terms.items():
+            d, right, t, o = diff_numerators(f, alpha)
+            trunc = min(trunc, product_trunc(coef.trunc, coef.order(), t, o))
+            if coef.terms and right:
+                dc, left = _numerators(coef.terms)
+                parts.append((1, dc * d, left, right))
+        acc, den = numerator_products(trunc, parts)
+        items = [(e, n) for e, n in acc.items() if n]
+        return den, items, trunc, min([sum(e) for e, _ in items],
+                                      default=INFINITE)
 
     def star(self, P: Series) -> Series:
         """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""
@@ -88,9 +111,6 @@ class DiffOperator:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
-
-    def __repr__(self):
-        return f"DiffOperator(order={self.order}, terms={len(self.terms)})"
 
 
 def partial_star(alpha: Sequence[int], P: Series) -> Series:
@@ -150,11 +170,6 @@ class DivisibilityVerdict:
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return f"DivisibilityVerdict(ok, orders={sorted(self.quotients)})"
-        return f"DivisibilityVerdict(failed at {self.witnesses})"
 
 
 def check_divisibility(P: Series, operators: Sequence[DiffOperator | None]) -> DivisibilityVerdict:

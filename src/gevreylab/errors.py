@@ -37,6 +37,10 @@ class TruncationTooSmall(GevreyLabError):
     """A recursion step would need data beyond the certified degree."""
 
 
+class ResidualCheckFailed(GevreyLabError, ArithmeticError):
+    """A solution failed its own residual check: an internal fault."""
+
+
 class EmptyTermSet(GevreyLabError):
     """A lifted equation has no linear term to take a maximum over."""
 

@@ -8,9 +8,9 @@ arithmetic pays for no gcd; floats are refused.  Products, sums of products
 (``sum_of_products``) and majorant norms run on integer numerators over one
 common denominator (the lcm of the denominators) and normalise once per
 output coefficient, not once per pair of terms or per partial sum; the
-order recurrence calls their numerator-level core
-(``sum_of_numerator_products``) directly, on derivatives taken as
-numerators (``diff_numerators``).  Every operation propagates ``trunc``
+order recurrence (``sum_of_numerator_products``) and the left side of the
+equation run on their integer core (``numerator_products``), on
+derivatives taken as numerators (``diff_numerators``).  Every operation propagates ``trunc``
 pessimistically and none raises it (``truncate`` only lowers it), so
 ``trunc`` doubles as the certified degree of the value: coefficients of
 total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
@@ -224,7 +224,8 @@ class Series:
         # denominator once per output coefficient
         da, left = _numerators(self.terms)
         db, right = _numerators(other.terms)
-        return _convolve(self.dim, trunc, ((left, right),), da * db)
+        return _over(self.dim, trunc,
+                     _convolve(trunc, ((left, right),)).items(), da * db)
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -371,10 +372,10 @@ def _numerators(terms: Mapping[Exponent, Rational]):
                for e, c in terms.items()]
 
 
-def _convolve(dim: int, trunc, pairs, den: int) -> Series:
-    """sum left * right / den over ``pairs`` of int numerator lists
-    [(e, n)], through total degree ``trunc``: the one integer convolution
-    loop, with one Fraction per nonzero output coefficient."""
+def _convolve(trunc, pairs) -> dict[Exponent, int]:
+    """sum left * right over ``pairs`` of int numerator lists [(e, n)],
+    through total degree ``trunc``, as int numerators by exponent: the one
+    integer convolution loop.  A sum that cancels stays, as a 0."""
     acc: dict[Exponent, int] = {}
     get = acc.get
     for left, right in pairs:
@@ -387,10 +388,16 @@ def _convolve(dim: int, trunc, pairs, den: int) -> Series:
                     break
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _over(dim: int, trunc, items, den: int) -> Series:
+    """The series of the int numerators ``items`` [(e, n)] over ``den``,
+    with one Fraction per nonzero coefficient."""
     if den == 1:
-        return Series._of(dim, trunc, acc.items())
+        return Series._of(dim, trunc, items)
     return Series._of(dim, trunc,
-                      [(e, Fraction(c, den)) for e, c in acc.items() if c])
+                      [(e, Fraction(c, den)) for e, c in items if c])
 
 
 def sum_of_products(dim: int, trunc, triples) -> Series:
@@ -417,17 +424,23 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
 def sum_of_numerator_products(dim: int, trunc, parts) -> Series:
     """sum c * left * right / d over (c, d, left, right) parts, with int c
     and d and int numerator lists [(e, n)] as factors, through total degree
-    ``trunc``, which the caller certifies.  Each product is accumulated as
-    int numerators over L, the lcm of the d, and each output coefficient
-    is normalised once, as a Fraction over L, instead of once per
-    intermediate sum."""
+    ``trunc``, which the caller certifies: the series of
+    ``numerator_products``."""
+    acc, den = numerator_products(trunc, parts)
+    return _over(dim, trunc, acc.items(), den)
+
+
+def numerator_products(trunc, parts) -> tuple[dict[Exponent, int], int]:
+    """``sum_of_numerator_products`` as (int numerators by exponent, L):
+    each product accumulated over L, the lcm of the d, and no Fraction
+    built, so each output coefficient is normalised once, not per sum."""
     den = lcm(*[d for _, d, _, _ in parts])
     pairs = []
     for c, d, left, right in parts:
         c *= den // d
         pairs.append(([(e, c * n) for e, n in left] if c != 1 else left,
                       right))
-    return _convolve(dim, trunc, pairs, den)
+    return _convolve(trunc, pairs), den
 
 
 def diff_numerators(s: Series, alpha: Exponent):

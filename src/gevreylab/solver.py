@@ -16,14 +16,17 @@ Two independent routes are provided:
   c_alpha, A and the right side by the arithmetic of ``product_trunc``,
   without forming the products; lhs(y) - f - A y is kept by degree, each
   read once.  It is used to cross-check the pipeline, so each solver keeps
-  its own recurrence.  They share three kernels only: ``Series.__mul__``;
-  ``sum_of_products``, which forms each sum of products (``lhs``,
-  ``eval_poly_map``, ``_shift_poly_map``, the oracle's [H(y)]_n and, by
-  ``SeriesMatrix.apply``, its sparse branch's A(0)^-1 r among them) in one
-  integer pass through its numerator-level core ``sum_of_numerator_products``
-  and is checked against a plain fold of ``+`` over scaled products by
-  ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; and
-  ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
+  its own recurrence.  They share these kernels only: ``Series.__mul__``;
+  ``sum_of_products`` (``eval_poly_map``, ``_shift_poly_map``, the oracle's
+  [H(y)]_n and, by ``SeriesMatrix.apply``, its sparse branch's A(0)^-1 r),
+  checked against a plain fold of ``+`` over scaled products by
+  ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; its
+  integer core ``numerator_products`` and ``diff_numerators``, which form
+  ``lhs`` on numerators (``DiffOperator.apply_numerators``), checked
+  against folds of ``Series.diff``, ``*`` and ``+`` by
+  ``tests/test_diffops.py::test_apply_equals_its_fold`` and
+  ``tests/test_solver.py::test_lhs_with_several_alphas_equals_the_fold``;
+  and ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
   cached lower parts (grade t^n in the pipeline, total degree n in the
   oracle): a single factor is its own grade-m part, cut to its product's
   trunc, and a square takes each unordered pair of grades once.  It is
@@ -36,7 +39,7 @@ Each order's right side in ``solve_lifted`` (forcing, linear and
 nonlinear terms) is one ``sum_of_numerator_products`` call per unknown.
 Its linear terms are grouped by (j, alpha), with one left factor per group
 and order and one numerator derivative (``diff_numerators``) per
-(l, unknown, alpha); the oracle calls neither, and
+(l, unknown, alpha); the oracle does not group, and
 ``tests/test_solver.py`` checks the grouped form against the per-term
 ``sum_of_products`` loop it replaces, terms and truncs.
 
@@ -68,6 +71,7 @@ from .errors import (
     InconclusiveBound,
     InputError,
     PoincareViolation,
+    ResidualCheckFailed,
     SingularLinearPart,
     SingularMatrix,
     TruncationTooSmall,
@@ -158,15 +162,25 @@ class ProblemSpec:
 
     def lhs(self, y: Vector) -> Vector:
         """sum_j P^j L_j(y), componentwise; only an absent L_j is skipped,
-        since zero coefficients still bound the certified degree."""
-        ops = [(self.power(pos + 1), L)
-               for pos, L in enumerate(self.operators) if L is not None]
+        since zero coefficients still bound the certified degree.  Each
+        L_j(y_i) goes to the product by P^j as int numerators, so each
+        output coefficient is one Fraction."""
+        ops = [(Pj.trunc, Pj.order(), *_numerators(Pj.terms), L)
+               for pos, L in enumerate(self.operators) if L is not None
+               for Pj in (self.power(pos + 1),)]
         if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
-        return [sum_of_products(self.dim, INFINITE,
-                                [(1, Pj, L.apply(yi)) for Pj, L in ops])
-                for yi in y]
+        out = []
+        for yi in y:
+            trunc, parts = INFINITE, []
+            for tP, oP, dP, left, L in ops:
+                d, right, t, o = L.apply_numerators(yi)
+                trunc = min(trunc, product_trunc(tP, oP, t, o))
+                if left and right:
+                    parts.append((1, dP * d, left, right))
+            out.append(sum_of_numerator_products(self.dim, trunc, parts))
+        return out
 
     def residual(self, y: Vector) -> Vector:
         return [a - b for a, b in
@@ -597,7 +611,7 @@ def solve_implicit(f: Vector, A: SeriesMatrix, H: PolyMap, degree: int) -> Vecto
     bad = min((s.trunc for s in res), default=degree)
     for s in res:
         if not s.equal_upto(Series.zero(dim, s.trunc), min(bad, degree)):
-            raise ArithmeticError("implicit solve failed residual check")
+            raise ResidualCheckFailed("implicit solve failed residual check")
     return y
 
 
@@ -635,6 +649,21 @@ def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
             u.truncate(product_trunc(base.trunc, 0, u.trunc, u.order())))
         return out
     square = head == (i,)
+    if len(head) > 1:
+        # the uncached prefixes that this part reads, found longest first
+        # and formed shortest first: no call per factor on the stack
+        levels, grades, pre = [], [m], factors
+        while len(pre) > 2 and grades:
+            pre, j = pre[:-1], pre[-1]
+            grades = sorted({d for g in grades
+                             for d in range(k * len(pre), g - k + 1)
+                             if not (us[g - d][j].is_zero
+                                     and us[g - d][j].trunc >= base.trunc)
+                             and (pre, d) not in products})
+            levels.append((pre, grades))
+        for pre, grades in reversed(levels):
+            for d in grades:
+                _tail_monomial_coeff(us, pre, d, k, products)
     terms = []
     # the head's product starts at grade k |head|
     for d in range(k * len(head), (m // 2 if square else m - k) + 1):
@@ -1047,11 +1076,6 @@ class PoincareVerdict:
 
     def determinant(self, n: int) -> Fraction:
         return _shifted_det(_char_s(self.lambdas, n), self.A0)
-
-    def __repr__(self):
-        tag = "pass" if self.ok else f"fail at n={self.failing}"
-        extra = ", partial" if self.partial else ""
-        return f"PoincareVerdict({tag}, n_star={self.n_star}{extra})"
 
 
 def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> PoincareVerdict:

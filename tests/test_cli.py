@@ -568,3 +568,23 @@ def test_solve_singular_linear_parts_exit_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("error[PoincareViolation]: characteristic matrix singular "
                    "at order n=2\n")
+
+
+def test_solve_exits_4_when_the_implicit_solve_fails_its_residual_check(
+        tmp_path, capsys, monkeypatch):
+    # the residual guard of every implicit solve fires only on an internal
+    # fault; faked here by an F that never vanishes
+    real = gevreylab.solver.eval_F
+
+    def nonzero(f, A, H, y):
+        return [s + Series.monomial(s.dim, s.trunc, (1,) * s.dim)
+                for s in real(f, A, H, y)]
+
+    monkeypatch.setattr(gevreylab.solver, "eval_F", nonzero)
+    path = write(tmp_path, "p.gl", DOC)
+    assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == \
+        EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ("error[ResidualCheckFailed]: implicit solve "
+                            "failed residual check\n")
+    assert captured.out == ""

@@ -124,6 +124,45 @@ def test_star_equals_the_fold_it_replaces():
     assert empty > 10 and zero > 10, (empty, zero)
 
 
+def _fold_apply(L, f):
+    """DiffOperator.apply as the plain fold of + over c * d_alpha(f)."""
+    out = None
+    for alpha, coef in L.terms.items():
+        term = coef * f.diff(alpha)
+        out = term if out is None else out + term
+    if out is None:
+        return Series.zero(L.dim, max(f.trunc - L.order, -1))
+    return out
+
+
+def test_apply_equals_its_fold():
+    # terms, trunc and storage, with operands cut below |alpha| (trunc -1
+    # after d_alpha), coefficients zero through a trunc, and operators
+    # without terms; apply_numerators gives the same terms, trunc and order
+    rng = random.Random(2604)
+    seen = {"empty": 0, "zero coefficient": 0, "operand below": 0}
+    for _ in range(200):
+        dim, order = rng.randint(1, 3), rng.randint(1, 3)
+        alphas = list(iter_exponents(dim, order))
+        L = DiffOperator(dim, order, {
+            a: rng.choice([mixed_series(rng, dim),
+                           Series.zero(dim, rng.randint(-1, 8))])
+            for a in rng.sample(alphas, rng.randint(0, min(3, len(alphas))))})
+        f = mixed_series(rng, dim).truncate(rng.randint(-1, 9))
+        got, want = L.apply(f), _fold_apply(L, f)
+        assert got.trunc == want.trunc
+        assert {e: (type(c), c) for e, c in got.terms.items()} == \
+            {e: (type(c), c) for e, c in want.terms.items()}
+        den, items, trunc, order_ = L.apply_numerators(f)
+        assert trunc == want.trunc and order_ == want.order()
+        assert {e: Fraction(n, den) for e, n in items} == want.terms
+        seen["empty"] += not L.terms
+        seen["zero coefficient"] += any(
+            c.is_zero and c.trunc < 8 for c in L.terms.values())
+        seen["operand below"] += bool(L.terms) and f.trunc < order
+    assert min(seen.values()) >= 10, seen
+
+
 def test_faadibruno_base_case():
     P = Series.monomial(2, 6, (1, 1)) + Series.monomial(2, 6, (2, 0))
     table = faadibruno(P, (1, 0))

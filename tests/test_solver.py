@@ -29,6 +29,7 @@ from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               solve_lifted, solve_p_expansion)
 
 import instances
+from test_diffops import _fold_apply
 from instances import (mixed_series, random_admissible_problem,
                        random_weighted_problem)
 
@@ -282,12 +283,13 @@ def _stored(vec):
 
 
 def _fold_lhs(spec, y):
-    """ProblemSpec.lhs as the fold of + that ``sum_of_products`` replaced."""
+    """ProblemSpec.lhs as the plain fold of + over P^j (c * d_alpha(y_i)),
+    built from ``Series`` products and derivatives only."""
     out = None
     for pos, L in enumerate(spec.operators):
         if L is None:
             continue
-        term = [spec.power(pos + 1) * L.apply(yi) for yi in y]
+        term = [spec.power(pos + 1) * _fold_apply(L, yi) for yi in y]
         out = term if out is None else [a + b for a, b in zip(out, term)]
     if out is None:
         return [Series.zero(spec.dim, min(yi.trunc for yi in y))] * len(y)
@@ -309,18 +311,21 @@ def _fold_eval_poly_map(H, y, dim, unknowns):
 def test_spec_sums_of_products_equal_the_folds_they_replace():
     # lhs, eval_poly_map and _shift_poly_map: terms, truncs and storage,
     # with inputs cut, exact or zero through their trunc, int and
-    # Fraction coefficients, absent operators and an empty H
+    # Fraction coefficients, operators with one or several alphas, absent
+    # operators and an empty H
     rng = random.Random(2301)
-    seen = {"no operator": 0, "empty H": 0, "zero": 0, "exact": 0}
+    seen = {"no operator": 0, "empty H": 0, "zero": 0, "exact": 0,
+            "several alphas": 0}
     for _ in range(150):
         dim, unknowns, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
         P = mixed_series(rng, dim, low=1)
         if P.is_zero:
             P = Series.variable(dim, rng.choice([2, 5, INFINITE]), 0)
         ops = [None if rng.random() < 0.3 else DiffOperator(dim, j, {
-            a: mixed_series(rng, dim)
-            for a in rng.sample(list(iter_exponents(dim, j)), 1)})
-            for j in range(1, k + 1)]
+            a: mixed_series(rng, dim) for a in rng.sample(alphas, rng.choice(
+                [1, rng.randint(1, len(alphas))]))})
+            for j in range(1, k + 1)
+            for alphas in (list(iter_exponents(dim, j)),)]
         gammas = [g for g in product(range(4), repeat=unknowns)
                   if 2 <= sum(g) <= 3]
         H = {g: [mixed_series(rng, dim) for _ in range(unknowns)]
@@ -346,7 +351,20 @@ def test_spec_sums_of_products_equal_the_folds_they_replace():
         seen["empty H"] += not H
         seen["zero"] += any(s.is_zero for s in inputs)
         seen["exact"] += any(s.trunc == INFINITE for s in inputs)
+        seen["several alphas"] += any(L and len(L.terms) > 1 for L in ops)
     assert min(seen.values()) >= 10, seen
+    # x1 d1 - x2 d2 sends x1 x2 to 0: under a P known only to degree 2,
+    # P L_1(y) is certified to 2 + o(L_1(y)) and 8 + o(P), so the order
+    # binds, and it is the order left after the cancellation, not 2
+    x1, x2 = Series.variable(2, INFINITE, 0), Series.variable(2, INFINITE, 1)
+    spec = ProblemSpec(2, 1, 1, (x1 + x2).truncate(2),
+                       [DiffOperator(2, 1, {(1, 0): x1, (0, 1): -x2})],
+                       [Series.zero(2, 8)], scalar_matrix(2, 8, 1), {})
+    for y, terms, trunc in ((x1 * x2, {}, 9),
+                            (x1 * x2 + x1.pow(3), {(4, 0): 3, (3, 1): 3}, 5)):
+        got = spec.lhs([y.truncate(8)])
+        assert _stored(got) == _stored(_fold_lhs(spec, [y.truncate(8)]))
+        assert got[0].terms == terms and got[0].trunc == trunc
 
 
 # -- build_lifted ------------------------------------------------------------
@@ -881,6 +899,56 @@ def test_tail_monomial_coeff_forms_each_square_pair_once(monkeypatch):
             assert _same_part(square, want)
 
 
+def _lazy_keys(us, factors, m, k, base_trunc, keys):
+    """The (factors, grade) entries that the lazy prefix recursion of
+    ``_tail_monomial_coeff`` caches for the grade-m part of y^factors."""
+    if (factors, m) in keys:
+        return
+    keys.add((factors, m))
+    head, i = factors[:-1], factors[-1]
+    if not head:
+        return
+    for d in range(k * len(head), (m // 2 if head == (i,) else m - k) + 1):
+        u = us[m - d][i]
+        if not (u.is_zero and u.trunc >= base_trunc):
+            _lazy_keys(us, head, d, k, base_trunc, keys)
+
+
+def test_tail_monomial_coeff_caches_what_the_lazy_recursion_caches():
+    # monomials of up to seven factors in both gradings, with parts zero
+    # through or only below the base trunc: the prefix products are formed
+    # shortest first, and exactly the entries that the recursion reaches
+    rng = random.Random(2626)
+    for case in range(40):
+        k = 1 + case % 3
+        base_trunc, top = 8, 7 * k + 4
+        us = [[Series.zero(2, base_trunc)] * 2 for _ in range(k)] + [
+            [rng.choice([Series.zero(2, rng.choice([5, 8, 9])),
+                         mixed_series(rng, 2)]) for _ in range(2)]
+            for _ in range(k, top + 1)]
+        cache = {((), 0): Series.constant(2, base_trunc, 1)}
+        keys = set()
+        for _ in range(6):
+            factors = tuple(sorted(rng.choice((0, 1))
+                                   for _ in range(rng.randint(3, 7))))
+            m = rng.randint(k * len(factors), top)
+            _tail_monomial_coeff(us, factors, m, k, cache)
+            _lazy_keys(us, factors, m, k, base_trunc, keys)
+        assert set(cache) - {((), 0)} == keys, case
+
+
+def test_tail_monomial_coeff_takes_a_monomial_of_many_factors():
+    # y1^1100 with y1 = x1 in the x grading: a call per factor on the stack
+    # would pass the recursion limit
+    n = 1100
+    us = [[Series.zero(1, n)], [Series.variable(1, n, 0)]] + [
+        [Series.zero(1, n)] for _ in range(n - 1)]
+    products = {((), 0): Series.constant(1, n, 1)}
+    got = _tail_monomial_coeff(us, (0,) * n, n, 1, products)
+    assert got.terms == {(n,): 1} and got.trunc == 2 * n - 1
+    assert len(products) == n + 1
+
+
 # -- the two full solvers ----------------------------------------------------
 
 def test_direct_bivariate_order2_diagonal():
@@ -1263,7 +1331,7 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     # bucket, not by scanning a running sum with homogeneous(n)
     prob = bivariate_order2(INFINITE)
     degree = 30
-    calls = {"pow": [], "homogeneous": [], "__mul__": []}
+    calls = {"pow": [], "homogeneous": [], "__mul__": [], "diff": []}
     for name, seen in calls.items():
         def counted(self, *args, _real=getattr(Series, name), _seen=seen):
             _seen.append(self)
@@ -1278,27 +1346,30 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     table = a_table(degree // 2)
     assert y[0].trunc == degree
     assert all(y[0].coeff((n, n)) == -table[n] for n in range(len(table)))
-    # a second lhs on the same spec forms P^j L_j(y_i) as one kernel call
-    # per unknown, whose left factors are the cached P^j
+    # a second lhs on the same spec forms sum_j P^j L_j(y_i) as one
+    # numerator kernel call per unknown, with one part per L_j whose left
+    # factor is the cached P^j, and builds no derivative Series, no product
+    # and no power
     prob.lhs(y)
     for seen in calls.values():
         seen.clear()
     kernel = []
-    real = solver.sum_of_products
+    real = solver.sum_of_numerator_products
 
-    def counted(dim, trunc, triples):
-        kernel.append(triples)
-        return real(dim, trunc, triples)
+    def counted(dim, trunc, parts):
+        kernel.append(parts)
+        return real(dim, trunc, parts)
 
-    monkeypatch.setattr(solver, "sum_of_products", counted)
+    monkeypatch.setattr(solver, "sum_of_numerator_products", counted)
     prob.lhs(y)
-    assert calls["pow"] == [] and calls["__mul__"] == []
+    assert calls["pow"] == [] and calls["__mul__"] == [] and calls["diff"] == []
     assert len(kernel) == prob.unknowns
     powers = [prob.power(pos + 1) for pos, L in enumerate(prob.operators)
               if L is not None]
-    assert all(len(triples) == len(powers) and
-               all(a is Pj for (_, a, _), Pj in zip(triples, powers))
-               for triples in kernel)
+    assert all(len(parts) == len(powers) and
+               all(dict(left) == Pj.terms
+                   for (_, _, left, _), Pj in zip(parts, powers))
+               for parts in kernel)
 
 
 def test_direct_H_and_sparse_parts_equal_the_folds_they_replace():
