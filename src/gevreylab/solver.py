@@ -165,12 +165,13 @@ class ProblemSpec:
         since zero coefficients still bound the certified degree.  Each
         L_j(y_i) goes to the product by P^j as int numerators, so each
         output coefficient is one Fraction."""
-        ops = [(Pj.trunc, Pj.order(), *_numerators(Pj.terms), L)
-               for pos, L in enumerate(self.operators) if L is not None
-               for Pj in (self.power(pos + 1),)]
+        ops = [(self.power(pos + 1), L)
+               for pos, L in enumerate(self.operators) if L is not None]
         if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
+        ops = [(Pj.trunc, Pj.order(), *_numerators(Pj.terms), L)
+               for Pj, L in ops]
         out = []
         for yi in y:
             trunc, parts = INFINITE, []

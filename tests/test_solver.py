@@ -321,11 +321,12 @@ def test_spec_sums_of_products_equal_the_folds_they_replace():
         P = mixed_series(rng, dim, low=1)
         if P.is_zero:
             P = Series.variable(dim, rng.choice([2, 5, INFINITE]), 0)
-        ops = [None if rng.random() < 0.3 else DiffOperator(dim, j, {
-            a: mixed_series(rng, dim) for a in rng.sample(alphas, rng.choice(
-                [1, rng.randint(1, len(alphas))]))})
-            for j in range(1, k + 1)
-            for alphas in (list(iter_exponents(dim, j)),)]
+        ops = []
+        for j in range(1, k + 1):
+            alphas = list(iter_exponents(dim, j))
+            ops.append(None if rng.random() < 0.3 else DiffOperator(dim, j, {
+                a: mixed_series(rng, dim) for a in rng.sample(
+                    alphas, rng.choice([1, rng.randint(1, len(alphas))]))}))
         gammas = [g for g in product(range(4), repeat=unknowns)
                   if 2 <= sum(g) <= 3]
         H = {g: [mixed_series(rng, dim) for _ in range(unknowns)]
