@@ -244,6 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # exact coefficients outgrow Python's int <-> str digit limit (3.10.7
+    # and later): lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if (args.command == "examples" and args.action == "run"
@@ -261,6 +266,9 @@ def main(argv=None) -> int:
     except GevreyLabError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,10 @@ _TOKEN = re.compile(r"""
 
 _KEYWORDS = {"dim", "unknowns", "order", "P", "L", "F", "option"}
 
+# the deepest parentheses may nest: each level costs the parser a few stack
+# frames, and a deeper one would end in a RecursionError
+MAX_NESTING = 100
+
 DEFAULT_OPTIONS = {
     "degree": 10,
     "order": 10,
@@ -73,9 +77,6 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
-
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
@@ -105,6 +106,7 @@ class _Parser:
         self.unknowns = None
         self.order = None
         self.nvars = None  # of the expression being parsed
+        self.nesting = 0  # of the parentheses open at the current token
         self.P: Series | None = None
         self.P_line = 0
         self.L_terms: dict[int, dict[tuple[int, ...], Series]] = {}
@@ -301,26 +303,39 @@ class _Parser:
         return out
 
     def _power(self) -> Series:
-        base = self._atom()
-        if self.peek().kind == "^":
+        """[-]... atom [^n]: a run of signs read in a loop, not a call per
+        sign; each sign negates the power after it and lets one more "^"
+        follow (-x1^2^3 is (-(x1^2))^3)."""
+        signs = 0
+        while self.peek().kind == "-":
             self.next()
-            return base.pow(self._int())
-        return base
+            signs += 1
+        out = self._atom()
+        for level in range(signs, -1, -1):
+            if self.peek().kind == "^":
+                self.next()
+                out = out.pow(self._int())
+            if level:
+                out = -out
+        return out
 
     def _atom(self) -> Series:
         tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            return -self._power()
         if tok.kind == "num":
             return Series.constant(self.nvars, INFINITE, self.rational())
         if tok.kind == "name":
             self.next()
             return self._variable(tok)
         if tok.kind == "(":
+            if self.nesting == MAX_NESTING:
+                raise SemanticError(tok.line, "nesting",
+                                    f"column {tok.col}: parentheses nest "
+                                    f"deeper than {MAX_NESTING}")
             self.next()
+            self.nesting += 1
             inner = self._sum()
             self.expect(")")
+            self.nesting -= 1
             return inner
         raise ParseError(tok.line, tok.col, ("number", "variable", "("))
 

@@ -61,6 +61,20 @@ def _ln_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+def _least_squares(rows: Sequence[Sequence[float]],
+                   ys: Sequence[float]) -> list[float]:
+    """The c minimising sum (row . c - y)^2: the normal equations, summed in
+    floats, solved exactly on the floats' rational values by the one
+    Gauss-Jordan loop, then rounded back."""
+    m = len(rows[0])
+    normal = [[sum(r[i] * r[j] for r in rows) for j in range(m)]
+              for i in range(m)]
+    rhs = [sum(r[i] * y for r, y in zip(rows, ys)) for i in range(m)]
+    return [float(row[0]) for row in gauss_jordan(
+        [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(normal, rhs)], m)]
+
+
 def estimate_order(norms: Sequence[tuple[int, Fraction]],
                    window_fraction: float = 0.5,
                    rho: Fraction = Fraction(1, 2)) -> GevreyEstimate:
@@ -91,16 +105,9 @@ def estimate_order(norms: Sequence[tuple[int, Fraction]],
     lns[n_lo - 1] = _ln(window_pairs[0][2])
     # joint least squares ln r_n = ln C + n ln A + s ln n! over the window;
     # the factorial column's curvature separates it from the linear one.
-    rows = [(1.0, float(n), _ln_factorial(n)) for n, _, _ in window_pairs]
-    ys = [lns[n] for n, _, _ in window_pairs]
-    normal = [[sum(r[i] * r[j] for r in rows) for j in range(3)]
-              for i in range(3)]
-    rhs = [sum(r[i] * y for r, y in zip(rows, ys)) for i in range(3)]
-    # solved exactly on the floats' rational values by the one Gauss-Jordan
-    # loop, then rounded back
-    ln_C, ln_A, _ = (float(row[0]) for row in gauss_jordan(
-        [[Fraction(v) for v in row] + [Fraction(b)]
-         for row, b in zip(normal, rhs)], 3))
+    ln_C, ln_A, _ = _least_squares(
+        [(1.0, float(n), _ln_factorial(n)) for n, _, _ in window_pairs],
+        [lns[n] for n, _, _ in window_pairs])
     slopes = [
         (lns[n] - lns[n - 1] - ln_A) / math.log(n)
         for n, _, _ in window_pairs
@@ -156,8 +163,6 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s) -> MonomialFitVerdic
         raise ValueError("alpha must be a nonzero multi-index")
     per_degree: dict[int, tuple[float, Exponent]] = {}
     for beta, c in f.terms.items():
-        if c == 0:
-            continue
         bound = min(float(s) / a * _ln_factorial(b)
                     for a, b in zip(alpha, beta) if a)
         v = _ln(abs(c)) - bound
@@ -172,12 +177,8 @@ def monomial_gevrey_fit(f: Series, alpha: Sequence[int], s) -> MonomialFitVerdic
     top = degrees[len(degrees) // 2:]
     if len(top) < 2:
         top = degrees[-2:]
-    xs = top
-    ys = [per_degree[n][0] for n in top]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    den = sum((x - mean_x) ** 2 for x in xs)
-    ln_A = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / den
+    _, ln_A = _least_squares([(1.0, float(n)) for n in top],
+                             [per_degree[n][0] for n in top])
     if ln_A <= SLOPE_CAP:
         ln_C = max(per_degree[n][0] - n * ln_A for n in degrees)
         return MonomialFitVerdict(True, s, alpha, ln_A, ln_C, None)

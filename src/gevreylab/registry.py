@@ -111,13 +111,8 @@ def _verify_eje3(params, report):
         if e[0] != e[1]:
             raise RegressionMismatch(
                 "eje3", f"unexpected off-diagonal coefficient at {e}")
-    for n in range(upto + 1):
-        got = y.coeff((n, n))
-        want = -table[n]
-        if got != want:
-            raise RegressionMismatch(
-                "eje3",
-                f"coefficient of (x1 x2)^{n}: got {got}, expected {want}")
+    _compare_coefficients("eje3", y, {(n, n): -a for n, a in enumerate(table)},
+                          "coefficient of (x1 x2)^{0[0]}")
     est = report["estimate"]
     if est is not None and abs(est.fitted_order - 2) > 0.35:
         raise RegressionMismatch(

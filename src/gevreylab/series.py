@@ -227,13 +227,18 @@ class Series:
         return _over(self.dim, trunc,
                      _convolve(trunc, ((left, right),)).items(), da * db)
 
-    def pow(self, n: int) -> "Series":
+    def powers(self, n: int) -> list["Series"]:
+        """[s^0, ..., s^n]: 1 at s's trunc, then each power the one before
+        times s."""
         if n < 0:
             raise ValueError("negative power")
-        out = Series.constant(self.dim, self.trunc, 1)
+        out = [Series.constant(self.dim, self.trunc, 1)]
         for _ in range(n):
-            out = out * self
+            out.append(out[-1] * self)
         return out
+
+    def pow(self, n: int) -> "Series":
+        return self.powers(n)[n]
 
     # -- calculus -----------------------------------------------------------
 
@@ -242,11 +247,8 @@ class Series:
         alpha = tuple(alpha)
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
-        trunc = max(self.trunc - sum(alpha), -1)
-        # perm(n, a) = n!/(n-a)! is 0 for a term that d_alpha kills
-        return Series._of(self.dim, trunc, [
-            (tuple(map(sub, e, alpha)), c * prod(map(perm, e, alpha)))
-            for e, c in self.terms.items()])
+        den, items, trunc, _ = diff_numerators(self, alpha)
+        return _over(self.dim, trunc, items, den)
 
     # -- division -----------------------------------------------------------
 
@@ -444,10 +446,11 @@ def numerator_products(trunc, parts) -> tuple[dict[Exponent, int], int]:
 
 
 def diff_numerators(s: Series, alpha: Exponent):
-    """``s.diff(alpha)`` as (D, [(e, n)], trunc, order): its terms as int
-    numerators over D, the common denominator of ``s``'s coefficients, with
-    the falling factorials folded into each n, and its trunc and order.  No
-    Fraction is built."""
+    """d_alpha s as (D, [(e, n)], trunc, order), the one numerator layout:
+    its terms as int numerators over D, the common denominator of ``s``'s
+    coefficients, with the falling factorials folded into each n, and its
+    trunc and order.  No Fraction is built; ``Series.diff`` divides it
+    out."""
     trunc = max(s.trunc - sum(alpha), -1)
     den, items = _numerators(s.terms)
     if trunc < 0:

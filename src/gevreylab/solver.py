@@ -36,9 +36,11 @@ Two independent routes are provided:
   other by acceptance criterion 3.
 
 Each order's right side in ``solve_lifted`` (forcing, linear and
-nonlinear terms) is one ``sum_of_numerator_products`` call per unknown.
-Its linear terms are grouped by (j, alpha), with one left factor per group
-and order and one numerator derivative (``diff_numerators``) per
+nonlinear terms) is one ``sum_of_numerator_products`` call per unknown;
+each coefficient in it, as in ``lhs``, is split once per call into the
+numerator layout of ``diff_numerators``, and each monomial into its
+factors.  Its linear terms are grouped by (j, alpha), with one left factor
+per group and order and one numerator derivative (``diff_numerators``) per
 (l, unknown, alpha); the oracle does not group, and
 ``tests/test_solver.py`` checks the grouped form against the per-term
 ``sum_of_products`` loop it replaces, terms and truncs.
@@ -50,7 +52,8 @@ a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
 (``GradedSolve.columns``).  ``tests/test_solver.py`` checks the kernel
 against a dense reference inverse applied to r, terms and truncs.
 
-Both routes read P^j from ``ProblemSpec.power``, formed once per spec.
+Both routes read P^j from ``ProblemSpec.power``, formed once per spec as
+the reduction asks; every other run of powers is one ``Series.powers``.
 
 ``check_poincare`` covers the complementary regime where P is non-singular
 at the origin and the solution is convergent.
@@ -170,12 +173,12 @@ class ProblemSpec:
         if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
-        ops = [(Pj.trunc, Pj.order(), *_numerators(Pj.terms), L)
+        ops = [(*_numerators(Pj.terms), Pj.trunc, Pj.order(), L)
                for Pj, L in ops]
         out = []
         for yi in y:
             trunc, parts = INFINITE, []
-            for tP, oP, dP, left, L in ops:
+            for dP, left, tP, oP, L in ops:
                 d, right, t, o = L.apply_numerators(yi)
                 trunc = min(trunc, product_trunc(tP, oP, t, o))
                 if left and right:
@@ -375,7 +378,9 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
                     trunc: int) -> tuple[SeriesMatrix, PolyMap]:
     """Re-expand H(x, y0 + w) - H(x, y0) in w: linear part, tail."""
     terms: dict[Exponent, list] = {}  # delta -> [(vec, factor)]
-    power = cache(lambda i, p: y0[i].pow(p))  # each y0[i]^p once per call
+    # y0[i]^p for every p that a delta != 0 leaves, each from the one before
+    power = [yi.powers(max((g[i] - (sum(g) == g[i]) for g in H), default=0))
+             for i, yi in enumerate(y0)]
     for gamma, vec in H.items():
         for delta in product(*(range(g + 1) for g in gamma)):
             if not any(delta):
@@ -383,7 +388,7 @@ def _shift_poly_map(H: PolyMap, y0: Vector, dim: int, unknowns: int,
             factor = Series.constant(dim, trunc, exp_binomial(gamma, delta))
             for i, (g, d) in enumerate(zip(gamma, delta)):
                 if g - d:
-                    factor = factor * power(i, g - d)
+                    factor = factor * power[i][g - d]
             if not factor.is_zero:
                 terms.setdefault(delta, []).append((vec, factor))
     shifted = {delta: [sum_of_products(dim, trunc, [(1, vec[i], factor)
@@ -525,11 +530,13 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
-    # every coefficient as (trunc, order, numerator lists) once per call
-    forcing = [(f.trunc, f.order(), *_numerators(f.terms)) for f in eq.forcing]
+    # every coefficient as (D, numerators, trunc, order), and each
+    # monomial's factors, once per call
+    forcing = [(*_numerators(f.terms), f.trunc, f.order()) for f in eq.forcing]
     one = [((0,) * dim, 1)]
-    nonlinear = {gamma: [(c.trunc, c.order(), *_numerators(c.terms))
-                         for c in vec] for gamma, vec in eq.nonlinear.items()}
+    nonlinear = {_factors(gamma): [(*_numerators(c.terms), c.trunc, c.order())
+                                   for c in vec]
+                 for gamma, vec in eq.nonlinear.items()}
     groups: dict[tuple[int, Exponent], tuple] = {}
     for (j, b, alpha), g in eq.linear.items():
         groups.setdefault((j, alpha), []).append((b, g))
@@ -548,7 +555,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
         truncs = [degree] * unknowns
         parts: list[list] = [[] for _ in range(unknowns)]
         if n == k:
-            for i, (t, o, d, left) in enumerate(forcing):
+            for i, (d, left, t, o) in enumerate(forcing):
                 truncs[i] = min(truncs[i], product_trunc(t, o, INFINITE, 0))
                 if left:
                     parts[i].append((1, d, left, one))
@@ -578,14 +585,13 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                                              for _, gt, go, _ in live))
                 if left and right:
                     parts[i].append((1, den * d, left, right))
-        for gamma, vec in nonlinear.items():
-            conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
+        for factors, vec in nonlinear.items():
+            conv = _tail_monomial_coeff(us, factors, n, k, products)
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
-            d, right = _numerators(conv.terms)
-            o = conv.order()
-            for i, (ct, co, dc, left) in enumerate(vec):
-                truncs[i] = min(truncs[i], product_trunc(ct, co, conv.trunc, o))
+            d, right, t, o = *_numerators(conv.terms), conv.trunc, conv.order()
+            for i, (dc, left, ct, co) in enumerate(vec):
+                truncs[i] = min(truncs[i], product_trunc(ct, co, t, o))
                 if left and right:
                     parts[i].append((1, dc * d, left, right))
         for key in [key for key in derivatives if key[0] + last[key[1]] <= n]:
@@ -698,9 +704,7 @@ class PExpansion:
         """sum_n y_n P^n; certified to min over terms and the tail bound
         (order+1) * o(P) - 1."""
         cert = min(self.degree, len(self.coeffs) * self.P.order() - 1)
-        powers = [self.P.pow(0)]
-        for _ in self.coeffs[1:]:
-            powers.append(powers[-1] * self.P)
+        powers = self.P.powers(len(self.coeffs) - 1)
         out = [sum_of_products(self.P.dim, cert, [
             (1, yi, Pn) for yi, Pn in zip(col, powers)])
             for col in zip(*self.coeffs)]
@@ -935,6 +939,7 @@ class _DegreeSystems:
         self.prob = prob
         self.working = working
         P1 = Series._of(prob.dim, INFINITE, prob.P.homogeneous(1).terms.items())
+        P1_powers = P1.powers(prob.order)
         # per L_j, for the certs: j, L_j, the trunc and order of P^j, and
         # each alpha with the trunc and order of c_alpha
         self.certs = []
@@ -951,7 +956,7 @@ class _DegreeSystems:
             lead = [(alpha, c.constant_term())
                     for alpha, c in L.terms.items() if c.constant_term()]
             if lead:
-                self.leads.append((list(P1.pow(j).terms.items()), lead))
+                self.leads.append((list(P1_powers[j].terms.items()), lead))
         self.A0 = prob.A.constant_part()
 
     def solve(self, n: int, rhs_vec: Vector) -> Vector:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,7 @@ def test_run_example_lets_a_fault_in_the_fit_propagate(monkeypatch):
     ("eje1", {"degree": 12, "order": 6}, (4,), "coefficient of x1^4"),
     ("ejeLast", {"degree": 12, "order": 6}, (3, 2), "coefficient at (3, 2)"),
     ("eje4", {"degree": 10, "order": 5}, (3, 2), "coefficient at (3, 2)"),
+    ("eje3", {"degree": 16, "order": 8}, (2, 2), "coefficient of (x1 x2)^2"),
 ])
 def test_verify_hooks_name_a_perturbed_coefficient(name, params, exp, label):
     report = run_example(name, params)
@@ -588,3 +590,60 @@ def test_solve_exits_4_when_the_implicit_solve_fails_its_residual_check(
     assert captured.err == ("error[ResidualCheckFailed]: implicit solve "
                             "failed residual check\n")
     assert captured.out == ""
+
+
+def _F(expr):
+    return ("dim 1; unknowns 1; order 1\nP = x1\nL 1 : (1,) -> x1\n"
+            f"F 1 = y1 + {expr}\n")
+
+
+def test_a_long_sign_chain_parses(tmp_path, capsys):
+    # a call per sign would pass the recursion limit
+    path = write(tmp_path, "p.gl", _F("- " * 1200 + "x1"))
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert parse_problem(_F("- " * 1200 + "x1")).spec.f == \
+        parse_problem(_F("x1")).spec.f
+
+
+def test_parentheses_past_the_nesting_limit_exit_3(tmp_path, capsys):
+    # 300 parentheses, at four calls each, would pass the recursion limit
+    path = write(tmp_path, "p.gl", _F("(" * 300 + "x1" + ")" * 300))
+    assert main(["check", path]) == EXIT_PARSE
+    from gevreylab.dsl import MAX_NESTING
+    # one line, at the first parenthesis past the limit, after "F 1 = y1 + "
+    err = (f"error[nesting]: line 4: column {12 + MAX_NESTING}: parentheses "
+           f"nest deeper than {MAX_NESTING}\n")
+    assert capsys.readouterr().err == err
+    for depth, code in ((MAX_NESTING + 1, EXIT_PARSE), (MAX_NESTING, EXIT_OK)):
+        path = write(tmp_path, "p.gl", _F("(" * depth + "x1" + ")" * depth))
+        assert main(["check", path]) == code
+        assert capsys.readouterr().err == (err if code else "")
+
+
+# Python 3.10.7+ refuses int <-> str past 4,300 digits; main lifts the limit
+# for its own call and puts it back
+
+def test_a_literal_past_the_int_str_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, "p.gl", _F("1" + "0" * 5000 + "*x1"))
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_writes_coefficients_past_the_int_str_digit_limit(tmp_path,
+                                                                 capsys):
+    big = "3" + "7" * 2999
+    text = ("dim 1; unknowns 1; order 1\nP = x1\nL 1 : (1,) -> x1\n"
+            f"F 1 = -1*y1 + {big}*x1 + y1^2\noption degree = 3\n")
+    out_dir = tmp_path / "out"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["solve", write(tmp_path, "q.gl", text),
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "norms.csv", "solution.json", "solution_x.json"]
+    # y = big x1 + big^2 x1^2 / 3 + ...: the square has 6,000 digits
+    coefs = [t["coef"] for t in json.loads(
+        (out_dir / "solution_x.json").read_text())["solution"][0]["terms"]]
+    assert coefs[0] == big and len(coefs[1]) > 5000

@@ -156,3 +156,29 @@ def test_monomial_fit_bivariate_diagonal():
 def test_monomial_fit_rejects_zero_alpha():
     with pytest.raises(ValueError):
         monomial_gevrey_fit(Series.zero(2, 4), (0, 0), 1)
+
+
+def test_estimate_order_numbers_are_pinned():
+    # the joint fit's numbers, to the bit, on factorial-squared growth
+    norms = [(n, Fraction(math.factorial(n) ** 2 * 3 ** n, 7 + n))
+             for n in range(16)]
+    est = estimate_order(norms)
+    assert (est.fitted_order, est.ln_A, est.ln_C, est.slopes[:2]) == (
+        2.03473566353149, 0.9580717687318373, -1.9529046228615263,
+        [2.0345900003043127, 2.0347070335697865])
+
+
+def test_monomial_fit_slope_is_the_least_squares_slope():
+    # the slope through the per-degree maxima v_n of the top half of the
+    # degrees, against the closed form cov(n, v) / var(n)
+    f = Series(1, 30, {(n,): Fraction(math.factorial(n) * 5 ** n, 3 + n)
+                       for n in range(1, 30)})
+    verdict = monomial_gevrey_fit(f, (1,), 1)
+    v = {n: math.log(5 ** n / (3 + n)) for n in range(1, 30)}
+    top = range(15, 30)
+    mean_n, mean_v = sum(top) / len(top), sum(v[n] for n in top) / len(top)
+    slope = (sum((n - mean_n) * (v[n] - mean_v) for n in top)
+             / sum((n - mean_n) ** 2 for n in top))
+    assert verdict and verdict.ln_A == pytest.approx(slope, abs=1e-12)
+    assert verdict.ln_C == pytest.approx(
+        max(v[n] - n * slope for n in v), abs=1e-9)

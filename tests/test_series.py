@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +50,27 @@ def test_mul_difference_of_squares():
 def test_mul_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         Series.variable(1, 3, 0) * Series.variable(2, 3, 0)
+
+
+def test_powers_are_the_products_each_from_the_one_before():
+    # terms, trunc and storage of s^0 .. s^n against the fold from 1 at
+    # s's trunc; pow is the last of them
+    rng = random.Random(2701)
+    for _ in range(60):
+        dim = rng.randint(1, 2)
+        s = _operand(rng, dim)
+        n = rng.randint(0, 5)
+        want = [Series.constant(dim, s.trunc, 1)]
+        for _ in range(n):
+            want.append(want[-1] * s)
+        got = s.powers(n)
+        assert [(p.trunc, {e: (type(c), c) for e, c in p.terms.items()})
+                for p in got] == \
+            [(p.trunc, {e: (type(c), c) for e, c in p.terms.items()})
+             for p in want]
+        assert s.pow(n) == want[n]
+    with pytest.raises(ValueError):
+        Series.variable(1, 3, 0).powers(-1)
 
 
 def test_diff_examples():
@@ -520,17 +541,34 @@ def test_sum_of_products_equals_a_plain_fold():
         sum_of_products(1, 3, [(1, x1, x1)])
 
 
+def _reference_diff(s, alpha):
+    """d_alpha s term by term: each coefficient times its falling
+    factorials, with the trunc lowered by |alpha| down to -1."""
+    trunc = max(s.trunc - sum(alpha), -1)
+    terms = {}
+    for e, c in s.terms.items():
+        if all(a <= b for a, b in zip(alpha, e)) and sum(e) - sum(alpha) <= trunc:
+            terms[tuple(b - a for a, b in zip(alpha, e))] = c * prod(
+                perm(b, a) for a, b in zip(alpha, e))
+    return terms, trunc
+
+
 def test_diff_numerators_equals_diff():
     # terms (as numerators over the series' denominator), trunc and order
-    # of Series.diff, on hard draws cut to every trunc, zero series and
-    # orders that kill every term
+    # of the term-by-term derivative, on hard draws cut to every trunc, zero
+    # series and orders that kill every term; Series.diff is their Series,
+    # with each integral coefficient stored as an int
     rng = random.Random(2102)
     killed = 0
     for _ in range(400):
         dim = rng.randint(1, 3)
         s = _operand(rng, dim)
         alpha = tuple(rng.randint(0, 2) for _ in range(dim))
+        terms, want_trunc = _reference_diff(s, alpha)
         want = s.diff(alpha)
+        assert (want.terms, want.trunc) == (terms, want_trunc)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in want.terms.values())
         den, items, trunc, order = diff_numerators(s, alpha)
         assert den == lcm(*[c.denominator for c in s.terms.values()])
         assert all(type(n) is int and n for _, n in items)

@@ -275,6 +275,27 @@ def test_shift_poly_map_equals_the_per_delta_powers():
         assert got == _reference_shift_poly_map(H, y0, dim, 2, trunc)
 
 
+def test_shift_poly_map_forms_each_power_of_y0_once(monkeypatch):
+    # H = y1^p makes O(p) products: y0^1 .. y0^(p-1), each from the one
+    # before, then one product per delta; forming each y0^q from 1 would
+    # make about p^2 / 2
+    p, trunc = 60, 6
+    y0 = [Series(1, trunc, {(1,): 2, (2,): Fraction(1, 3)})]
+    H = {(p,): [Series.constant(1, trunc, 1)]}
+    muls = []
+    real = Series.__mul__
+
+    def counted(a, b):
+        muls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    got = solver._shift_poly_map(H, y0, 1, 1, trunc)
+    assert len(muls) <= 2 * p
+    monkeypatch.setattr(Series, "__mul__", real)
+    assert got == _reference_shift_poly_map(H, y0, 1, 1, trunc)
+
+
 def _stored(vec):
     """Each component's trunc and terms, with the type each coefficient is
     stored as (int or Fraction)."""
@@ -948,6 +969,25 @@ def test_tail_monomial_coeff_takes_a_monomial_of_many_factors():
     got = _tail_monomial_coeff(us, (0,) * n, n, 1, products)
     assert got.terms == {(n,): 1} and got.trunc == 2 * n - 1
     assert len(products) == n + 1
+
+
+def test_solve_takes_a_monomial_of_many_factors(tmp_path, capsys):
+    # the document the kernel test above stands for, through the command
+    # line: each y0^p formed once in the reduction and each monomial's
+    # factors once per lifted solve
+    from gevreylab.cli import EXIT_OK, main
+    path = tmp_path / "p.gl"
+    path.write_text("dim 1; unknowns 1; order 1\nP = x1\nL 1 : (1,) -> x1\n"
+                    "F 1 = y1 + x1 + y1^1100\noption degree = 1100\n",
+                    encoding="utf-8")
+    assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "residual vanishes through certified degree 10\n")
+    solution = json.loads((tmp_path / "solution_x.json").read_text())
+    # x1^2 y' = y + x1 + y^1100: y = -sum (n-1)! x1^n through degree 1099
+    assert solution["solution"][0]["terms"][:4] == [
+        {"coef": c, "exp": [n]} for n, c in enumerate(["-1", "-1", "-2", "-6"],
+                                                      start=1)]
 
 
 # -- the two full solvers ----------------------------------------------------
