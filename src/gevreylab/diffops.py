@@ -12,12 +12,15 @@ from .errors import DimensionMismatch, DivisibilityViolation
 from .series import (
     INFINITE,
     Exponent,
+    Rational,
     Series,
+    _layout,
     _numerators,
-    _over,
     diff_numerators,
     falling_factorial,
     grlex_key,
+    layout_series,
+    numerator_layout,
     numerator_products,
     product_trunc,
     sum_of_products,
@@ -74,12 +77,11 @@ class DiffOperator:
 
     def apply(self, f: Series) -> Series:
         """sum_alpha a_alpha * d_alpha(f)."""
-        den, items, trunc, _ = self.apply_numerators(f)
-        return _over(self.dim, trunc, items, den)
+        return layout_series(self.dim, self.apply_numerators(f))
 
     def apply_numerators(self, f: Series):
-        """``apply(f)`` as (D, [(e, n)], trunc, order), like
-        ``diff_numerators``, with no Fraction built.  Certified as
+        """``apply(f)`` in the numerator layout of ``diff_numerators``, with
+        no Fraction built; f is put in that layout once.  Certified as
         ``sum_of_products`` certifies (c_alpha, d_alpha(f)) triples, a zero
         c_alpha included; the order is read after cancelled terms are
         dropped (x1 d1 - x2 d2 sends x1 x2 to 0)."""
@@ -88,16 +90,15 @@ class DiffOperator:
         if not self.terms:
             return 1, [], max(f.trunc - self.order, -1), INFINITE
         trunc, parts = INFINITE, []
+        layout = numerator_layout(f)
         for alpha, coef in self.terms.items():
-            d, right, t, o = diff_numerators(f, alpha)
+            d, right, t, o = diff_numerators(layout, alpha)
             trunc = min(trunc, product_trunc(coef.trunc, coef.order(), t, o))
             if coef.terms and right:
                 dc, left = _numerators(coef.terms)
                 parts.append((1, dc * d, left, right))
         acc, den = numerator_products(trunc, parts)
-        items = [(e, n) for e, n in acc.items() if n]
-        return den, items, trunc, min([sum(e) for e, _ in items],
-                                      default=INFINITE)
+        return _layout(den, acc.items(), trunc)
 
     def star(self, P: Series) -> Series:
         """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""
@@ -109,8 +110,49 @@ class DiffOperator:
             (1, coef, partial_star(alpha, P))
             for alpha, coef in self.terms.items()])
 
+    def star_at_zero(self, P: Series) -> tuple[Rational, int]:
+        """(L*(P)(0), the trunc of L*(P)) without forming L*(P): the value
+        sum_alpha a_alpha(0) prod_i (d_i P(0))^alpha_i, and the trunc that
+        ``star`` certifies, by the ``product_trunc`` arithmetic of its
+        products.  The value is L*(P)(0) only where that trunc is >= 0."""
+        if P.dim != self.dim:
+            raise DimensionMismatch("operand dim mismatch")
+        dt = max(P.trunc - 1, -1)        # the trunc of each d_i P
+        if not self.terms:
+            return 0, dt
+        trunc, value = INFINITE, 0
+        for alpha, coef in self.terms.items():
+            # partial_star(alpha, P): 1 at P's trunc times each power of a
+            # d_i P, each power formed from 1 at dt
+            t, o, lead = *_one(P.trunc), coef.constant_term()
+            for i, a in enumerate(alpha):
+                if a:
+                    od = min((sum(e) - 1 for e in P.terms if e[i]),
+                             default=INFINITE)
+                    pt, po = _one(dt)
+                    for _ in range(a):
+                        pt, po = _product_cert(pt, po, dt, od)
+                    t, o = _product_cert(t, o, pt, po)
+                    lead *= P.coeff(unit_exp(self.dim, i)) ** a
+            trunc = min(trunc, product_trunc(coef.trunc, coef.order(), t, o))
+            value += lead
+        return value.numerator if value.denominator == 1 else value, trunc
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
+
+
+def _one(trunc):
+    """The trunc and order of the constant 1 cut to ``trunc``."""
+    return trunc, 0 if trunc >= 0 else INFINITE
+
+
+def _product_cert(ta, oa, tb, ob):
+    """The trunc and order of a product of series of these truncs and
+    orders, as ``Series.__mul__`` gives them: the lowest parts multiply to
+    a nonzero part, so the orders add, unless that lies above the trunc."""
+    t = product_trunc(ta, oa, tb, ob)
+    return t, oa + ob if oa + ob <= t else INFINITE
 
 
 def partial_star(alpha: Sequence[int], P: Series) -> Series:

@@ -7,10 +7,18 @@ stored data is certified exact.  An integral coefficient is stored as an
 arithmetic pays for no gcd; floats are refused.  Products, sums of products
 (``sum_of_products``) and majorant norms run on integer numerators over one
 common denominator (the lcm of the denominators) and normalise once per
-output coefficient, not once per pair of terms or per partial sum; the
-order recurrence (``sum_of_numerator_products``) and the left side of the
-equation run on their integer core (``numerator_products``), on
-derivatives taken as numerators (``diff_numerators``).  Every operation propagates ``trunc``
+output coefficient, not once per pair of terms or per partial sum.  Their
+integer core (``numerator_products``) reads each right factor in one
+numerator layout ``(D, items, trunc, order)``: the terms as int numerators
+over one common denominator D, each with its total degree and in order of
+it, with the series' trunc and order (``numerator_layout``).  A factor is
+put in this layout once, where it is formed, so the convolution's inner
+loop stops at ``trunc`` without sorting a factor or summing an exponent
+per pair; a derivative (``diff_numerators``) is taken from a layout and
+keeps its order, since every term drops by |alpha|.  The left side of the
+equation and the order recurrence run on such layouts, and a Series is
+built from one only where it is needed (``layout_series``).  Every
+operation propagates ``trunc``
 pessimistically and none raises it (``truncate`` only lowers it), so
 ``trunc`` doubles as the certified degree of the value: coefficients of
 total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
@@ -218,12 +226,11 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
-        trunc = product_trunc(self.trunc, self.order(),
-                              other.trunc, other.order())
         # an integer convolution of the numerators, divided by the common
         # denominator once per output coefficient
         da, left = _numerators(self.terms)
-        db, right = _numerators(other.terms)
+        db, right, tb, ob = numerator_layout(other)
+        trunc = product_trunc(self.trunc, self.order(), tb, ob)
         return _over(self.dim, trunc,
                      _convolve(trunc, ((left, right),)).items(), da * db)
 
@@ -247,8 +254,8 @@ class Series:
         alpha = tuple(alpha)
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
-        den, items, trunc, _ = diff_numerators(self, alpha)
-        return _over(self.dim, trunc, items, den)
+        return layout_series(self.dim,
+                             diff_numerators(numerator_layout(self), alpha))
 
     # -- division -----------------------------------------------------------
 
@@ -374,15 +381,40 @@ def _numerators(terms: Mapping[Exponent, Rational]):
                for e, c in terms.items()]
 
 
+def numerator_layout(s: Series):
+    """s in the one numerator layout (D, [(d, e, n)], trunc, order): its
+    terms as int numerators n over D, the lcm of their denominators, each
+    with its total degree d and in order of it, and its trunc and order.
+    A right factor of a product is read in this layout; a left one as
+    ``_numerators`` gives it."""
+    den, items = _numerators(s.terms)
+    return _layout(den, items, s.trunc)
+
+
+def _layout(den: int, items: Iterable[tuple[Exponent, int]], trunc):
+    """The numerator layout of the int numerators ``items`` [(e, n)] over
+    ``den``, all of degree <= trunc: the nonzero ones with their degrees,
+    put in order of degree."""
+    items = sorted([(sum(e), e, n) for e, n in items if n], key=itemgetter(0))
+    return den, items, trunc, items[0][0] if items else INFINITE
+
+
+def layout_series(dim: int, layout) -> Series:
+    """The Series of a numerator layout, with one Fraction per coefficient
+    when D > 1."""
+    den, items, trunc, _ = layout
+    return _over(dim, trunc, [(e, n) for _, e, n in items], den)
+
+
 def _convolve(trunc, pairs) -> dict[Exponent, int]:
-    """sum left * right over ``pairs`` of int numerator lists [(e, n)],
-    through total degree ``trunc``, as int numerators by exponent: the one
-    integer convolution loop.  A sum that cancels stays, as a 0."""
+    """sum left * right over ``pairs`` of a left factor, an int numerator
+    list [(e, n)], and a right one, the items [(d, e, n)] of a numerator
+    layout, through total degree ``trunc``, as int numerators by exponent:
+    the one integer convolution loop.  A sum that cancels stays, as a 0."""
     acc: dict[Exponent, int] = {}
     get = acc.get
     for left, right in pairs:
-        # the right factor by degree, so the inner loop stops at trunc
-        right = sorted(((sum(e), e, c) for e, c in right), key=itemgetter(0))
+        # the right terms come in order of degree: stop at trunc
         for e1, c1 in left:
             room = trunc - sum(e1)
             for d2, e2, c2 in right:
@@ -418,14 +450,15 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
                                          b.trunc, b.order()))
         if c and a.terms and b.terms:
             da, left = _numerators(a.terms)
-            db, right = _numerators(b.terms)
+            db, right, _, _ = numerator_layout(b)
             parts.append((c, da * db, left, right))
     return sum_of_numerator_products(dim, trunc, parts)
 
 
 def sum_of_numerator_products(dim: int, trunc, parts) -> Series:
     """sum c * left * right / d over (c, d, left, right) parts, with int c
-    and d and int numerator lists [(e, n)] as factors, through total degree
+    and d, a left factor [(e, n)] and a right one in the items of a
+    numerator layout, as ``_convolve`` reads them, through total degree
     ``trunc``, which the caller certifies: the series of
     ``numerator_products``."""
     acc, den = numerator_products(trunc, parts)
@@ -445,22 +478,25 @@ def numerator_products(trunc, parts) -> tuple[dict[Exponent, int], int]:
     return _convolve(trunc, pairs), den
 
 
-def diff_numerators(s: Series, alpha: Exponent):
-    """d_alpha s as (D, [(e, n)], trunc, order), the one numerator layout:
-    its terms as int numerators over D, the common denominator of ``s``'s
-    coefficients, with the falling factorials folded into each n, and its
-    trunc and order.  No Fraction is built; ``Series.diff`` divides it
+def diff_numerators(layout, alpha: Exponent):
+    """d_alpha of a series in the numerator layout, in that layout: the
+    same D, the falling factorials folded into each n, the trunc lowered by
+    |alpha| down to -1, and the terms in the order they come in, since each
+    drops by |alpha|.  No Fraction is built; ``Series.diff`` divides it
     out."""
-    trunc = max(s.trunc - sum(alpha), -1)
-    den, items = _numerators(s.terms)
+    den, items, trunc, order = layout
+    w = sum(alpha)
+    trunc = max(trunc - w, -1)
     if trunc < 0:
         return den, [], trunc, INFINITE
-    # every term of s is of degree <= s.trunc, so what survives is of
+    if not w:
+        # d_0 is the identity: the same terms
+        return den, items, trunc, order
+    # every term is of degree <= the layout's trunc, so what survives is of
     # degree <= trunc
-    terms = [(tuple(map(sub, e, alpha)), v) for e, c in items
+    terms = [(d - w, tuple(map(sub, e, alpha)), v) for d, e, c in items
              if (v := c * prod(map(perm, e, alpha)))]
-    return den, terms, trunc, min(map(sum, map(itemgetter(0), terms)),
-                                  default=INFINITE)
+    return den, terms, trunc, terms[0][0] if terms else INFINITE
 
 
 def product_trunc(ta, oa, tb, ob) -> int:

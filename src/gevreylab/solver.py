@@ -35,22 +35,29 @@ Two independent routes are provided:
   ``tests/test_solver.py``.  The two solvers are checked against each
   other by acceptance criterion 3.
 
-Each order's right side in ``solve_lifted`` (forcing, linear and
-nonlinear terms) is one ``sum_of_numerator_products`` call per unknown;
-each coefficient in it, as in ``lhs``, is split once per call into the
-numerator layout of ``diff_numerators``, and each monomial into its
-factors.  Its linear terms are grouped by (j, alpha), with one left factor
-per group and order and one numerator derivative (``diff_numerators``) per
-(l, unknown, alpha); the oracle does not group, and
-``tests/test_solver.py`` checks the grouped form against the per-term
-``sum_of_products`` loop it replaces, terms and truncs.
+``solve_lifted`` keeps every u_n, every derivative d_alpha u_l and every
+right side on int numerators, in the numerator layout of ``series``
+(``numerator_layout``): each order's right side (forcing, linear and
+nonlinear terms) is one ``numerator_products`` call per unknown, its
+int numerators over their denominator go straight to the solve by B,
+which returns u_n in the layout, reduced and in order of degree, and each
+d_alpha u_l is taken from that layout (``diff_numerators``).  The Series
+of u_n is built once, for the nonlinear terms and the result.  Each
+coefficient is split once per call, as in ``lhs``, and each monomial into
+its factors.  Its linear terms are grouped by (j, alpha), with one left
+factor per group and order and one derivative per (l, unknown, alpha);
+the oracle does not group, and ``tests/test_solver.py`` checks the grouped
+form against the per-term ``sum_of_products`` loop it replaces, terms,
+truncs and storage, on random problems, the registry's documents and a B
+that depends on x.
 
 Every linear step of the pipeline, one per order of ``solve_lifted``, is
-one solve B u = r by the kernel ``GradedSolve``: a product by B(0)^-1 and
-a degree-bucketed pass over the terms of B - B(0), without forming B^-1.
-``invert_series_matrix`` is a client of that kernel's unit-column solves
-(``GradedSolve.columns``).  ``tests/test_solver.py`` checks the kernel
-against a dense reference inverse applied to r, terms and truncs.
+one solve B u = r by the kernel ``GradedSolve``, on int numerators: a
+product by B(0)^-1 and a degree-bucketed pass over the terms of
+B - B(0), without forming B^-1.  ``invert_series_matrix`` is a client of
+that kernel's unit-column solves (``GradedSolve.columns``).
+``tests/test_solver.py`` checks the kernel against a dense reference
+inverse applied to r, terms and truncs.
 
 Both routes read P^j from ``ProblemSpec.power``, formed once per spec as
 the reduction asks; every other run of powers is one ``Series.powers``.
@@ -63,9 +70,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
-from math import lcm, prod
-from operator import add, sub
+from itertools import accumulate, product, repeat
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 from typing import Sequence
 
 from .diffops import DiffOperator, check_divisibility, faadibruno, stirling_first
@@ -95,6 +102,9 @@ from .series import (
     gauss_jordan,
     invert_rational_matrix,
     iter_exponents,
+    layout_series,
+    numerator_layout,
+    numerator_products,
     product_trunc,
     sum_of_numerator_products,
     sum_of_products,
@@ -220,19 +230,19 @@ class GradedSolve:
     T is the least trunc among the entries of M, X0 = M(0)^-1 and
     K_d = -X0 N_d for the degree-d part N_d of M - M(0), 0 < d <= T: one
     pass over the terms of M fills one dict per d and entry (i, j), then
-    int numerators.  A constant M costs one product by X0.  Otherwise
-    u = X0 r + K u is solved lowest degree first on a degree-bucketed
-    remainder, the long-division scheme of ``Series.divide_exact``: once
-    u_d is final, K_e u_d goes to degree d + e.  Row i is certified to
-    min_l product_trunc(T, o((M^-1)_il), r_l.trunc, o(r_l)), as a product
-    by the inverse is.  The orders of the inverse's entries come from the
-    zero pattern of X0 and, only where an order still unknown could lower
-    that bound, from the inverse itself, through T (``columns``).  Raises
-    SingularLinearPart when M(0) is singular and ValueError for an exact M
-    that is not constant."""
+    int numerators.  u = X0 r + K u is solved lowest degree first on a
+    degree-bucketed remainder, the long-division scheme of
+    ``Series.divide_exact``: once u_d is final, K_e u_d goes to degree
+    d + e.  A constant M has no K, so its solve is the product by X0.  Row
+    i is certified to min_l product_trunc(T, o((M^-1)_il), r_l.trunc,
+    o(r_l)), as a product by the inverse is.  The orders of the inverse's
+    entries come from the zero pattern of X0 (exactly, for a constant M)
+    and, only where an order still unknown could lower that bound, from
+    the inverse itself, through T (``columns``).  Raises SingularLinearPart
+    when M(0) is singular and ValueError for an exact M that is not
+    constant."""
 
-    __slots__ = ("dim", "n", "trunc", "constant", "dX", "X0", "dK", "K",
-                 "_columns")
+    __slots__ = ("dim", "n", "trunc", "dX", "X0", "dK", "K", "_columns")
 
     def __init__(self, M: SeriesMatrix):
         n = self.n = M.rows
@@ -255,9 +265,6 @@ class GradedSolve:
                         t[e] = t.get(e, 0) - X0[i][l] * c
         if K and trunc == INFINITE:
             raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
-        self.constant = SeriesMatrix([
-            [Series.constant(self.dim, self.trunc, v) for v in row]
-            for row in X0])
         # X0 = X0n / dX and K_e = Kn_e / dK on int numerators, with
         # dK^(e-1) folded into Kn_e (see ``solve``), zero terms dropped
         self.dX = lcm(*(v.denominator for row in X0 for v in row))
@@ -271,37 +278,55 @@ class GradedSolve:
                   for d, Kd in sorted(K.items())}
         self._columns = None
 
-    def solve(self, r: Sequence[Series]) -> Vector:
-        if not self.K:
-            return self.constant.apply(r)
-        truncs = self._truncs(r)
-        if all(s.is_zero for s in r):
-            return [Series._of(self.dim, t, ()) for t in truncs]
-        top = max((t for t in truncs if t != INFINITE), default=-1)
+    def solve(self, r: Sequence[tuple]) -> list[tuple]:
+        """u = M^-1 r for right sides r_l given as int numerators over their
+        denominator, (D_l, [(e, n)], trunc_l), the terms in any order and
+        zeros allowed.  Each u_i comes in the numerator layout, exactly as
+        ``numerator_layout`` gives it for the Series of u_i (D the lcm of
+        its reduced denominators): its row is brought to one denominator
+        and reduced once by the gcd of that and its numerators."""
+        # each term's degree, once
+        keyed = [[(sum(e), e, c) for e, c in items if c] for _, items, _ in r]
+        truncs = self._truncs([(t, min([d for d, _, _ in keys],
+                                       default=INFINITE))
+                               for (_, _, t), keys in zip(r, keyed)])
+        # the highest degree with a term of u: a row of infinite trunc is
+        # zero, or M is constant and u_i has no term above those of r
+        high = max((d for keys in keyed for d, _, _ in keys), default=-1)
+        if high < 0:
+            return [(1, [], t, INFINITE) for t in truncs]
+        top = max(high if t == INFINITE else t for t in truncs)
         n, X0, dK = self.n, self.X0, self.dK
-        # w_d = dX dr dK^d u_d is integral when dr clears the denominators
-        # of r: w_d = dK^d X0n rn_d + sum_e Kn_e dK^(e-1) w_(d-e)
-        dr = lcm(*(c.denominator for s in r for c in s.terms.values()))
-        scale = [dK ** d for d in range(top + 1)]
-        w = [[{} for _ in range(n)] for _ in range(top + 1)]
-        for l, s in enumerate(r):
-            for e, c in s.terms.items():
-                d = sum(e)
+        # w_d = dX dr dK^d u_d is integral for dr the lcm of the D_l:
+        # w_d = dK^d X0n rn_d + sum_e Kn_e dK^(e-1) w_(d-e), kept only for
+        # the degrees d that have terms
+        dr = lcm(*[den for den, _, _ in r])
+        scale = list(accumulate(repeat(dK, top), mul, initial=1))
+        w: dict[int, list[dict[Exponent, int]]] = {}
+        for l, ((den, _, _), keys) in enumerate(zip(r, keyed)):
+            to_dr = dr // den
+            for d, e, c in keys:
                 if d > top:
                     continue
-                c = c.numerator * (dr // c.denominator) * scale[d]
+                c *= to_dr * scale[d]
+                wd = w.get(d)
+                if wd is None:
+                    wd = w[d] = [{} for _ in range(n)]
                 for i in range(n):
                     if X0[i][l]:
-                        bucket = w[d][i]
+                        bucket = wd[i]
                         bucket[e] = bucket.get(e, 0) + X0[i][l] * c
-        for d in range(top + 1):
-            wd = w[d]
-            if not any(wd):
+        # K u_d goes to the degrees above d; a constant M has no K
+        for d in range(top + 1 if self.K else 0):
+            wd = w.get(d)
+            if wd is None:
                 continue
             for shift, Kd in self.K.items():
                 if d + shift > top:
                     break
-                target = w[d + shift]
+                target = w.get(d + shift)
+                if target is None:
+                    target = w[d + shift] = [{} for _ in range(n)]
                 for i, l, terms in Kd:
                     source = wd[l]
                     if not source:
@@ -311,15 +336,29 @@ class GradedSolve:
                         for e2, c2 in terms:
                             e = tuple(map(add, e1, e2))
                             bucket[e] = get(e, 0) + c1 * c2
-        den = [self.dX * dr * s for s in scale]
-        return [Series._of(self.dim, t, [
-            (e, Fraction(c, den[d])) for d in range(min(t, top) + 1)
-            for e, c in w[d][i].items() if c])
-            for i, t in enumerate(truncs)]
+        degrees = sorted(w)
+        out = []
+        for i, t in enumerate(truncs):
+            # degree d is over dX dr dK^d: bring the row to one D, reduced
+            # by the gcd of D and its numerators
+            last = min(t, top)
+            items = [(d, e, c * scale[last - d]) for d in degrees if d <= last
+                     for e, c in w[d][i].items() if c]
+            if not items:
+                out.append((1, [], t, INFINITE))
+                continue
+            den = self.dX * dr * scale[last]
+            g = gcd(den, *[c for _, _, c in items])
+            if g > 1:
+                den //= g
+                items = [(d, e, c // g) for d, e, c in items]
+            out.append((den, items, t, items[0][0]))
+        return out
 
-    def _truncs(self, r: Sequence[Series]) -> list[int]:
+    def _truncs(self, right: Sequence[tuple[int, int]]) -> list[int]:
+        """The certified degree of each row, from each r_l's (trunc,
+        order)."""
         T, n = self.trunc, self.n
-        right = [(s.trunc, s.order()) for s in r]
 
         def bounds(o, D, t, order):
             """Least and greatest certified degree of (M^-1)_il r_l over
@@ -342,25 +381,29 @@ class GradedSolve:
                             min(hi for _, hi in pairs)))
             return out
 
-        # the orders at degree 0, from X0; where a row does not settle, the
-        # orders through T, which settle every row
-        truncs = rows(lambda i, l: 0 if self.X0[i][l] else None, 0)
+        # the orders at degree 0, from X0, and through T when M is
+        # constant; where a row does not settle, the orders through T, which
+        # settle every row
+        truncs = rows(lambda i, l: 0 if self.X0[i][l] else None,
+                      0 if self.K else T)
         if any(lo != hi for lo, hi in truncs):
             columns = self.columns()
-            truncs = rows(lambda i, l: None if columns[l][i].is_zero
-                          else columns[l][i].order(), T)
+            truncs = rows(lambda i, l: None if columns[l][i][3] == INFINITE
+                          else columns[l][i][3], T)
         return [lo for lo, _ in truncs]
 
-    def columns(self) -> list[Vector]:
-        """The columns of M^-1, column j the solve of the unit column e_j of
-        constants certified to T, so every entry is certified to T; formed
-        once.  Each row of such a solve settles at degree 0: the 1 of e_j
-        caps it at T, and each zero of e_j bounds it below by T."""
+    def columns(self) -> list[list[tuple]]:
+        """The columns of M^-1 in the numerator layout, column j the solve
+        of the unit column e_j of constants certified to T, so every entry
+        is certified to T; formed once.  Each row of such a solve settles
+        at degree 0: the 1 of e_j caps it at T, and each zero of e_j bounds
+        it below by T."""
         if self._columns is None:
             n, dim, T = self.n, self.dim, self.trunc
             self._columns = [
-                self.solve([Series.constant(dim, T, int(i == j))
-                            for i in range(n)]) for j in range(n)]
+                self.solve([(1, Series.constant(dim, T, int(i == j)).terms
+                             .items(), T) for i in range(n)])
+                for j in range(n)]
         return self._columns
 
 
@@ -368,7 +411,9 @@ def invert_series_matrix(M: SeriesMatrix) -> SeriesMatrix:
     """Exact inverse of a matrix with invertible constant part M(0), every
     entry certified to the least trunc T among the entries of M: the unit
     column solves of ``GradedSolve.columns``.  The solvers do not form it."""
-    return SeriesMatrix(list(zip(*GradedSolve(M).columns())))
+    return SeriesMatrix(list(zip(*(
+        [layout_series(M.dim, u) for u in column]
+        for column in GradedSolve(M).columns()))))
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +564,25 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     order n, with l = n - j, the members g_b with b <= l form one left
     factor sum_b l!/(l-b)! g_b over the lcm of the group's denominators,
     convolved once against d_alpha u_l.  Each d_alpha u_{l,i} is taken
-    once (``diff_numerators``) and dropped after order l + the largest j
-    of its alpha.  A row is certified to the least ``product_trunc`` over
+    once (``diff_numerators``), from the layout in which the solve by B
+    returned u_{l,i}, and dropped after order l + the largest j of its
+    alpha.  A row is certified to the least ``product_trunc`` over
     every member, as ``sum_of_products`` certifies its triples, never from
     the combined factor, whose order rises when its terms cancel."""
     dim, unknowns, k = eq.dim, eq.unknowns, eq.k
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
+    # each u_n in the numerator layout, as GradedSolve gives it, kept while
+    # a derivative may still be taken from it
+    layouts: list = [None] * k
     products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
-    # every coefficient as (D, numerators, trunc, order), and each
-    # monomial's factors, once per call
+    # every coefficient as (D, numerators, trunc, order), a left factor in
+    # the order of its terms, and each monomial's factors, once per call
     forcing = [(*_numerators(f.terms), f.trunc, f.order()) for f in eq.forcing]
-    one = [((0,) * dim, 1)]
+    one = [(0, (0,) * dim, 1)]
     nonlinear = {_factors(gamma): [(*_numerators(c.terms), c.trunc, c.order())
                                    for c in vec]
                  for gamma, vec in eq.nonlinear.items()}
@@ -548,6 +597,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                                      for e, c in g.terms.items()])
             for b, g in gs]
         last[alpha] = max(j, last.get(alpha, j))
+    reach = max(last.values(), default=0)
     derivatives: dict[tuple[int, Exponent], list] = {}
     for n in range(k, order + 1):
         # each row's right side sum c left right / d over its (c, d, left,
@@ -567,13 +617,13 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
             ds = derivatives.get((l, alpha))
             if ds is None:
                 w = sum(alpha)
-                for ul in us[l]:
-                    if w and ul.trunc - w < 0:
+                for _, _, t, _ in layouts[l]:
+                    if w and t - w < 0:
                         raise TruncationTooSmall(
                             f"order {n}: needs degree {w} derivative of a "
-                            f"series certified only to {ul.trunc}")
+                            f"series certified only to {t}")
                 ds = derivatives[(l, alpha)] = [diff_numerators(ul, alpha)
-                                                for ul in us[l]]
+                                                for ul in layouts[l]]
             acc = {}
             for b, _, _, nums in live:
                 scale = falling_factorial(l, b)
@@ -589,15 +639,23 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
             conv = _tail_monomial_coeff(us, factors, n, k, products)
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
-            d, right, t, o = *_numerators(conv.terms), conv.trunc, conv.order()
+            d, right, t, o = numerator_layout(conv)
             for i, (dc, left, ct, co) in enumerate(vec):
                 truncs[i] = min(truncs[i], product_trunc(ct, co, t, o))
                 if left and right:
                     parts[i].append((1, dc * d, left, right))
         for key in [key for key in derivatives if key[0] + last[key[1]] <= n]:
             del derivatives[key]
-        us.append(solve_B([sum_of_numerator_products(dim, t, p)
-                           for t, p in zip(truncs, parts)]))
+        rhs = []
+        for t, p in zip(truncs, parts):
+            acc, den = numerator_products(t, p)
+            rhs.append((den, acc.items(), t))
+        un = solve_B(rhs)
+        layouts.append(un)
+        us.append([layout_series(dim, u) for u in un])
+        # u_l is read last at order l + the largest j
+        if n >= reach:
+            layouts[n - reach] = None
     return us
 
 
@@ -1090,13 +1148,14 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
     n* is derived beyond which diagonal dominance makes failure impossible;
     otherwise only a partial check up to ``user_bound`` is possible."""
     k = problem.order
-    lambdas: dict[int, Fraction] = {}
+    lambdas: dict[int, Rational] = {}
     for pos, L in enumerate(problem.operators):
         j = pos + 1
-        if L is None:
-            lambdas[j] = Fraction(0)
-        else:
-            lambdas[j] = L.star(problem.P).constant_term()
+        lambdas[j], trunc = (0, 0) if L is None else L.star_at_zero(problem.P)
+        if trunc < 0:
+            raise TruncationTooSmall(
+                f"L_{j}*(P) is certified only to degree {trunc}, so "
+                f"L_{j}*(P)(0) is unknown")
     A0 = [[Fraction(v) for v in row] for row in problem.A.constant_part()]
     N = len(A0)
     row_norm = max(sum(abs(v) for v in row) for row in A0) if N else Fraction(0)

@@ -155,7 +155,7 @@ def test_apply_equals_its_fold():
             {e: (type(c), c) for e, c in want.terms.items()}
         den, items, trunc, order_ = L.apply_numerators(f)
         assert trunc == want.trunc and order_ == want.order()
-        assert {e: Fraction(n, den) for e, n in items} == want.terms
+        assert {e: Fraction(n, den) for _, e, n in items} == want.terms
         seen["empty"] += not L.terms
         seen["zero coefficient"] += any(
             c.is_zero and c.trunc < 8 for c in L.terms.values())

@@ -14,7 +14,7 @@ from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, diff_numerators,
                               format_rational, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
-                              json_text, sum_of_products)
+                              json_text, numerator_layout, sum_of_products)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -569,16 +569,19 @@ def test_diff_numerators_equals_diff():
         assert (want.terms, want.trunc) == (terms, want_trunc)
         assert all(type(c) is (int if c.denominator == 1 else Fraction)
                    for c in want.terms.values())
-        den, items, trunc, order = diff_numerators(s, alpha)
+        den, items, trunc, order = diff_numerators(numerator_layout(s), alpha)
         assert den == lcm(*[c.denominator for c in s.terms.values()])
-        assert all(type(n) is int and n for _, n in items)
-        got = {e: Fraction(n, den) for e, n in items}
+        assert all(type(n) is int and n for _, _, n in items)
+        assert [d for d, _, _ in items] == sorted(sum(e) for _, e, _ in items)
+        got = {e: Fraction(n, den) for _, e, n in items}
         assert (got, trunc, order) == (want.terms, want.trunc, want.order())
         killed += want.is_zero and not s.is_zero
     assert killed > 20, killed
     x = Series(2, 5, {(3, 1): Fraction(1, 6), (0, 2): 4})
-    assert diff_numerators(x, (2, 0)) == (6, [((1, 1), 6)], 3, 2)
-    assert diff_numerators(x, (0, 0)) == (6, [((3, 1), 1), ((0, 2), 24)], 5, 2)
+    x = numerator_layout(x)
+    assert x == (6, [(2, (0, 2), 24), (4, (3, 1), 1)], 5, 2)
+    assert diff_numerators(x, (2, 0)) == (6, [(2, (1, 1), 6)], 3, 2)
+    assert diff_numerators(x, (0, 0)) == x
     assert diff_numerators(x, (3, 3)) == (6, [], -1, INFINITE)
 
 

@@ -17,9 +17,10 @@ from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, exp_binomial,
-                              falling_factorial, gauss_jordan,
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, _numerators,
+                              exp_binomial, falling_factorial, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
+                              layout_series, numerator_layout,
                               sum_of_products, unit_exp)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
@@ -509,9 +510,8 @@ def _lifted_k2(nonlinear):
 
 
 def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
-    # every part of an order's right side goes into one
-    # sum_of_numerator_products call per unknown: no intermediate sum or
-    # scaled product is formed
+    # every part of an order's right side goes into one numerator_products
+    # call per unknown: no intermediate sum or scaled product is formed
     counts = {"__add__": 0, "scale": 0}
     for name in counts:
         method = getattr(Series, name)
@@ -524,12 +524,12 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
     # nonlinear terms (_tail_monomial_coeff, which recurses through its
     # module name)
     calls, inside = [], []
-    kernel, tail = solver.sum_of_numerator_products, solver._tail_monomial_coeff
+    kernel, tail = solver.numerator_products, solver._tail_monomial_coeff
 
-    def counting_kernel(dim, trunc, parts):
+    def counting_kernel(trunc, parts):
         if not inside:
             calls.append(len(parts))
-        return kernel(dim, trunc, parts)
+        return kernel(trunc, parts)
 
     def marked_tail(*args):
         inside.append(1)
@@ -537,7 +537,7 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
             return tail(*args)
         finally:
             inside.pop()
-    monkeypatch.setattr(solver, "sum_of_numerator_products", counting_kernel)
+    monkeypatch.setattr(solver, "numerator_products", counting_kernel)
     monkeypatch.setattr(solver, "_tail_monomial_coeff", marked_tail)
     for nonlinear in (False, True):
         eq = _lifted_k2(nonlinear)
@@ -551,6 +551,13 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
         assert max(calls) == 3 + 2 * nonlinear, calls
 
 
+def _solve_series(kernel, r):
+    """``kernel.solve`` on Series: each r_l as int numerators over its
+    denominator, and each u_i the Series of its layout."""
+    return [layout_series(kernel.dim, u) for u in
+            kernel.solve([(*_numerators(s.terms), s.trunc) for s in r])]
+
+
 def _reference_solve_lifted(eq, order, degree):
     """The order recurrence with one ``sum_of_products`` triple per linear
     key and unknown, (l!/(l-b)!, g, u_l.diff(alpha)): the per-term loop
@@ -560,7 +567,7 @@ def _reference_solve_lifted(eq, order, degree):
           for _ in range(k)]
     products = {((), 0): Series.constant(dim, degree, 1)}
     one = Series.constant(dim, INFINITE, 1)
-    solve_B = GradedSolve(eq.B).solve if order >= k else None
+    kernel = GradedSolve(eq.B) if order >= k else None
     for n in range(k, order + 1):
         rhs = [[] for _ in range(unknowns)]
         if n == k:
@@ -583,8 +590,8 @@ def _reference_solve_lifted(eq, order, degree):
                 continue
             for terms, c in zip(rhs, vec):
                 terms.append((1, c, conv))
-        us.append(solve_B([sum_of_products(dim, degree, terms)
-                           for terms in rhs]))
+        us.append(_solve_series(kernel, [sum_of_products(dim, degree, terms)
+                                         for terms in rhs]))
     return us
 
 
@@ -619,6 +626,91 @@ def test_solve_lifted_equals_the_per_term_recurrence():
         seen["several b"] += len(set(groups)) < len(groups)
     assert seen["several b"] >= 50 and seen["raised"] >= 1, seen
     assert seen["solved"] >= 300, seen
+
+
+def _stored_outcome(solve, eq, order, degree):
+    """Each order's terms, truncs and storage (``_stored``), or the message
+    of the TruncationTooSmall it raises."""
+    out = _outcome_lifted(solve, eq, order, degree)
+    return out if isinstance(out, str) else [_stored(vec) for vec in out]
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("eje3", {"degree": 20, "order": 10}),
+    ("ejeLast", {"k": 3, "degree": 12, "order": 8}),
+    ("eje1", {"degree": 20, "order": 10}),
+    ("eje4", {"degree": 12, "order": 6}),
+])
+def test_solve_lifted_equals_the_per_term_recurrence_on_registry_documents(
+        name, shape):
+    # the registry's lifted equations, whose B is constant: terms, truncs
+    # and int | Fraction storage of every order
+    run = parse_problem(build_document(name, shape)[0]).run()
+    eq = run.lifted
+    assert not any(sum(e) for row in eq.B.entries for c in row
+                   for e in c.terms)
+    want = _stored_outcome(_reference_solve_lifted, eq, run.order,
+                           run.working)
+    assert _stored_outcome(solve_lifted, eq, run.order, run.working) == want
+    assert any(terms for vec in want[eq.k:] for _, terms in vec)
+
+
+def _lifted_x_dependent_B():
+    """A 2x2 lifted equation whose B depends on x, with fractions in B, in
+    the forcing and in the linear terms."""
+    x1, x2 = Series.variable(2, 8, 0), Series.variable(2, 8, 1)
+    one = const(2, 8, 1)
+    B = SeriesMatrix([[one.scale(3) + x1.scale(Fraction(1, 2)), x2],
+                      [x1 * x2, one.scale(Fraction(-2, 5)) + x2]])
+    linear = {(1, 0, (0, 1)): x1.scale(Fraction(1, 3)),
+              (1, 1, (0, 0)): one.scale(Fraction(-3, 4)),
+              (2, 0, (1, 0)): x2 + x1.scale(2)}
+    forcing = [x1.scale(Fraction(1, 7)), x2 + x1 * x1]
+    return LiftedEquation(2, 2, 1, B, forcing, linear, {})
+
+
+def test_solve_lifted_equals_the_per_term_recurrence_with_an_x_dependent_B():
+    # both kinds of lifted equations with a B that depends on x, so the
+    # degree-bucketed pass of GradedSolve is checked as the constant B is
+    for eq in (_lifted_k2(False), _lifted_k2(True), _lifted_x_dependent_B()):
+        assert any(sum(e) for row in eq.B.entries for c in row
+                   for e in c.terms)
+        want = _stored_outcome(_reference_solve_lifted, eq, 6, 8)
+        assert _stored_outcome(solve_lifted, eq, 6, 8) == want
+        assert any(terms for vec in want[eq.k:] for _, terms in vec)
+
+
+def test_solve_lifted_builds_a_fraction_only_for_a_coefficient_of_u_n():
+    # a linear equation with a constant B: past GradedSolve's own inverse
+    # of B(0), the only Fractions are the coefficients of the u_n, one per
+    # nonzero coefficient of a u_n whose numerator layout has D > 1
+    x1, x2 = Series.variable(2, 8, 0), Series.variable(2, 8, 1)
+    one = const(2, 8, 1)
+    B = SeriesMatrix([[one.scale(3), one.scale(Fraction(1, 2))],
+                      [Series.zero(2, 8), one.scale(Fraction(-2, 5))]])
+    eq = LiftedEquation(2, 2, 1, B, [x1.scale(Fraction(1, 7)), x2 + x1 * x1],
+                        {(1, 0, (0, 1)): x1.scale(Fraction(1, 3)),
+                         (1, 1, (0, 0)): one.scale(Fraction(-3, 4)),
+                         (2, 0, (1, 0)): x2 + x1.scale(2)}, {})
+    built = [0]
+    real = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return real.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        GradedSolve(eq.B)
+        setup, built[0] = built[0], 0
+        us = solve_lifted(eq, 6, 8)
+        solving = built[0]
+    finally:
+        Fraction.__new__ = real
+    fractional = sum(len(s.terms) for vec in us for s in vec
+                     if numerator_layout(s)[0] > 1)
+    assert fractional > 20
+    assert solving == setup + fractional
 
 
 def _lifted_scalar(linear, forcing, nonlinear=None, k=1, trunc=8):
@@ -672,26 +764,30 @@ def test_solve_lifted_takes_each_derivative_once_and_drops_it(monkeypatch):
     class Held(list):
         """A derivative that a weak reference can watch."""
 
-    taken, snapshots = [], []
+    taken, snapshots, solved = [], [], []
     kernel, solve = solver.diff_numerators, GradedSolve.solve
 
-    def watched(s, alpha):
-        out = Held(kernel(s, alpha))
-        taken.append((s, alpha, weakref.ref(out)))
+    def watched(layout, alpha):
+        out = Held(kernel(layout, alpha))
+        taken.append((layout, alpha, weakref.ref(out)))
         return out
 
     def solve_order(self, r):
         snapshots.append([ref() is not None for _, _, ref in taken])
-        return solve(self, r)
+        solved.append(solve(self, r))
+        return solved[-1]
     monkeypatch.setattr(solver, "diff_numerators", watched)
     monkeypatch.setattr(GradedSolve, "solve", solve_order)
     for nonlinear in (False, True):
         eq = _lifted_k2(nonlinear)
         taken.clear()
         snapshots.clear()
+        solved.clear()
         us = solve_lifted(eq, 6, 8)
         assert diffs == []
-        where = {id(s): (l, i) for l, vec in enumerate(us)
+        # each derivative is taken from the layout of u_l that the solve
+        # of order l returned
+        where = {id(s): (l, i) for l, vec in enumerate(solved, start=eq.k)
                  for i, s in enumerate(vec)}
         keys = [(*where[id(s)], alpha) for s, alpha, _ in taken]
         assert len(keys) == len(set(keys))
@@ -1647,6 +1743,70 @@ def test_poincare_inconclusive():
     assert verdict.partial and verdict.ok
 
 
+def test_poincare_refuses_an_unknown_lambda():
+    # c is known to no degree, so lambda_1 = L_1*(P)(0) = 2 c(0) + 2 is
+    # unknown: it may not be read as 2, with or without a user bound
+    P = Series(2, 8, {(1, 0): 2, (0, 1): -1})
+    L1 = DiffOperator(2, 1, {(1, 0): Series.zero(2, -1),
+                             (0, 1): const(2, 8, -2)})
+    prob = ProblemSpec(2, 1, 1, P, [L1], [Series.variable(2, 8, 0)],
+                       scalar_matrix(2, 8, -1), {})
+    for bound in (None, 16):
+        with pytest.raises(TruncationTooSmall):
+            check_poincare(prob, user_bound=bound)
+
+
+def test_star_at_zero_is_the_constant_term_of_star(monkeypatch):
+    # seeded draws, each operator's coefficients and P cut to low truncs:
+    # star_at_zero certifies L*(P) to the trunc that star gives it and,
+    # where that is >= 0, gives its constant term with the same storage;
+    # check_poincare reads it and forms no L_j*(P)
+    rng = random.Random(2820)
+    draws = (random_admissible_problem, random_weighted_problem,
+             instances.random_dense_problem)
+    seen = {"certified": 0, "uncertified": 0, "fraction": 0}
+    specs = []
+    for case in range(120):
+        prob = draws[case % 3](rng)
+        specs.append(prob)
+        for cut in range(4):
+            P = prob.P
+            if cut:
+                P = P.truncate(rng.randint(P.order(), P.order() + 3))
+            for L in prob.operators:
+                if L is None:
+                    continue
+                if cut:
+                    L = DiffOperator(L.dim, L.order, {
+                        a: c.truncate(rng.randint(-1, 3))
+                        for a, c in L.terms.items()})
+                star = L.star(P)
+                value, trunc = L.star_at_zero(P)
+                assert trunc == star.trunc
+                if trunc < 0:
+                    seen["uncertified"] += 1
+                    continue
+                want = star.constant_term()
+                assert (type(value), value) == (type(want), want)
+                seen["certified"] += 1
+                seen["fraction"] += type(value) is Fraction
+    assert min(seen.values()) >= 20, seen
+    # a draw with an L_j*(P) certified below degree 0 has an unknown lambda
+    stars = [[L and L.star(prob.P) for L in prob.operators] for prob in specs]
+    want = [None if any(s and s.trunc < 0 for s in row) else
+            {j + 1: s.constant_term() if s else 0 for j, s in enumerate(row)}
+            for row in stars]
+    assert 0 < want.count(None) < len(want) // 2
+    monkeypatch.setattr(DiffOperator, "star", None)
+    got = []
+    for prob in specs:
+        try:
+            got.append(check_poincare(prob, user_bound=4).lambdas)
+        except TruncationTooSmall:
+            got.append(None)
+    assert got == want
+
+
 def test_poincare_computes_one_determinant_per_distinct_s(monkeypatch):
     # divergent route: L_1 = x d_x against P = x gives lambda_1 = 0, so
     # s(n) = 0 for n = 0..16 and det(-A(0)) is computed once; a singular
@@ -1873,7 +2033,7 @@ def test_graded_solve_equals_the_inverse_applied(monkeypatch):
         inverse = _reference_inverse(M)
         for _ in range(3):
             r = [_right_side(rng, dim) for _ in range(n)]
-            assert kernel.solve(r) == inverse.apply(r), (M.entries, r)
+            assert _solve_series(kernel, r) == inverse.apply(r), (M.entries, r)
             zero_sides += bool(kernel.K) and all(s.is_zero for s in r)
         settled_late += kernel._columns is not None
     # some truncs needed the orders of inverse entries above degree 0, and
@@ -1891,7 +2051,7 @@ def test_graded_solve_singular_and_exact_matrices():
                                                  {(0,): 1, (1,): 1})]]))
     exact = SeriesMatrix([[const(2, float("inf"), 2)]])
     r = [Series(2, float("inf"), {(1, 0): 1})]
-    assert solver.GradedSolve(exact).solve(r) == \
+    assert _solve_series(solver.GradedSolve(exact), r) == \
         _reference_inverse(exact).apply(r)
 
 

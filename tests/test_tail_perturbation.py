@@ -14,8 +14,8 @@ import gevreylab.solver as solver
 from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, InputError,
                               SingularLinearPart, TruncationTooSmall)
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, iter_exponents,
-                              sum_of_products)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, _numerators,
+                              iter_exponents, layout_series, sum_of_products)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               invert_series_matrix, solve_direct,
                               solve_implicit, solve_lifted)
@@ -93,8 +93,9 @@ def _invert_series_matrix(rng, dim):
 def _graded_solve(rng, dim):
     n = rng.randint(1, 2)
     inputs = [_series(rng, dim) for _ in range(n * n + n)]
-    return inputs, lambda *s: GradedSolve(_unflatten(s[:n * n], n)).solve(
-        s[n * n:])
+    return inputs, lambda *s: [
+        layout_series(dim, u) for u in GradedSolve(_unflatten(s[:n * n], n))
+        .solve([(*_numerators(r.terms), r.trunc) for r in s[n * n:]])]
 
 
 def _matrix_apply(rng, dim):
