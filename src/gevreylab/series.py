@@ -16,9 +16,11 @@ put in this layout once, where it is formed, so the convolution's inner
 loop stops at ``trunc`` without sorting a factor or summing an exponent
 per pair; a derivative (``diff_numerators``) is taken from a layout and
 keeps its order, since every term drops by |alpha|.  The left side of the
-equation and the order recurrence run on such layouts, and a Series is
-built from one only where it is needed (``layout_series``).  Every
-operation propagates ``trunc``
+equation, the order recurrence and the graded powers y^gamma of both
+solvers run on such layouts, and a Series is built from one only where it
+is needed (``layout_series``).  A layout formed from a sum of products is
+reduced by the gcd of its D and numerators (``reduce_layout``), which
+gives the D of ``numerator_layout``.  Every operation propagates ``trunc``
 pessimistically and none raises it (``truncate`` only lowers it), so
 ``trunc`` doubles as the certified degree of the value: coefficients of
 total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, inf, lcm, perm, prod
+from math import comb, gcd, inf, lcm, perm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -397,6 +399,17 @@ def _layout(den: int, items: Iterable[tuple[Exponent, int]], trunc):
     put in order of degree."""
     items = sorted([(sum(e), e, n) for e, n in items if n], key=itemgetter(0))
     return den, items, trunc, items[0][0] if items else INFINITE
+
+
+def reduce_layout(layout):
+    """A numerator layout divided through by g = gcd(D, *numerators), so
+    that D is the lcm of the reduced denominators, as ``numerator_layout``
+    gives it for the layout's Series; an empty layout gets D = 1."""
+    den, items, trunc, order = layout
+    g = gcd(den, *[n for _, _, n in items])
+    if g == 1:
+        return layout
+    return den // g, [(d, e, n // g) for d, e, n in items], trunc, order
 
 
 def layout_series(dim: int, layout) -> Series:

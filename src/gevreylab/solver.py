@@ -17,23 +17,30 @@ Two independent routes are provided:
   without forming the products; lhs(y) - f - A y is kept by degree, each
   read once.  It is used to cross-check the pipeline, so each solver keeps
   its own recurrence.  They share these kernels only: ``Series.__mul__``;
-  ``sum_of_products`` (``eval_poly_map``, ``_shift_poly_map``, the oracle's
-  [H(y)]_n and, by ``SeriesMatrix.apply``, its sparse branch's A(0)^-1 r),
-  checked against a plain fold of ``+`` over scaled products by
+  ``sum_of_products`` (``eval_poly_map``, ``_shift_poly_map`` and, by
+  ``SeriesMatrix.apply``, the oracle's sparse-branch A(0)^-1 r), checked
+  against a plain fold of ``+`` over scaled products by
   ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; its
   integer core ``numerator_products`` and ``diff_numerators``, which form
   ``lhs`` on numerators (``DiffOperator.apply_numerators``), checked
   against folds of ``Series.diff``, ``*`` and ``+`` by
   ``tests/test_diffops.py::test_apply_equals_its_fold`` and
-  ``tests/test_solver.py::test_lhs_with_several_alphas_equals_the_fold``;
-  and ``_tail_monomial_coeff``, which forms the graded parts of y^gamma from
-  cached lower parts (grade t^n in the pipeline, total degree n in the
-  oracle): a single factor is its own grade-m part, cut to its product's
-  trunc, and a square takes each unordered pair of grades once.  It is
-  checked against plain products in both gradings, and against the plain
-  prefix recurrence in terms, truncs and storage, in
-  ``tests/test_solver.py``.  The two solvers are checked against each
-  other by acceptance criterion 3.
+  ``tests/test_solver.py::test_lhs_with_several_alphas_equals_the_fold``,
+  and of which ``numerator_products`` also forms the oracle's [H(y)]_n,
+  one call per unknown; and ``_tail_monomial_coeff``, which forms the
+  graded parts of y^gamma from cached lower parts (grade t^n in the
+  pipeline, total degree n in the oracle), on the numerator layout of
+  ``series``: it reads each part of y as a layout and caches each product
+  as one ``numerator_products`` result, reduced by the gcd of its D and
+  numerators and in order of degree, so exactly ``numerator_layout`` of
+  its Series, and no Series or Fraction is built.  A single factor is its
+  own grade-m part, cut to its product's trunc, and a square takes each
+  unordered pair of grades once.  It is checked against plain products in
+  both gradings, against the plain prefix recurrence in terms, truncs and
+  storage, and for the layout it caches, in ``tests/test_solver.py``.  The
+  oracle puts each solved degree part in the layout once, when it is
+  solved.  The two solvers are checked against each other by acceptance
+  criterion 3.
 
 ``solve_lifted`` keeps every u_n, every derivative d_alpha u_l and every
 right side on int numerators, in the numerator layout of ``series``
@@ -41,8 +48,11 @@ right side on int numerators, in the numerator layout of ``series``
 nonlinear terms) is one ``numerator_products`` call per unknown, its
 int numerators over their denominator go straight to the solve by B,
 which returns u_n in the layout, reduced and in order of degree, and each
-d_alpha u_l is taken from that layout (``diff_numerators``).  The Series
-of u_n is built once, for the nonlinear terms and the result.  Each
+d_alpha u_l is taken from that layout (``diff_numerators``).  The
+nonlinear terms read the graded powers of the u_n from the same layouts
+(``_tail_monomial_coeff``), so the Series of u_n is built once, for the
+result.  A layout is kept for good when the equation has nonlinear terms,
+and otherwise dropped after its last derivative is taken.  Each
 coefficient is split once per call, as in ``lhs``, and each monomial into
 its factors.  Its linear terms are grouped by (j, alpha), with one left
 factor per group and order and one derivative per (l, unknown, alpha);
@@ -71,7 +81,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, product, repeat
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -93,6 +103,7 @@ from .series import (
     Series,
     SeriesMatrix,
     _det,
+    _layout,
     _numerators,
     diff_numerators,
     exp_binomial,
@@ -106,6 +117,7 @@ from .series import (
     numerator_layout,
     numerator_products,
     product_trunc,
+    reduce_layout,
     sum_of_numerator_products,
     sum_of_products,
     unit_exp,
@@ -344,15 +356,8 @@ class GradedSolve:
             last = min(t, top)
             items = [(d, e, c * scale[last - d]) for d in degrees if d <= last
                      for e, c in w[d][i].items() if c]
-            if not items:
-                out.append((1, [], t, INFINITE))
-                continue
-            den = self.dX * dr * scale[last]
-            g = gcd(den, *[c for _, _, c in items])
-            if g > 1:
-                den //= g
-                items = [(d, e, c // g) for d, e, c in items]
-            out.append((den, items, t, items[0][0]))
+            out.append(reduce_layout((self.dX * dr * scale[last], items, t,
+                                      items[0][0] if items else INFINITE)))
         return out
 
     def _truncs(self, right: Sequence[tuple[int, int]]) -> list[int]:
@@ -574,15 +579,16 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
     ]
     # each u_n in the numerator layout, as GradedSolve gives it, kept while
-    # a derivative may still be taken from it
+    # a derivative may still be taken from it, and for good when the
+    # nonlinear terms read it
     layouts: list = [None] * k
-    products = {((), 0): Series.constant(dim, degree, 1)}
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
     # every coefficient as (D, numerators, trunc, order), a left factor in
     # the order of its terms, and each monomial's factors, once per call
     forcing = [(*_numerators(f.terms), f.trunc, f.order()) for f in eq.forcing]
     one = [(0, (0,) * dim, 1)]
+    products = {((), 0): (1, one, degree, 0)}
     nonlinear = {_factors(gamma): [(*_numerators(c.terms), c.trunc, c.order())
                                    for c in vec]
                  for gamma, vec in eq.nonlinear.items()}
@@ -636,10 +642,10 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                 if left and right:
                     parts[i].append((1, den * d, left, right))
         for factors, vec in nonlinear.items():
-            conv = _tail_monomial_coeff(us, factors, n, k, products)
-            if conv is None or (conv.is_zero and conv.trunc >= degree):
+            conv = _tail_monomial_coeff(layouts, factors, n, k, products)
+            if conv is None or (not conv[1] and conv[2] >= degree):
                 continue
-            d, right, t, o = numerator_layout(conv)
+            d, right, t, o = conv
             for i, (dc, left, ct, co) in enumerate(vec):
                 truncs[i] = min(truncs[i], product_trunc(ct, co, t, o))
                 if left and right:
@@ -654,7 +660,7 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
         layouts.append(un)
         us.append([layout_series(dim, u) for u in un])
         # u_l is read last at order l + the largest j
-        if n >= reach:
+        if n >= reach and not nonlinear:
             layouts[n - reach] = None
     return us
 
@@ -686,32 +692,42 @@ def _factors(gamma: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, g in enumerate(gamma) for _ in range(g))
 
 
-def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
-                         k: int, products: dict) -> Series | None:
+def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
+                         products: dict) -> tuple | None:
     """Grade-m part of prod_r (sum_{l>=k} u_{l,factors[r]}), where u_l is
     homogeneous of grade l and k is the lowest grade with a nonzero part,
     or None when no term reaches grade m: the sum over l of the head's
     grade-(m-l) part times u_{l,factors[-1]}.  The grade is the power of t
     in ``solve_lifted`` and the total degree in x, with k = 1, in
-    ``solve_direct``.  Cached in ``products`` by (factors, m) from the empty
-    product, 1 at ((), 0); with two or more factors it reads only u_l with
+    ``solve_direct``.  Each u_{l,i} and each part is a numerator layout
+    (``series``), the parts reduced by the gcd of D and their numerators
+    (``reduce_layout``) and in order of degree, so a part is exactly
+    ``numerator_layout`` of its Series.  Cached in ``products`` by
+    (factors, m) from the empty product, 1 at ((), 0), whose trunc is the
+    base trunc; with two or more factors it reads only u_l with
     l <= m - k, so it is final once those are.
 
     One factor is u_m itself, cut to the trunc of its product by 1.  A
     square u_i^2 takes each unordered pair of grades once, with c = 2 off
     the diagonal: both orders give the same product and trunc.  Longer
-    monomials keep their prefix order, which fixes their truncs."""
+    monomials keep their prefix order, which fixes their truncs.  A part
+    of two or more factors is one ``numerator_products`` call, certified
+    to the least ``product_trunc`` of its pairs; a factor zero only below
+    the base trunc still bounds what it feeds."""
     key = (factors, m)
     if key in products:
         return products[key]
     head, i = factors[:-1], factors[-1]
-    # a factor zero only below the base trunc still bounds what it feeds
-    base = products[((), 0)]
+    base = products[((), 0)][2]
     if not head:
-        u = us[m][i]
-        out = products[key] = (
-            None if u.is_zero and u.trunc >= base.trunc else
-            u.truncate(product_trunc(base.trunc, 0, u.trunc, u.order())))
+        den, items, trunc, order = out = us[m][i]
+        if not items and trunc >= base:
+            out = None
+        elif (cut := product_trunc(base, 0, trunc, order)) < trunc:
+            items = [item for item in items if item[0] <= cut]
+            out = reduce_layout(
+                (den, items, cut, items[0][0] if items else INFINITE))
+        products[key] = out
         return out
     square = head == (i,)
     if len(head) > 1:
@@ -722,24 +738,31 @@ def _tail_monomial_coeff(us: list[Vector], factors: tuple[int, ...], m: int,
             pre, j = pre[:-1], pre[-1]
             grades = sorted({d for g in grades
                              for d in range(k * len(pre), g - k + 1)
-                             if not (us[g - d][j].is_zero
-                                     and us[g - d][j].trunc >= base.trunc)
+                             if (us[g - d][j][1] or us[g - d][j][2] < base)
                              and (pre, d) not in products})
             levels.append((pre, grades))
         for pre, grades in reversed(levels):
             for d in grades:
                 _tail_monomial_coeff(us, pre, d, k, products)
-    terms = []
+    found, trunc, parts = False, INFINITE, []
     # the head's product starts at grade k |head|
     for d in range(k * len(head), (m // 2 if square else m - k) + 1):
-        u = us[m - d][i]
-        if u.is_zero and u.trunc >= base.trunc:
+        du, right, tu, ou = us[m - d][i]
+        if not right and tu >= base:
             continue
         prev = _tail_monomial_coeff(us, head, d, k, products)
-        if prev is not None:
-            terms.append((2 if square and 2 * d < m else 1, prev, u))
-    out = products[key] = (
-        sum_of_products(base.dim, INFINITE, terms) if terms else None)
+        if prev is None:
+            continue
+        dp, left, tp, op = prev
+        found, trunc = True, min(trunc, product_trunc(tp, op, tu, ou))
+        if left and right:
+            parts.append((2 if square and 2 * d < m else 1, dp * du,
+                          [(e, n) for _, e, n in left], right))
+    out = None
+    if found:
+        acc, den = numerator_products(trunc, parts)
+        out = reduce_layout(_layout(den, acc.items(), trunc))
+    products[key] = out
     return out
 
 
@@ -926,8 +949,10 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     # per unknown: each solved part delta adds lhs(delta) - A delta, of
     # degree >= n, and degree n is read once, as the right side's linear
     # part.  [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m} [y^gamma]_m is
-    # formed from parts[d], the degree-d part of y, d < n, the products
-    # cached in ``products`` and each c_gamma split by degree once
+    # one numerator_products call per unknown over layouts[d], the
+    # degree-d part of y, d < n, in the numerator layout, the products
+    # cached in ``products`` as layouts and each c_gamma split by degree
+    # into int numerators once
     buckets = [{} for _ in range(unknowns)]  # degree -> exponent -> coef
     truncs = [working] * unknowns
 
@@ -944,27 +969,31 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
 
     collect(prob.f, sub, 0)
     parts = [[Series.zero(dim, working)] * unknowns]
-    products = {((), 0): Series.constant(dim, working, 1)}
-    H = [(_factors(gamma), [[c.homogeneous(d) for d in range(degree + 1)]
+    layouts = [None]
+    one = [(0, (0,) * dim, 1)]
+    products = {((), 0): (1, one, working, 0)}
+    H = [(_factors(gamma), [[(*_numerators(h.terms), h.trunc, h.order())
+                             for h in map(c.homogeneous, range(degree + 1))]
                             for c in vec]) for gamma, vec in prob.H.items()]
-    one = Series.constant(dim, INFINITE, 1)
     for n in range(1, degree + 1):
         hy = [(split, m, ym) for factors, split in H
               for m in range(len(factors), n + 1)
-              if (ym := _tail_monomial_coeff(parts, factors, m, 1, products))
+              if (ym := _tail_monomial_coeff(layouts, factors, m, 1, products))
               is not None]
         rhs_vec = [Series._of(dim, t, b.pop(n, {}).items())
                    for t, b in zip(truncs, buckets)]
         if hy:
-            rhs_vec = [sum_of_products(dim, r.trunc, [(1, r, one), *(
-                (-1, split[i][n - m], ym) for split, m, ym in hy)])
-                for i, r in enumerate(rhs_vec)]
+            rhs_vec = [_minus_products(dim, r, [(split[i][n - m], ym)
+                                                for split, m, ym in hy])
+                       for i, r in enumerate(rhs_vec)]
         if systems is None:
             cert = min(working, *(r.trunc for r in rhs_vec))
             delta = [s.truncate(cert) for s in A0inv.apply(rhs_vec)]
         else:
             delta = systems.solve(n, rhs_vec)
         parts.append(delta)
+        if H:
+            layouts.append([numerator_layout(s) for s in delta])
         if min(s.trunc for s in delta) < n:
             # certified below n: every later degree would be cut off
             break
@@ -975,6 +1004,21 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     return [Series._of(dim, cert, [t for part in parts
                                    for t in part[i].terms.items()])
             for i in range(unknowns)]
+
+
+def _minus_products(dim: int, r: Series, pairs) -> Series:
+    """r - sum c y over (c, y) pairs of a c as (D, [(e, n)], trunc, order)
+    and a y in the numerator layout, one ``numerator_products`` call,
+    certified as ``sum_of_products`` certifies (1, r, 1) and each (-1, c,
+    y)."""
+    den, items = _numerators(r.terms)
+    trunc = r.trunc
+    parts = [(1, den, items, [(0, (0,) * dim, 1)])] if r.terms else []
+    for (dc, left, tc, oc), (dy, right, ty, oy) in pairs:
+        trunc = min(trunc, product_trunc(tc, oc, ty, oy))
+        if left and right:
+            parts.append((-1, dc * dy, left, right))
+    return sum_of_numerator_products(dim, trunc, parts)
 
 
 class _DegreeSystems:

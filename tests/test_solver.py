@@ -7,6 +7,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -20,7 +21,7 @@ from gevreylab.registry import build_document
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, _numerators,
                               exp_binomial, falling_factorial, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
-                              layout_series, numerator_layout,
+                              json_text, layout_series, numerator_layout,
                               sum_of_products, unit_exp)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
@@ -558,6 +559,22 @@ def _solve_series(kernel, r):
             kernel.solve([(*_numerators(s.terms), s.trunc) for s in r])]
 
 
+def _layouts(us):
+    """Each vector of Series in the numerator layouts that
+    ``_tail_monomial_coeff`` reads."""
+    return [[numerator_layout(s) for s in vec] for vec in us]
+
+
+def _base(dim, trunc):
+    """The kernel's empty product, 1 at the base trunc, as a layout."""
+    return {((), 0): numerator_layout(Series.constant(dim, trunc, 1))}
+
+
+def _part_series(dim, part):
+    """The Series of a part that ``_tail_monomial_coeff`` returns, or None."""
+    return None if part is None else layout_series(dim, part)
+
+
 def _reference_solve_lifted(eq, order, degree):
     """The order recurrence with one ``sum_of_products`` triple per linear
     key and unknown, (l!/(l-b)!, g, u_l.diff(alpha)): the per-term loop
@@ -565,7 +582,7 @@ def _reference_solve_lifted(eq, order, degree):
     dim, unknowns, k = eq.dim, eq.unknowns, eq.k
     us = [[Series.zero(dim, degree) for _ in range(unknowns)]
           for _ in range(k)]
-    products = {((), 0): Series.constant(dim, degree, 1)}
+    products = _base(dim, degree)
     one = Series.constant(dim, INFINITE, 1)
     kernel = GradedSolve(eq.B) if order >= k else None
     for n in range(k, order + 1):
@@ -584,8 +601,10 @@ def _reference_solve_lifted(eq, order, degree):
                         f"order {n}: needs degree {w} derivative of a series "
                         f"certified only to {ul.trunc}")
                 terms.append((falling_factorial(l, b), g, ul.diff(alpha)))
+        layouts = _layouts(us)
         for gamma, vec in eq.nonlinear.items():
-            conv = _tail_monomial_coeff(us, _factors(gamma), n, k, products)
+            conv = _part_series(dim, _tail_monomial_coeff(
+                layouts, _factors(gamma), n, k, products))
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
             for terms, c in zip(rhs, vec):
@@ -756,15 +775,17 @@ def test_solve_lifted_certifies_a_cancelling_group_from_its_members():
 
 def test_solve_lifted_takes_each_derivative_once_and_drops_it(monkeypatch):
     # no Series.diff; one diff_numerators per (l, i, alpha), and no
-    # derivative alive once its last reader, order l + max j, is done
+    # derivative alive once its last reader, order l + max j, is done; each
+    # u_l's layout goes with its last derivative, and stays for good when
+    # nonlinear terms read it
     diffs = []
     monkeypatch.setattr(Series, "diff",
                         lambda self, alpha: diffs.append(alpha))
 
     class Held(list):
-        """A derivative that a weak reference can watch."""
+        """A derivative or a solve's layouts, watched by a weak reference."""
 
-    taken, snapshots, solved = [], [], []
+    taken, snapshots, solved, layouts, kept = [], [], [], [], []
     kernel, solve = solver.diff_numerators, GradedSolve.solve
 
     def watched(layout, alpha):
@@ -774,15 +795,17 @@ def test_solve_lifted_takes_each_derivative_once_and_drops_it(monkeypatch):
 
     def solve_order(self, r):
         snapshots.append([ref() is not None for _, _, ref in taken])
-        solved.append(solve(self, r))
-        return solved[-1]
+        layouts.append([ref() is not None for ref in kept])
+        out = Held(solve(self, r))
+        kept.append(weakref.ref(out))
+        solved.append(list(out))
+        return out
     monkeypatch.setattr(solver, "diff_numerators", watched)
     monkeypatch.setattr(GradedSolve, "solve", solve_order)
     for nonlinear in (False, True):
         eq = _lifted_k2(nonlinear)
-        taken.clear()
-        snapshots.clear()
-        solved.clear()
+        for seen in (taken, snapshots, solved, layouts, kept):
+            seen.clear()
         us = solve_lifted(eq, 6, 8)
         assert diffs == []
         # each derivative is taken from the layout of u_l that the solve
@@ -802,6 +825,10 @@ def test_solve_lifted_takes_each_derivative_once_and_drops_it(monkeypatch):
             for (l, _, alpha), held in zip(keys, alive):
                 assert not held or n <= l + last[alpha], (n, l, alpha)
         assert not any(ref() for _, _, ref in taken)
+        reach = max(last.values())
+        for n, alive in enumerate(layouts, start=eq.k):
+            assert alive == [nonlinear or n <= l + reach
+                             for l in range(eq.k, n)], (n, alive)
 
 
 def test_run_reports_a_singular_B0_as_a_poincare_violation():
@@ -838,11 +865,12 @@ def test_tail_monomial_coeff_matches_composition_sum():
             us.append(vec)
         gammas = [g for g in product(range(4), repeat=unknowns)
                   if 2 <= sum(g) <= 3]
-        products = {((), 0): Series.constant(dim, 8, 1)}
+        layouts, products = _layouts(us), _base(dim, 8)
         for n in range(k, top):
             for gamma in rng.sample(gammas, min(2, len(gammas))):
                 factors = _factors(gamma)
-                got = _tail_monomial_coeff(us, factors, n, k, products)
+                got = _part_series(dim, _tail_monomial_coeff(
+                    layouts, factors, n, k, products))
                 # zero factors are kept: one zero only through a low trunc
                 # still bounds the product's trunc
                 want = None
@@ -863,8 +891,8 @@ def test_tail_monomial_coeff_matches_composition_sum():
                 tails = [[Series(dim, u.trunc + 1, {
                     **u.terms, (u.trunc + 1,) + (0,) * (dim - 1): 1})
                     for u in vec] for vec in us]
-                again = _tail_monomial_coeff(
-                    tails, factors, n, k, {((), 0): Series.constant(dim, 8, 1)})
+                again = _part_series(dim, _tail_monomial_coeff(
+                    _layouts(tails), factors, n, k, _base(dim, 8)))
                 assert again.equal_upto(got, got.trunc)
 
 
@@ -887,14 +915,14 @@ def test_tail_monomial_coeff_in_the_x_grading():
             y = [a + b for a, b in zip(y, part)]
         gammas = [g for g in product(range(5), repeat=unknowns)
                   if 2 <= sum(g) <= 4]
-        products = {((), 0): Series.constant(dim, trunc, 1)}
+        layouts, products = _layouts(parts), _base(dim, trunc)
         for gamma in rng.sample(gammas, min(4, len(gammas))):
             mixed += sum(1 for g in gamma if g) > 1
             want = _y_power(y, gamma, dim)
             assert want.trunc >= trunc
             for m in range(trunc + 1):
-                got = _tail_monomial_coeff(parts, _factors(gamma), m, 1,
-                                           products)
+                got = _part_series(dim, _tail_monomial_coeff(
+                    layouts, _factors(gamma), m, 1, products))
                 got = {} if got is None else got.terms
                 assert got == want.homogeneous(m).terms, (gamma, m)
     assert mixed > 0
@@ -968,14 +996,16 @@ def test_tail_monomial_coeff_equals_the_prefix_recurrence():
             us.append(vec)
         gammas = [g for g in product(range(5), repeat=unknowns)
                   if 1 <= sum(g) <= 4]
-        got_cache = {((), 0): Series.constant(dim, base_trunc, 1)}
+        layouts = _layouts(us)
+        got_cache = _base(dim, base_trunc)
         want_cache = {((), 0): Series.constant(dim, base_trunc, 1)}
         for m in range(top + 1):
             for gamma in rng.sample(gammas, min(4, len(gammas))):
                 factors = _factors(gamma)
                 if len(factors) == 1 and m < k:
                     continue
-                got = _tail_monomial_coeff(us, factors, m, k, got_cache)
+                got = _part_series(dim, _tail_monomial_coeff(
+                    layouts, factors, m, k, got_cache))
                 want = _reference_tail_monomial_coeff(us, factors, m, k,
                                                       want_cache)
                 assert _same_part(got, want), (case, factors, m)
@@ -990,31 +1020,103 @@ def test_tail_monomial_coeff_equals_the_prefix_recurrence():
 
 
 def test_tail_monomial_coeff_forms_each_square_pair_once(monkeypatch):
-    # u_i^2 at grade m with lowest grade k is one sum_of_products call with
-    # one triple per unordered pair of grades, m // 2 - k + 1, not one per
-    # ordered pair, m - 2k + 1; a single factor needs no product by 1
+    # u_i^2 at grade m with lowest grade k is one numerator_products call
+    # with one part per unordered pair of grades, m // 2 - k + 1, not one
+    # per ordered pair, m - 2k + 1; a single factor needs no product by 1
     calls = []
-    kernel = solver.sum_of_products
+    kernel = solver.numerator_products
 
-    def counting(dim, trunc, triples):
-        triples = list(triples)
-        calls.append(len(triples))
-        return kernel(dim, trunc, triples)
-    monkeypatch.setattr(solver, "sum_of_products", counting)
+    def counting(trunc, parts):
+        calls.append(len(parts))
+        return kernel(trunc, parts)
+    monkeypatch.setattr(solver, "numerator_products", counting)
     for k in (1, 2, 3):
         us = [[Series.zero(2, 20)] for _ in range(k)] + [
             [Series(2, 20, {(l, 0): l, (0, l): Fraction(1, l)})]
             for l in range(k, 13)]
+        layouts = _layouts(us)
         for m in range(2 * k, 13):
-            products = {((), 0): Series.constant(2, 20, 1)}
+            products = _base(2, 20)
             calls.clear()
-            one = _tail_monomial_coeff(us, (0,), m, k, products)
-            assert calls == [] and one.terms == us[m][0].terms
-            square = _tail_monomial_coeff(us, (0, 0), m, k, products)
+            one = _tail_monomial_coeff(layouts, (0,), m, k, products)
+            assert calls == []
+            assert layout_series(2, one).terms == us[m][0].terms
+            square = _part_series(2, _tail_monomial_coeff(
+                layouts, (0, 0), m, k, products))
             assert calls == [m // 2 - k + 1], (k, m, calls)
             want = _reference_tail_monomial_coeff(
                 us, (0, 0), m, k, {((), 0): Series.constant(2, 20, 1)})
             assert _same_part(square, want)
+
+
+def test_tail_monomial_coeff_builds_no_fraction_and_caches_reduced_layouts():
+    # Fraction coefficients in both gradings, with single factors that the
+    # product by 1 cuts so that their denominator falls: no Fraction is
+    # built inside the kernel, and every cached part is in degree order,
+    # reduced (gcd(D, *numerators) == 1) and equal to numerator_layout of
+    # its own Series in D and numerators
+    rng = random.Random(2929)
+    built = [0]
+    real = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return real.__func__(cls, *args, **kwargs)
+
+    seen = dict.fromkeys(("x grading", "cut reduced", "fraction part"), 0)
+    for case in range(60):
+        x_grading = case % 3 == 2
+        k = 1 if x_grading else 1 + case % 3
+        dim, unknowns, base_trunc = rng.randint(1, 2), rng.randint(1, 2), 8
+        top = base_trunc + 1 if x_grading else 3 * k + 4
+        us = [[Series.zero(dim, base_trunc)] * unknowns for _ in range(k)]
+        for l in range(k, top + 1):
+            vec = []
+            for _ in range(unknowns):
+                low = l if x_grading else 0
+                s = mixed_series(rng, dim, low=min(low, 4))
+                if x_grading:
+                    s = Series(dim, rng.choice([base_trunc, 12]),
+                               {e: c for e, c in s.terms.items()
+                                if sum(e) == l}
+                               or {(l,) + (0,) * (dim - 1): Fraction(1, 3)})
+                if rng.random() < 0.3:
+                    # certified past the base trunc + its order, with a
+                    # denominator that only the cut term carries
+                    s = Series(dim, 14, {**s.terms,
+                                         (13,) + (0,) * (dim - 1):
+                                         Fraction(1, 11)})
+                vec.append(s)
+            us.append(vec)
+        layouts, cache = _layouts(us), _base(dim, base_trunc)
+        gammas = [g for g in product(range(4), repeat=unknowns)
+                  if 2 <= sum(g) <= 3]
+        calls = [(_factors(g), m) for m in range(top + 1)
+                 for g in rng.sample(gammas, min(3, len(gammas)))]
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            built[0] = 0
+            for factors, m in calls:
+                _tail_monomial_coeff(layouts, factors, m, k, cache)
+            assert built[0] == 0, case
+        finally:
+            Fraction.__new__ = real
+        seen["x grading"] += x_grading
+        for (factors, m), part in cache.items():
+            if part is None or not factors:
+                continue
+            den, items, trunc, order = part
+            assert gcd(den, *[n for _, _, n in items]) == 1
+            assert [d for d, _, _ in items] == sorted(sum(e) for _, e, _ in
+                                                      items)
+            assert all(d == sum(e) for d, e, _ in items)
+            want = numerator_layout(layout_series(dim, part))
+            assert (den, items, trunc, order) == want
+            seen["fraction part"] += den > 1
+            if len(factors) == 1:
+                source = layouts[m][factors[0]]
+                seen["cut reduced"] += den < source[0]
+    assert all(seen.values()), seen
 
 
 def _lazy_keys(us, factors, m, k, base_trunc, keys):
@@ -1044,13 +1146,14 @@ def test_tail_monomial_coeff_caches_what_the_lazy_recursion_caches():
             [rng.choice([Series.zero(2, rng.choice([5, 8, 9])),
                          mixed_series(rng, 2)]) for _ in range(2)]
             for _ in range(k, top + 1)]
-        cache = {((), 0): Series.constant(2, base_trunc, 1)}
+        layouts = _layouts(us)
+        cache = _base(2, base_trunc)
         keys = set()
         for _ in range(6):
             factors = tuple(sorted(rng.choice((0, 1))
                                    for _ in range(rng.randint(3, 7))))
             m = rng.randint(k * len(factors), top)
-            _tail_monomial_coeff(us, factors, m, k, cache)
+            _tail_monomial_coeff(layouts, factors, m, k, cache)
             _lazy_keys(us, factors, m, k, base_trunc, keys)
         assert set(cache) - {((), 0)} == keys, case
 
@@ -1061,8 +1164,9 @@ def test_tail_monomial_coeff_takes_a_monomial_of_many_factors():
     n = 1100
     us = [[Series.zero(1, n)], [Series.variable(1, n, 0)]] + [
         [Series.zero(1, n)] for _ in range(n - 1)]
-    products = {((), 0): Series.constant(1, n, 1)}
-    got = _tail_monomial_coeff(us, (0,) * n, n, 1, products)
+    products = _base(1, n)
+    got = layout_series(1, _tail_monomial_coeff(_layouts(us), (0,) * n, n, 1,
+                                                products))
     assert got.terms == {(n,): 1} and got.trunc == 2 * n - 1
     assert len(products) == n + 1
 
@@ -1159,6 +1263,28 @@ def test_direct_on_convergent_documents_is_pinned(text, digest):
     assert _digest(y) == digest
 
 
+# the sha256 of json_text({"degree": 12, "solution": solve_direct(spec, 12)})
+# plus a newline on each convergent document, as written before the graded
+# powers of the oracle moved onto numerator layouts
+CONVERGENT_OUTPUTS = [
+    "c8ee090fbb07f8fb24bb4ddf9b2f0cb72d812939ba4c9b272711db13c06a0c4a",
+    "dc487b13a279f3ad3656a317a419e7b3bb24fcfadd6d0edf07984379cb4448a9",
+    "ea4659ad1a84fc90f383d1c2787d1be60cad6c8511efd53746bb09e1efa4d018",
+    "da99116cc54db5e2ad72d0d730efd454c250049d6a75e15242a27fa7c6a3169a",
+]
+
+
+@pytest.mark.parametrize("text, sha", [
+    (text, sha) for (text, _), sha in zip(CONVERGENT_DOCUMENTS,
+                                          CONVERGENT_OUTPUTS)],
+    ids=[f"convergent{i}" for i in range(4)])
+def test_direct_writes_the_pinned_convergent_output(text, sha):
+    # byte for byte, so storage and the writer are pinned with the values
+    y = solve_direct(parse_problem(text).spec, 12)
+    out = json_text({"degree": 12, "solution": y}) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def _dense_problem(rng, D):
     """P = x1 and L_1 = d1 plus constant and x-dependent terms, so every
     degree needs the dense linear solve; A(0) is upper triangular with a
@@ -1228,14 +1354,16 @@ def _reference_direct(problem, degree):
         for c in L.terms.values())
     lin_acc = [Series.zero(dim, working) for _ in range(unknowns)]
     parts = [[Series.zero(dim, working)] * unknowns]
-    products = {((), 0): Series.constant(dim, working, 1)}
+    products = _base(dim, working)
     H = [(_factors(gamma), vec) for gamma, vec in prob.H.items()]
     for n in range(1, degree + 1):
         rhs_vec = [la.homogeneous(n) - fi.homogeneous(n)
                    for la, fi in zip(lin_acc, prob.f)]
+        layouts = _layouts(parts)
         for factors, vec in H:
             for m in range(len(factors), n + 1):
-                ym = _tail_monomial_coeff(parts, factors, m, 1, products)
+                ym = _part_series(dim, _tail_monomial_coeff(
+                    layouts, factors, m, 1, products))
                 if ym is not None:
                     rhs_vec = [r - c.homogeneous(n - m) * ym
                                for r, c in zip(rhs_vec, vec)]
