@@ -15,7 +15,6 @@ from .series import (
     Rational,
     Series,
     _layout,
-    _numerators,
     diff_numerators,
     falling_factorial,
     grlex_key,
@@ -50,7 +49,7 @@ def stirling_first(j: int, l: int) -> int:
 class DiffOperator:
     """Operator of a single order j: sum over |alpha| = j of a_alpha * d_alpha."""
 
-    __slots__ = ("dim", "order", "terms")
+    __slots__ = ("dim", "order", "terms", "_layouts")
 
     def __init__(self, dim: int, order: int, terms: Mapping[Exponent, Series] = ()):
         if order < 1:
@@ -68,6 +67,7 @@ class DiffOperator:
                 raise DimensionMismatch("coefficient dim mismatch")
             clean[alpha] = coef
         self.terms = clean
+        self._layouts = None
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +81,8 @@ class DiffOperator:
 
     def apply_numerators(self, f: Series):
         """``apply(f)`` in the numerator layout of ``diff_numerators``, with
-        no Fraction built; f is put in that layout once.  Certified as
+        no Fraction built; f is put in that layout once, and each
+        coefficient once per operator (``_coefficients``).  Certified as
         ``sum_of_products`` certifies (c_alpha, d_alpha(f)) triples, a zero
         c_alpha included; the order is read after cancelled terms are
         dropped (x1 d1 - x2 d2 sends x1 x2 to 0)."""
@@ -91,14 +92,20 @@ class DiffOperator:
             return 1, [], max(f.trunc - self.order, -1), INFINITE
         trunc, parts = INFINITE, []
         layout = numerator_layout(f)
-        for alpha, coef in self.terms.items():
+        for alpha, (dc, left, tc, oc) in self._coefficients():
             d, right, t, o = diff_numerators(layout, alpha)
-            trunc = min(trunc, product_trunc(coef.trunc, coef.order(), t, o))
-            if coef.terms and right:
-                dc, left = _numerators(coef.terms)
+            trunc = min(trunc, product_trunc(tc, oc, t, o))
+            if left and right:
                 parts.append((1, dc * d, left, right))
         acc, den = numerator_products(trunc, parts)
-        return _layout(den, acc.items(), trunc)
+        return _layout(self.dim, den, acc.items(), trunc)
+
+    def _coefficients(self):
+        """Each (alpha, c_alpha in the numerator layout), formed once."""
+        if self._layouts is None:
+            self._layouts = [(alpha, numerator_layout(c))
+                             for alpha, c in self.terms.items()]
+        return self._layouts
 
     def star(self, P: Series) -> Series:
         """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""

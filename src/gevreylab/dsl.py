@@ -37,6 +37,8 @@ _TOKEN = re.compile(r"""
 
 _KEYWORDS = {"dim", "unknowns", "order", "P", "L", "F", "option"}
 
+_VARIABLE = re.compile(r"([xy])(\d+)")
+
 # the deepest parentheses may nest: each level costs the parser a few stack
 # frames, and a deeper one would end in a RecursionError
 MAX_NESTING = 100
@@ -322,7 +324,9 @@ class _Parser:
     def _atom(self) -> Series:
         tok = self.peek()
         if tok.kind == "num":
-            return Series.constant(self.nvars, INFINITE, self.rational())
+            # a literal is an int or a Fraction: no constructor checks
+            return Series._of(self.nvars, INFINITE,
+                              (((0,) * self.nvars, self.rational()),))
         if tok.kind == "name":
             self.next()
             return self._variable(tok)
@@ -340,7 +344,7 @@ class _Parser:
         raise ParseError(tok.line, tok.col, ("number", "variable", "("))
 
     def _variable(self, tok: _Token) -> Series:
-        m = re.fullmatch(r"([xy])(\d+)", tok.text)
+        m = _VARIABLE.fullmatch(tok.text)
         if not m:
             raise ParseError(tok.line, tok.col, ("x<i>", "y<i>"))
         kind, idx = m.group(1), int(m.group(2))
@@ -349,7 +353,7 @@ class _Parser:
             if not 1 <= idx <= d:
                 raise SemanticError(tok.line, "unknown-var",
                                     f"x{idx} outside x1..x{d}")
-            return Series.variable(self.nvars, INFINITE, idx - 1)
+            return self._unit(idx - 1)
         if self.nvars == d:
             raise SemanticError(tok.line, "y-in-coefficient",
                                 "y variables are only allowed in F lines")
@@ -357,7 +361,12 @@ class _Parser:
         if not 1 <= idx <= N:
             raise SemanticError(tok.line, "unknown-var",
                                 f"y{idx} outside y1..y{N}")
-        return Series.variable(self.nvars, INFINITE, d + idx - 1)
+        return self._unit(d + idx - 1)
+
+    def _unit(self, j: int) -> Series:
+        """The exact variable of 0-based index j among the nvars."""
+        return Series._of(self.nvars, INFINITE,
+                          ((unit_exp(self.nvars, j), 1),))
 
 
 class ProblemDocument:

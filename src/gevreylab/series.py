@@ -8,12 +8,26 @@ arithmetic pays for no gcd; floats are refused.  Products, sums of products
 (``sum_of_products``) and majorant norms run on integer numerators over one
 common denominator (the lcm of the denominators) and normalise once per
 output coefficient, not once per pair of terms or per partial sum.  Their
-integer core (``numerator_products``) reads each right factor in one
-numerator layout ``(D, items, trunc, order)``: the terms as int numerators
-over one common denominator D, each with its total degree and in order of
-it, with the series' trunc and order (``numerator_layout``).  A factor is
-put in this layout once, where it is formed, so the convolution's inner
-loop stops at ``trunc`` without sorting a factor or summing an exponent
+integer core (``numerator_products``) reads both factors in one numerator
+layout ``(D, items, trunc, order)``: the terms as items ``(d, k, n)``, an
+int numerator n over one common denominator D with its total degree d and
+its exponent's key k, in order of degree, with the series' trunc and order
+(``numerator_layout``).
+
+The key of an exponent e in ``dim`` variables is the graded Kronecker key
+``sum_i e_i 2^(W i) + |e| 2^(W dim)``, W = 32 bits per field, the top field
+holding the total degree (``exp_key``, ``key_exp``).  While every field stays
+below 2^W, the key of a sum of exponents is the sum of their keys, and the key
+of e - alpha, for e >= alpha componentwise, is the difference: so the
+convolution adds ints, not exponent tuples, and a derivative reads the
+components it needs by shift and mask.  An exponent of degree >= 2^W is refused
+with a ValueError when it is packed, and so is a product whose factors' top
+degrees could sum that high (an exact one), never corrupted by a carry.  Keys
+are made where a layout is formed and read back where a Series is built from
+one (``layout_series``), so ``Series.terms`` stays tuple-keyed.
+
+A factor is put in the layout once, where it is formed, so the convolution's
+inner loop stops at ``trunc`` without sorting a factor or summing an exponent
 per pair; a derivative (``diff_numerators``) is taken from a layout and
 keeps its order, since every term drops by |alpha|.  The left side of the
 equation, the order recurrence and the graded powers y^gamma of both
@@ -34,15 +48,19 @@ the helpers at the top of the module supply the arithmetic on them.
 from __future__ import annotations
 
 import json
+import struct
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, inf, lcm, perm, prod
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DivisibilityViolation, SingularMatrix
 
 Exponent = tuple[int, ...]
 Rational = Fraction | int
+
+_DEGREE = itemgetter(0)  # of a layout item (d, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +109,48 @@ INFINITE = inf
 
 # n (n-1) ... (n-j+1) for n, j >= 0: 1 for j = 0 and 0 for j > n
 falling_factorial = perm
+
+
+# ---------------------------------------------------------------------------
+# graded Kronecker keys
+
+# the bits of each field of a key, one struct "I" each; a degree must stay
+# below _LIMIT
+_W = 32
+_LIMIT = 1 << _W
+_MASK = _LIMIT - 1
+
+
+@cache
+def _keying(dim: int):
+    """(pack, unpack, size) for keys in ``dim`` variables: e's key is
+    from_bytes(pack(*e, |e|), "little"), with a struct.error for a field
+    of 2^W or more, and e is unpack(key.to_bytes(size, "little")), the
+    degree field skipped."""
+    return (struct.Struct(f"<{dim + 1}I").pack,
+            struct.Struct(f"<{dim}I4x").unpack, 4 * (dim + 1))
+
+
+_from_bytes = int.from_bytes
+
+
+def _too_high(degree) -> ValueError:
+    return ValueError(f"degree {degree} does not fit a {_W}-bit key field")
+
+
+def exp_key(e: Exponent) -> int:
+    """The graded Kronecker key of the exponent e; a ValueError when its
+    degree is 2^W or more."""
+    try:
+        return _from_bytes(_keying(len(e))[0](*e, sum(e)), "little")
+    except struct.error:
+        raise _too_high(sum(e)) from None
+
+
+def key_exp(key: int, dim: int) -> Exponent:
+    """The exponent in ``dim`` variables whose graded Kronecker key is key."""
+    _, unpack, size = _keying(dim)
+    return unpack(key.to_bytes(size, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +288,8 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_dim(other)
-        # an integer convolution of the numerators, divided by the common
-        # denominator once per output coefficient
-        da, left = _numerators(self.terms)
-        db, right, tb, ob = numerator_layout(other)
-        trunc = product_trunc(self.trunc, self.order(), tb, ob)
-        return _over(self.dim, trunc,
-                     _convolve(trunc, ((left, right),)).items(), da * db)
+        return _product(self.dim, numerator_layout(self),
+                        numerator_layout(other))
 
     def powers(self, n: int) -> list["Series"]:
         """[s^0, ..., s^n]: 1 at s's trunc, then each power the one before
@@ -242,8 +297,9 @@ class Series:
         if n < 0:
             raise ValueError("negative power")
         out = [Series.constant(self.dim, self.trunc, 1)]
+        right = numerator_layout(self)  # s, put in the layout once
         for _ in range(n):
-            out.append(out[-1] * self)
+            out.append(_product(self.dim, numerator_layout(out[-1]), right))
         return out
 
     def pow(self, n: int) -> "Series":
@@ -384,21 +440,37 @@ def _numerators(terms: Mapping[Exponent, Rational]):
 
 
 def numerator_layout(s: Series):
-    """s in the one numerator layout (D, [(d, e, n)], trunc, order): its
+    """s in the one numerator layout (D, [(d, k, n)], trunc, order): its
     terms as int numerators n over D, the lcm of their denominators, each
-    with its total degree d and in order of it, and its trunc and order.
-    A right factor of a product is read in this layout; a left one as
-    ``_numerators`` gives it."""
+    with its total degree d and its exponent's key k and in order of
+    degree, and its trunc and order.  Both factors of a product are read in
+    this layout.  A ValueError for a degree that a key cannot hold."""
     den, items = _numerators(s.terms)
-    return _layout(den, items, s.trunc)
+    pack = _keying(s.dim)[0]
+    try:
+        items = [(d := sum(e), _from_bytes(pack(*e, d), "little"), n)
+                 for e, n in items]
+    except struct.error:
+        raise _too_high(max(map(sum, s.terms))) from None
+    items.sort(key=_DEGREE)
+    return den, items, s.trunc, items[0][0] if items else INFINITE
 
 
-def _layout(den: int, items: Iterable[tuple[Exponent, int]], trunc):
-    """The numerator layout of the int numerators ``items`` [(e, n)] over
-    ``den``, all of degree <= trunc: the nonzero ones with their degrees,
-    put in order of degree."""
-    items = sorted([(sum(e), e, n) for e, n in items if n], key=itemgetter(0))
+def _layout(dim: int, den: int, items: Iterable[tuple[int, int]], trunc):
+    """The numerator layout of the int numerators ``items`` [(key, n)] in
+    ``dim`` variables over ``den``, all of degree <= trunc: the nonzero ones
+    with their degrees, put in order of degree."""
+    items = _graded(dim, items)
+    items.sort(key=_DEGREE)
     return den, items, trunc, items[0][0] if items else INFINITE
+
+
+def _graded(dim: int, items: Iterable[tuple[int, int]]) -> list:
+    """The nonzero int numerators ``items`` [(key, n)] in ``dim`` variables
+    as layout items (d, k, n), each degree read from its key, in the order
+    they come in."""
+    shift = _W * dim
+    return [(k >> shift, k, n) for k, n in items if n]
 
 
 def reduce_layout(layout):
@@ -409,42 +481,49 @@ def reduce_layout(layout):
     g = gcd(den, *[n for _, _, n in items])
     if g == 1:
         return layout
-    return den // g, [(d, e, n // g) for d, e, n in items], trunc, order
+    return den // g, [(d, k, n // g) for d, k, n in items], trunc, order
 
 
 def layout_series(dim: int, layout) -> Series:
     """The Series of a numerator layout, with one Fraction per coefficient
     when D > 1."""
     den, items, trunc, _ = layout
-    return _over(dim, trunc, [(e, n) for _, e, n in items], den)
+    return _over(dim, trunc, [(k, n) for _, k, n in items], den)
 
 
-def _convolve(trunc, pairs) -> dict[Exponent, int]:
-    """sum left * right over ``pairs`` of a left factor, an int numerator
-    list [(e, n)], and a right one, the items [(d, e, n)] of a numerator
-    layout, through total degree ``trunc``, as int numerators by exponent:
-    the one integer convolution loop.  A sum that cancels stays, as a 0."""
-    acc: dict[Exponent, int] = {}
+def _convolve(trunc, pairs) -> dict[int, int]:
+    """sum left * right over ``pairs`` of factors in the items [(d, k, n)]
+    of a numerator layout, the right one in order of degree, through total
+    degree ``trunc``, as int numerators by key: the one integer convolution
+    loop.  A sum that cancels stays, as a 0.  A ValueError when ``trunc``
+    and the factors' top degrees let a product reach 2^W."""
+    acc: dict[int, int] = {}
     get = acc.get
     for left, right in pairs:
+        if (trunc >= _LIMIT and left and right
+                and max(map(_DEGREE, left)) + right[-1][0] >= _LIMIT):
+            raise _too_high(max(map(_DEGREE, left)) + right[-1][0])
         # the right terms come in order of degree: stop at trunc
-        for e1, c1 in left:
-            room = trunc - sum(e1)
-            for d2, e2, c2 in right:
+        for d1, k1, c1 in left:
+            room = trunc - d1
+            for d2, k2, c2 in right:
                 if d2 > room:
                     break
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     return acc
 
 
 def _over(dim: int, trunc, items, den: int) -> Series:
-    """The series of the int numerators ``items`` [(e, n)] over ``den``,
-    with one Fraction per nonzero coefficient."""
+    """The series of the int numerators ``items`` [(key, n)] over ``den``,
+    with one Fraction per nonzero coefficient: each key of a nonzero
+    numerator read back once."""
+    _, unpack, size = _keying(dim)
     if den == 1:
-        return Series._of(dim, trunc, items)
-    return Series._of(dim, trunc,
-                      [(e, Fraction(c, den)) for e, c in items if c])
+        return Series._of(dim, trunc, [(unpack(k.to_bytes(size, "little")), c)
+                                       for k, c in items if c])
+    return Series._of(dim, trunc, [(unpack(k.to_bytes(size, "little")),
+                                    Fraction(c, den)) for k, c in items if c])
 
 
 def sum_of_products(dim: int, trunc, triples) -> Series:
@@ -454,40 +533,57 @@ def sum_of_products(dim: int, trunc, triples) -> Series:
 
     Certified to the least of ``trunc`` and every product's
     ``product_trunc`` (a zero c or a zero factor still bounds it).  The
-    factors go to ``sum_of_numerator_products`` as int numerators."""
-    parts = []
+    factors go to ``sum_of_layout_products`` in the numerator layout."""
+    layouts = []
     for c, a, b in triples:
         if a.dim != dim or b.dim != dim:
             raise DimensionMismatch(f"dim {dim} vs {a.dim}, {b.dim}")
-        trunc = min(trunc, product_trunc(a.trunc, a.order(),
-                                         b.trunc, b.order()))
-        if c and a.terms and b.terms:
-            da, left = _numerators(a.terms)
-            db, right, _, _ = numerator_layout(b)
+        layouts.append((c, numerator_layout(a), numerator_layout(b)))
+    return sum_of_layout_products(dim, trunc, layouts)
+
+
+def sum_of_layout_products(dim: int, trunc, triples) -> Series:
+    """``sum_of_products`` of (c, a, b) triples whose factors are in the
+    numerator layout, for a caller that puts a factor read more than once
+    in the layout once."""
+    parts = []
+    for c, (da, left, ta, oa), (db, right, tb, ob) in triples:
+        trunc = min(trunc, product_trunc(ta, oa, tb, ob))
+        if c and left and right:
             parts.append((c, da * db, left, right))
     return sum_of_numerator_products(dim, trunc, parts)
 
 
+def _product(dim: int, a, b) -> Series:
+    """a * b of factors in the numerator layout: an integer convolution of
+    the numerators, divided by the common denominator once per output
+    coefficient."""
+    da, left, ta, oa = a
+    db, right, tb, ob = b
+    trunc = product_trunc(ta, oa, tb, ob)
+    return _over(dim, trunc, _convolve(trunc, ((left, right),)).items(),
+                 da * db)
+
+
 def sum_of_numerator_products(dim: int, trunc, parts) -> Series:
     """sum c * left * right / d over (c, d, left, right) parts, with int c
-    and d, a left factor [(e, n)] and a right one in the items of a
-    numerator layout, as ``_convolve`` reads them, through total degree
-    ``trunc``, which the caller certifies: the series of
-    ``numerator_products``."""
+    and d and both factors in the items of a numerator layout, as
+    ``_convolve`` reads them, through total degree ``trunc``, which the
+    caller certifies: the series of ``numerator_products``."""
     acc, den = numerator_products(trunc, parts)
     return _over(dim, trunc, acc.items(), den)
 
 
-def numerator_products(trunc, parts) -> tuple[dict[Exponent, int], int]:
-    """``sum_of_numerator_products`` as (int numerators by exponent, L):
-    each product accumulated over L, the lcm of the d, and no Fraction
-    built, so each output coefficient is normalised once, not per sum."""
+def numerator_products(trunc, parts) -> tuple[dict[int, int], int]:
+    """``sum_of_numerator_products`` as (int numerators by key, L): each
+    product accumulated over L, the lcm of the d, and no Fraction built, so
+    each output coefficient is normalised once, not per sum."""
     den = lcm(*[d for _, d, _, _ in parts])
     pairs = []
     for c, d, left, right in parts:
         c *= den // d
-        pairs.append(([(e, c * n) for e, n in left] if c != 1 else left,
-                      right))
+        pairs.append(([(d1, k, c * n) for d1, k, n in left] if c != 1
+                      else left, right))
     return _convolve(trunc, pairs), den
 
 
@@ -505,10 +601,18 @@ def diff_numerators(layout, alpha: Exponent):
     if not w:
         # d_0 is the identity: the same terms
         return den, items, trunc, order
-    # every term is of degree <= the layout's trunc, so what survives is of
-    # degree <= trunc
-    terms = [(d - w, tuple(map(sub, e, alpha)), v) for d, e, c in items
-             if (v := c * prod(map(perm, e, alpha)))]
+    # each falling factorial reads its component by shift and mask, and a
+    # term that survives has e >= alpha, so e - alpha is its key minus
+    # alpha's, with no borrow; every term is of degree <= the layout's
+    # trunc, so what survives is of degree <= trunc
+    drop = exp_key(alpha)
+    reads = [(_W * i, a) for i, a in enumerate(alpha) if a]
+    terms = []
+    for d, k, c in items:
+        for s, a in reads:
+            c *= perm(k >> s & _MASK, a)
+        if c:
+            terms.append((d - w, k - drop, c))
     return den, terms, trunc, terms[0][0] if terms else INFINITE
 
 
@@ -649,7 +753,7 @@ def invert_rational_matrix(m: Sequence[Sequence[Rational]]) -> list[list[Fractio
 class SeriesMatrix:
     """Dense grid of Series sharing dim and trunc."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_layouts")
 
     def __init__(self, entries: Sequence[Sequence[Series]]):
         self.entries = [list(row) for row in entries]
@@ -658,6 +762,7 @@ class SeriesMatrix:
         dims = {s.dim for row in self.entries for s in row}
         if len(dims) > 1:
             raise DimensionMismatch("matrix entries disagree on dim")
+        self._layouts = None
 
     @property
     def dim(self) -> int:
@@ -676,11 +781,24 @@ class SeriesMatrix:
         ])
 
     def apply(self, vec: Sequence[Series]) -> list[Series]:
+        """M vec, as ``sum_of_products`` per row; each entry is put in the
+        numerator layout once per matrix, and each component of vec once
+        per call."""
         if self.cols != len(vec):
             raise DimensionMismatch("vector length does not match matrix")
-        return [sum_of_products(self.dim, INFINITE,
-                                [(1, a, v) for a, v in zip(row, vec)])
-                for row in self.entries]
+        if not self.rows:
+            return []
+        dim = self.dim
+        for v in vec:
+            if v.dim != dim:
+                raise DimensionMismatch(f"dim {dim} vs {v.dim}")
+        if self._layouts is None:
+            self._layouts = [[numerator_layout(s) for s in row]
+                             for row in self.entries]
+        vec = [numerator_layout(v) for v in vec]
+        return [sum_of_layout_products(dim, INFINITE,
+                                       [(1, a, v) for a, v in zip(row, vec)])
+                for row in self._layouts]
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):

@@ -51,7 +51,7 @@ which returns u_n in the layout, reduced and in order of degree, and each
 d_alpha u_l is taken from that layout (``diff_numerators``).  The
 nonlinear terms read the graded powers of the u_n from the same layouts
 (``_tail_monomial_coeff``), so the Series of u_n is built once, for the
-result.  A layout is kept for good when the equation has nonlinear terms,
+result, and the only keys read back to exponent tuples are its terms'.  A layout is kept for good when the equation has nonlinear terms,
 and otherwise dropped after its last derivative is taken.  Each
 coefficient is split once per call, as in ``lhs``, and each monomial into
 its factors.  Its linear terms are grouped by (j, alpha), with one left
@@ -102,11 +102,13 @@ from .series import (
     Rational,
     Series,
     SeriesMatrix,
+    _LIMIT,
     _det,
+    _graded,
     _layout,
-    _numerators,
     diff_numerators,
     exp_binomial,
+    exp_key,
     exp_le,
     exp_sub,
     falling_factorial,
@@ -195,8 +197,7 @@ class ProblemSpec:
         if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
-        ops = [(*_numerators(Pj.terms), Pj.trunc, Pj.order(), L)
-               for Pj, L in ops]
+        ops = [(*numerator_layout(Pj), L) for Pj, L in ops]
         out = []
         for yi in y:
             trunc, parts = INFINITE, []
@@ -254,7 +255,8 @@ class GradedSolve:
     when M(0) is singular and ValueError for an exact M that is not
     constant."""
 
-    __slots__ = ("dim", "n", "trunc", "dX", "X0", "dK", "K", "_columns")
+    __slots__ = ("dim", "n", "trunc", "dX", "X0", "dK", "K", "_columns",
+                 "_truncs_of")
 
     def __init__(self, M: SeriesMatrix):
         n = self.n = M.rows
@@ -278,56 +280,62 @@ class GradedSolve:
         if K and trunc == INFINITE:
             raise ValueError("exact matrix: cut it first (truncate, with_trunc)")
         # X0 = X0n / dX and K_e = Kn_e / dK on int numerators, with
-        # dK^(e-1) folded into Kn_e (see ``solve``), zero terms dropped
+        # dK^(e-1) folded into Kn_e (see ``solve``), zero terms dropped and
+        # each exponent keyed once
         self.dX = lcm(*(v.denominator for row in X0 for v in row))
         self.X0 = [[v.numerator * (self.dX // v.denominator) for v in row]
                    for row in X0]
         dK = self.dK = lcm(*(c.denominator for Kd in K.values()
                              for t in Kd.values() for c in t.values()))
-        self.K = {d: [(i, j, [(e, c.numerator * (dK // c.denominator)
+        self.K = {d: [(i, j, [(exp_key(e), c.numerator * (dK // c.denominator)
                                 * dK ** (d - 1)) for e, c in t.items() if c])
                       for (i, j), t in sorted(Kd.items()) if any(t.values())]
                   for d, Kd in sorted(K.items())}
         self._columns = None
+        self._truncs_of = {}
 
     def solve(self, r: Sequence[tuple]) -> list[tuple]:
         """u = M^-1 r for right sides r_l given as int numerators over their
-        denominator, (D_l, [(e, n)], trunc_l), the terms in any order and
+        denominator, (D_l, [(key, n)], trunc_l), the terms in any order and
         zeros allowed.  Each u_i comes in the numerator layout, exactly as
         ``numerator_layout`` gives it for the Series of u_i (D the lcm of
         its reduced denominators): its row is brought to one denominator
         and reduced once by the gcd of that and its numerators."""
         # each term's degree, once
-        keyed = [[(sum(e), e, c) for e, c in items if c] for _, items, _ in r]
-        truncs = self._truncs([(t, min([d for d, _, _ in keys],
-                                       default=INFINITE))
-                               for (_, _, t), keys in zip(r, keyed)])
+        keyed = [_graded(self.dim, items) for _, items, _ in r]
+        truncs = self._truncs(tuple(
+            (t, min([d for d, _, _ in keys], default=INFINITE))
+            for (_, _, t), keys in zip(r, keyed)))
         # the highest degree with a term of u: a row of infinite trunc is
         # zero, or M is constant and u_i has no term above those of r
         high = max((d for keys in keyed for d, _, _ in keys), default=-1)
         if high < 0:
             return [(1, [], t, INFINITE) for t in truncs]
         top = max(high if t == INFINITE else t for t in truncs)
+        if self.K and top >= _LIMIT:
+            # K u_d would carry a key field
+            raise ValueError(f"degree {top} does not fit a key field")
         n, X0, dK = self.n, self.X0, self.dK
         # w_d = dX dr dK^d u_d is integral for dr the lcm of the D_l:
         # w_d = dK^d X0n rn_d + sum_e Kn_e dK^(e-1) w_(d-e), kept only for
-        # the degrees d that have terms
+        # the degrees d that have terms; dK = 1 needs no powers of it
         dr = lcm(*[den for den, _, _ in r])
-        scale = list(accumulate(repeat(dK, top), mul, initial=1))
-        w: dict[int, list[dict[Exponent, int]]] = {}
+        scale = (None if dK == 1 else
+                 list(accumulate(repeat(dK, top), mul, initial=1)))
+        w: dict[int, list[dict[int, int]]] = {}
         for l, ((den, _, _), keys) in enumerate(zip(r, keyed)):
             to_dr = dr // den
-            for d, e, c in keys:
+            for d, k, c in keys:
                 if d > top:
                     continue
-                c *= to_dr * scale[d]
+                c *= to_dr if scale is None else to_dr * scale[d]
                 wd = w.get(d)
                 if wd is None:
                     wd = w[d] = [{} for _ in range(n)]
                 for i in range(n):
                     if X0[i][l]:
                         bucket = wd[i]
-                        bucket[e] = bucket.get(e, 0) + X0[i][l] * c
+                        bucket[k] = bucket.get(k, 0) + X0[i][l] * c
         # K u_d goes to the degrees above d; a constant M has no K
         for d in range(top + 1 if self.K else 0):
             wd = w.get(d)
@@ -344,25 +352,37 @@ class GradedSolve:
                     if not source:
                         continue
                     bucket, get = target[i], target[i].get
-                    for e1, c1 in source.items():
-                        for e2, c2 in terms:
-                            e = tuple(map(add, e1, e2))
-                            bucket[e] = get(e, 0) + c1 * c2
+                    for k1, c1 in source.items():
+                        for k2, c2 in terms:
+                            k = k1 + k2
+                            bucket[k] = get(k, 0) + c1 * c2
         degrees = sorted(w)
         out = []
         for i, t in enumerate(truncs):
             # degree d is over dX dr dK^d: bring the row to one D, reduced
             # by the gcd of D and its numerators
             last = min(t, top)
-            items = [(d, e, c * scale[last - d]) for d in degrees if d <= last
-                     for e, c in w[d][i].items() if c]
-            out.append(reduce_layout((self.dX * dr * scale[last], items, t,
+            if scale is None:
+                items = [(d, k, c) for d in degrees if d <= last
+                         for k, c in w[d][i].items() if c]
+                den = self.dX * dr
+            else:
+                items = [(d, k, c * scale[last - d]) for d in degrees
+                         if d <= last for k, c in w[d][i].items() if c]
+                den = self.dX * dr * scale[last]
+            out.append(reduce_layout((den, items, t,
                                       items[0][0] if items else INFINITE)))
         return out
 
-    def _truncs(self, right: Sequence[tuple[int, int]]) -> list[int]:
+    def _truncs(self, right: tuple[tuple[int, int], ...]) -> list[int]:
         """The certified degree of each row, from each r_l's (trunc,
-        order)."""
+        order); remembered per instance for each ``right``."""
+        memo = self._truncs_of.get(right)
+        if memo is None:
+            memo = self._truncs_of[right] = self._settle(right)
+        return memo
+
+    def _settle(self, right: tuple[tuple[int, int], ...]) -> list[int]:
         T, n = self.trunc, self.n
 
         def bounds(o, D, t, order):
@@ -404,10 +424,10 @@ class GradedSolve:
         at degree 0: the 1 of e_j caps it at T, and each zero of e_j bounds
         it below by T."""
         if self._columns is None:
-            n, dim, T = self.n, self.dim, self.trunc
+            n, T = self.n, self.trunc
             self._columns = [
-                self.solve([(1, Series.constant(dim, T, int(i == j)).terms
-                             .items(), T) for i in range(n)])
+                self.solve([(1, [(0, 1)] if i == j and T >= 0 else [], T)
+                            for i in range(n)])
                 for j in range(n)]
         return self._columns
 
@@ -584,24 +604,23 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     layouts: list = [None] * k
     if order >= k:
         solve_B = GradedSolve(eq.B).solve
-    # every coefficient as (D, numerators, trunc, order), a left factor in
-    # the order of its terms, and each monomial's factors, once per call
-    forcing = [(*_numerators(f.terms), f.trunc, f.order()) for f in eq.forcing]
-    one = [(0, (0,) * dim, 1)]
+    # every coefficient in the numerator layout, a left factor, and each
+    # monomial's factors, once per call
+    forcing = [numerator_layout(f) for f in eq.forcing]
+    one = [(0, 0, 1)]
     products = {((), 0): (1, one, degree, 0)}
-    nonlinear = {_factors(gamma): [(*_numerators(c.terms), c.trunc, c.order())
-                                   for c in vec]
+    nonlinear = {_factors(gamma): [numerator_layout(c) for c in vec]
                  for gamma, vec in eq.nonlinear.items()}
     groups: dict[tuple[int, Exponent], tuple] = {}
     for (j, b, alpha), g in eq.linear.items():
         groups.setdefault((j, alpha), []).append((b, g))
     last: dict[Exponent, int] = {}  # the last j that reads a d_alpha u_l
     for (j, alpha), gs in groups.items():
-        den = lcm(*[c.denominator for _, g in gs for c in g.terms.values()])
+        gs = [(b, numerator_layout(g)) for b, g in gs]
+        den = lcm(*[layout[0] for _, layout in gs])
         groups[(j, alpha)] = den, [
-            (b, g.trunc, g.order(), [(e, c.numerator * (den // c.denominator))
-                                     for e, c in g.terms.items()])
-            for b, g in gs]
+            (b, t, o, [(d, key, v * (den // dg)) for d, key, v in items])
+            for b, (dg, items, t, o) in gs]
         last[alpha] = max(j, last.get(alpha, j))
     reach = max(last.values(), default=0)
     derivatives: dict[tuple[int, Exponent], list] = {}
@@ -633,16 +652,16 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
             acc = {}
             for b, _, _, nums in live:
                 scale = falling_factorial(l, b)
-                for e, v in nums:
-                    acc[e] = acc.get(e, 0) + scale * v
-            left = [(e, v) for e, v in acc.items() if v]
+                for _, key, v in nums:
+                    acc[key] = acc.get(key, 0) + scale * v
+            left = _graded(dim, acc.items())
             for i, (d, right, t, o) in enumerate(ds):
                 truncs[i] = min(truncs[i], *(product_trunc(gt, go, t, o)
                                              for _, gt, go, _ in live))
                 if left and right:
                     parts[i].append((1, den * d, left, right))
         for factors, vec in nonlinear.items():
-            conv = _tail_monomial_coeff(layouts, factors, n, k, products)
+            conv = _tail_monomial_coeff(layouts, factors, n, k, products, dim)
             if conv is None or (not conv[1] and conv[2] >= degree):
                 continue
             d, right, t, o = conv
@@ -693,7 +712,7 @@ def _factors(gamma: Sequence[int]) -> tuple[int, ...]:
 
 
 def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
-                         products: dict) -> tuple | None:
+                         products: dict, dim: int) -> tuple | None:
     """Grade-m part of prod_r (sum_{l>=k} u_{l,factors[r]}), where u_l is
     homogeneous of grade l and k is the lowest grade with a nonzero part,
     or None when no term reaches grade m: the sum over l of the head's
@@ -702,7 +721,8 @@ def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
     ``solve_direct``.  Each u_{l,i} and each part is a numerator layout
     (``series``), the parts reduced by the gcd of D and their numerators
     (``reduce_layout``) and in order of degree, so a part is exactly
-    ``numerator_layout`` of its Series.  Cached in ``products`` by
+    ``numerator_layout`` of its Series, in ``dim`` variables.  Cached in
+    ``products`` by
     (factors, m) from the empty product, 1 at ((), 0), whose trunc is the
     base trunc; with two or more factors it reads only u_l with
     l <= m - k, so it is final once those are.
@@ -743,25 +763,25 @@ def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
             levels.append((pre, grades))
         for pre, grades in reversed(levels):
             for d in grades:
-                _tail_monomial_coeff(us, pre, d, k, products)
+                _tail_monomial_coeff(us, pre, d, k, products, dim)
     found, trunc, parts = False, INFINITE, []
     # the head's product starts at grade k |head|
     for d in range(k * len(head), (m // 2 if square else m - k) + 1):
         du, right, tu, ou = us[m - d][i]
         if not right and tu >= base:
             continue
-        prev = _tail_monomial_coeff(us, head, d, k, products)
+        prev = _tail_monomial_coeff(us, head, d, k, products, dim)
         if prev is None:
             continue
         dp, left, tp, op = prev
         found, trunc = True, min(trunc, product_trunc(tp, op, tu, ou))
         if left and right:
-            parts.append((2 if square and 2 * d < m else 1, dp * du,
-                          [(e, n) for _, e, n in left], right))
+            parts.append((2 if square and 2 * d < m else 1, dp * du, left,
+                          right))
     out = None
     if found:
         acc, den = numerator_products(trunc, parts)
-        out = reduce_layout(_layout(den, acc.items(), trunc))
+        out = reduce_layout(_layout(dim, den, acc.items(), trunc))
     products[key] = out
     return out
 
@@ -968,18 +988,20 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
                     part[e] = op(part.get(e, 0), c)
 
     collect(prob.f, sub, 0)
-    parts = [[Series.zero(dim, working)] * unknowns]
+    # y's terms by unknown, gathered as each degree is solved, and the least
+    # trunc of its parts
+    ys: list[dict[Exponent, Rational]] = [{} for _ in range(unknowns)]
+    least = degree
     layouts = [None]
-    one = [(0, (0,) * dim, 1)]
-    products = {((), 0): (1, one, working, 0)}
-    H = [(_factors(gamma), [[(*_numerators(h.terms), h.trunc, h.order())
+    products = {((), 0): (1, [(0, 0, 1)], working, 0)}
+    H = [(_factors(gamma), [[numerator_layout(h)
                              for h in map(c.homogeneous, range(degree + 1))]
                             for c in vec]) for gamma, vec in prob.H.items()]
     for n in range(1, degree + 1):
         hy = [(split, m, ym) for factors, split in H
               for m in range(len(factors), n + 1)
-              if (ym := _tail_monomial_coeff(layouts, factors, m, 1, products))
-              is not None]
+              if (ym := _tail_monomial_coeff(layouts, factors, m, 1, products,
+                                             dim)) is not None]
         rhs_vec = [Series._of(dim, t, b.pop(n, {}).items())
                    for t, b in zip(truncs, buckets)]
         if hy:
@@ -991,29 +1013,27 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
             delta = [s.truncate(cert) for s in A0inv.apply(rhs_vec)]
         else:
             delta = systems.solve(n, rhs_vec)
-        parts.append(delta)
+        for yi, s in zip(ys, delta):
+            yi.update(s.terms)
+        low = min(s.trunc for s in delta)
+        least = min(least, low)
         if H:
             layouts.append([numerator_layout(s) for s in delta])
-        if min(s.trunc for s in delta) < n:
+        if low < n:
             # certified below n: every later degree would be cut off
             break
         collect(prob.lhs(delta), add, n)
         collect(prob.A.apply(delta), sub, n)
     # the parts have distinct degrees: y is their union, at the least trunc
-    cert = min(degree, *(s.trunc for part in parts for s in part))
-    return [Series._of(dim, cert, [t for part in parts
-                                   for t in part[i].terms.items()])
-            for i in range(unknowns)]
+    return [Series._of(dim, least, yi.items()) for yi in ys]
 
 
 def _minus_products(dim: int, r: Series, pairs) -> Series:
-    """r - sum c y over (c, y) pairs of a c as (D, [(e, n)], trunc, order)
-    and a y in the numerator layout, one ``numerator_products`` call,
-    certified as ``sum_of_products`` certifies (1, r, 1) and each (-1, c,
-    y)."""
-    den, items = _numerators(r.terms)
-    trunc = r.trunc
-    parts = [(1, den, items, [(0, (0,) * dim, 1)])] if r.terms else []
+    """r - sum c y over (c, y) pairs of a c and a y in the numerator
+    layout, one ``numerator_products`` call, certified as
+    ``sum_of_products`` certifies (1, r, 1) and each (-1, c, y)."""
+    den, items, trunc, _ = numerator_layout(r)
+    parts = [(1, den, items, [(0, 0, 1)])] if items else []
     for (dc, left, tc, oc), (dy, right, ty, oy) in pairs:
         trunc = min(trunc, product_trunc(tc, oc, ty, oy))
         if left and right:

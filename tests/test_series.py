@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, diff_numerators,
-                              format_rational, gauss_jordan,
+                              exp_key, format_rational, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
-                              json_text, numerator_layout, sum_of_products)
+                              json_text, key_exp, numerator_layout,
+                              sum_of_products)
 from gevreylab.solver import invert_series_matrix
 
 
@@ -553,6 +554,46 @@ def _reference_diff(s, alpha):
     return terms, trunc
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.integers(0, 2 ** 28), st.integers(0, 2 ** 28)),
+    min_size=dim, max_size=dim)))
+def test_graded_keys_round_trip_and_add(fields):
+    # in dims 1-4, with every component far above a byte: the key reads
+    # back to its exponent, keeps the degree in its top field, and key sums
+    # and differences are the keys of exponent sums and differences
+    e, alpha = (tuple(c) for c in zip(*fields))
+    dim, total = len(e), tuple(a + b for a, b in fields)
+    for x in (e, alpha, total):
+        assert key_exp(exp_key(x), dim) == x
+        assert exp_key(x) >> (32 * dim) == sum(x)
+    assert exp_key(e) + exp_key(alpha) == exp_key(total)
+    assert exp_key(total) - exp_key(alpha) == exp_key(e)
+    assert exp_key(total) - exp_key(e) == exp_key(alpha)
+
+
+def test_graded_keys_refuse_a_degree_a_field_cannot_hold():
+    # a component or a degree of 2^32 is refused when it is packed, and so
+    # is an exact product whose factors' top degrees reach 2^32; one below
+    # that still packs, reads back and multiplies
+    top = 2 ** 32 - 1
+    assert key_exp(exp_key((top,)), 1) == (top,)
+    for e in ((2 ** 32,), (2 ** 31, 2 ** 31), (0, 0, 2 ** 40)):
+        with pytest.raises(ValueError):
+            exp_key(e)
+        with pytest.raises(ValueError):
+            numerator_layout(Series(len(e), INFINITE, {e: 1}))
+    half = Series(2, INFINITE, {(2 ** 31, 0): 1, (0, 1): 3})
+    with pytest.raises(ValueError):
+        half * half
+    with pytest.raises(ValueError):
+        sum_of_products(2, INFINITE, [(1, half, half)])
+    below = Series(2, INFINITE, {(2 ** 31 - 1, 0): 2})
+    assert (below * below).terms == {(2 ** 32 - 2, 0): 4}
+    # a certified degree below 2^32 bounds the product instead
+    assert (half.truncate(40) * half).terms == {(0, 2): 9}
+
+
 def test_diff_numerators_equals_diff():
     # terms (as numerators over the series' denominator), trunc and order
     # of the term-by-term derivative, on hard draws cut to every trunc, zero
@@ -572,6 +613,7 @@ def test_diff_numerators_equals_diff():
         den, items, trunc, order = diff_numerators(numerator_layout(s), alpha)
         assert den == lcm(*[c.denominator for c in s.terms.values()])
         assert all(type(n) is int and n for _, _, n in items)
+        items = [(d, key_exp(k, dim), n) for d, k, n in items]
         assert [d for d, _, _ in items] == sorted(sum(e) for _, e, _ in items)
         got = {e: Fraction(n, den) for _, e, n in items}
         assert (got, trunc, order) == (want.terms, want.trunc, want.order())
@@ -579,8 +621,8 @@ def test_diff_numerators_equals_diff():
     assert killed > 20, killed
     x = Series(2, 5, {(3, 1): Fraction(1, 6), (0, 2): 4})
     x = numerator_layout(x)
-    assert x == (6, [(2, (0, 2), 24), (4, (3, 1), 1)], 5, 2)
-    assert diff_numerators(x, (2, 0)) == (6, [(2, (1, 1), 6)], 3, 2)
+    assert x == (6, [(2, exp_key((0, 2)), 24), (4, exp_key((3, 1)), 1)], 5, 2)
+    assert diff_numerators(x, (2, 0)) == (6, [(2, exp_key((1, 1)), 6)], 3, 2)
     assert diff_numerators(x, (0, 0)) == x
     assert diff_numerators(x, (3, 3)) == (6, [], -1, INFINITE)
 

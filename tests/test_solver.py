@@ -11,18 +11,18 @@ from math import gcd
 
 import pytest
 
-from gevreylab import solver
+from gevreylab import series, solver
 from gevreylab.diffops import DiffOperator
 from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
 from gevreylab.registry import build_document
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, _numerators,
-                              exp_binomial, falling_factorial, gauss_jordan,
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, exp_binomial,
+                              falling_factorial, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
-                              json_text, layout_series, numerator_layout,
-                              sum_of_products, unit_exp)
+                              json_text, key_exp, layout_series,
+                              numerator_layout, sum_of_products, unit_exp)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               _factors, _tail_monomial_coeff, _y_power,
                               build_lifted,
@@ -552,11 +552,41 @@ def test_solve_lifted_builds_each_right_side_in_one_pass(monkeypatch):
         assert max(calls) == 3 + 2 * nonlinear, calls
 
 
+def test_solve_lifted_reads_back_one_key_per_term_it_returns(monkeypatch):
+    # on a small eje3 the recurrence stays on keys: the only keys read back
+    # to exponent tuples are those of the terms of the Series it returns
+    text, _ = build_document("eje3", {"degree": 24, "order": 12})
+    run = parse_problem(text).run()
+    lifted = run.lifted
+    read = [0]
+    keying = series._keying
+
+    def counting(dim):
+        pack, unpack, size = keying(dim)
+
+        def counted(data):
+            read[0] += 1
+            return unpack(data)
+        return pack, counted, size
+
+    monkeypatch.setattr(series, "_keying", counting)
+    us = solve_lifted(lifted, run.order, run.working)
+    terms = sum(len(s.terms) for vec in us for s in vec)
+    assert terms > 50
+    assert read[0] == terms
+
+
 def _solve_series(kernel, r):
     """``kernel.solve`` on Series: each r_l as int numerators over its
     denominator, and each u_i the Series of its layout."""
-    return [layout_series(kernel.dim, u) for u in
-            kernel.solve([(*_numerators(s.terms), s.trunc) for s in r])]
+    return [layout_series(kernel.dim, u) for u in kernel.solve(_keyed(r))]
+
+
+def _keyed(r):
+    """Right sides for ``GradedSolve.solve``: each Series as int numerators
+    by key over its denominator, from its numerator layout."""
+    return [(den, [(k, n) for _, k, n in items], trunc)
+            for den, items, trunc, _ in map(numerator_layout, r)]
 
 
 def _layouts(us):
@@ -604,7 +634,7 @@ def _reference_solve_lifted(eq, order, degree):
         layouts = _layouts(us)
         for gamma, vec in eq.nonlinear.items():
             conv = _part_series(dim, _tail_monomial_coeff(
-                layouts, _factors(gamma), n, k, products))
+                layouts, _factors(gamma), n, k, products, dim))
             if conv is None or (conv.is_zero and conv.trunc >= degree):
                 continue
             for terms, c in zip(rhs, vec):
@@ -870,7 +900,7 @@ def test_tail_monomial_coeff_matches_composition_sum():
             for gamma in rng.sample(gammas, min(2, len(gammas))):
                 factors = _factors(gamma)
                 got = _part_series(dim, _tail_monomial_coeff(
-                    layouts, factors, n, k, products))
+                    layouts, factors, n, k, products, dim))
                 # zero factors are kept: one zero only through a low trunc
                 # still bounds the product's trunc
                 want = None
@@ -892,7 +922,7 @@ def test_tail_monomial_coeff_matches_composition_sum():
                     **u.terms, (u.trunc + 1,) + (0,) * (dim - 1): 1})
                     for u in vec] for vec in us]
                 again = _part_series(dim, _tail_monomial_coeff(
-                    _layouts(tails), factors, n, k, _base(dim, 8)))
+                    _layouts(tails), factors, n, k, _base(dim, 8), dim))
                 assert again.equal_upto(got, got.trunc)
 
 
@@ -922,7 +952,7 @@ def test_tail_monomial_coeff_in_the_x_grading():
             assert want.trunc >= trunc
             for m in range(trunc + 1):
                 got = _part_series(dim, _tail_monomial_coeff(
-                    layouts, _factors(gamma), m, 1, products))
+                    layouts, _factors(gamma), m, 1, products, dim))
                 got = {} if got is None else got.terms
                 assert got == want.homogeneous(m).terms, (gamma, m)
     assert mixed > 0
@@ -1005,7 +1035,7 @@ def test_tail_monomial_coeff_equals_the_prefix_recurrence():
                 if len(factors) == 1 and m < k:
                     continue
                 got = _part_series(dim, _tail_monomial_coeff(
-                    layouts, factors, m, k, got_cache))
+                    layouts, factors, m, k, got_cache, dim))
                 want = _reference_tail_monomial_coeff(us, factors, m, k,
                                                       want_cache)
                 assert _same_part(got, want), (case, factors, m)
@@ -1038,11 +1068,11 @@ def test_tail_monomial_coeff_forms_each_square_pair_once(monkeypatch):
         for m in range(2 * k, 13):
             products = _base(2, 20)
             calls.clear()
-            one = _tail_monomial_coeff(layouts, (0,), m, k, products)
+            one = _tail_monomial_coeff(layouts, (0,), m, k, products, 2)
             assert calls == []
             assert layout_series(2, one).terms == us[m][0].terms
             square = _part_series(2, _tail_monomial_coeff(
-                layouts, (0, 0), m, k, products))
+                layouts, (0, 0), m, k, products, 2))
             assert calls == [m // 2 - k + 1], (k, m, calls)
             want = _reference_tail_monomial_coeff(
                 us, (0, 0), m, k, {((), 0): Series.constant(2, 20, 1)})
@@ -1097,7 +1127,7 @@ def test_tail_monomial_coeff_builds_no_fraction_and_caches_reduced_layouts():
         try:
             built[0] = 0
             for factors, m in calls:
-                _tail_monomial_coeff(layouts, factors, m, k, cache)
+                _tail_monomial_coeff(layouts, factors, m, k, cache, dim)
             assert built[0] == 0, case
         finally:
             Fraction.__new__ = real
@@ -1107,9 +1137,9 @@ def test_tail_monomial_coeff_builds_no_fraction_and_caches_reduced_layouts():
                 continue
             den, items, trunc, order = part
             assert gcd(den, *[n for _, _, n in items]) == 1
-            assert [d for d, _, _ in items] == sorted(sum(e) for _, e, _ in
-                                                      items)
-            assert all(d == sum(e) for d, e, _ in items)
+            exps = [(d, key_exp(k, dim)) for d, k, _ in items]
+            assert [d for d, _ in exps] == sorted(sum(e) for _, e in exps)
+            assert all(d == sum(e) for d, e in exps)
             want = numerator_layout(layout_series(dim, part))
             assert (den, items, trunc, order) == want
             seen["fraction part"] += den > 1
@@ -1153,7 +1183,7 @@ def test_tail_monomial_coeff_caches_what_the_lazy_recursion_caches():
             factors = tuple(sorted(rng.choice((0, 1))
                                    for _ in range(rng.randint(3, 7))))
             m = rng.randint(k * len(factors), top)
-            _tail_monomial_coeff(layouts, factors, m, k, cache)
+            _tail_monomial_coeff(layouts, factors, m, k, cache, 2)
             _lazy_keys(us, factors, m, k, base_trunc, keys)
         assert set(cache) - {((), 0)} == keys, case
 
@@ -1166,7 +1196,7 @@ def test_tail_monomial_coeff_takes_a_monomial_of_many_factors():
         [Series.zero(1, n)] for _ in range(n - 1)]
     products = _base(1, n)
     got = layout_series(1, _tail_monomial_coeff(_layouts(us), (0,) * n, n, 1,
-                                                products))
+                                                products, 1))
     assert got.terms == {(n,): 1} and got.trunc == 2 * n - 1
     assert len(products) == n + 1
 
@@ -1363,7 +1393,7 @@ def _reference_direct(problem, degree):
         for factors, vec in H:
             for m in range(len(factors), n + 1):
                 ym = _part_series(dim, _tail_monomial_coeff(
-                    layouts, factors, m, 1, products))
+                    layouts, factors, m, 1, products, dim))
                 if ym is not None:
                     rhs_vec = [r - c.homogeneous(n - m) * ym
                                for r, c in zip(rhs_vec, vec)]
@@ -1632,7 +1662,7 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     powers = [prob.power(pos + 1) for pos, L in enumerate(prob.operators)
               if L is not None]
     assert all(len(parts) == len(powers) and
-               all(dict(left) == Pj.terms
+               all(left == numerator_layout(Pj)[1]
                    for (_, _, left, _), Pj in zip(parts, powers))
                for parts in kernel)
 

@@ -14,8 +14,9 @@ import gevreylab.solver as solver
 from gevreylab.diffops import DiffOperator, check_divisibility, faadibruno
 from gevreylab.errors import (DivisibilityViolation, InputError,
                               SingularLinearPart, TruncationTooSmall)
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, _numerators,
-                              iter_exponents, layout_series, sum_of_products)
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, iter_exponents,
+                              layout_series, numerator_layout,
+                              sum_of_products)
 from gevreylab.solver import (GradedSolve, LiftedEquation, ProblemSpec, Run,
                               invert_series_matrix, solve_direct,
                               solve_implicit, solve_lifted)
@@ -95,7 +96,9 @@ def _graded_solve(rng, dim):
     inputs = [_series(rng, dim) for _ in range(n * n + n)]
     return inputs, lambda *s: [
         layout_series(dim, u) for u in GradedSolve(_unflatten(s[:n * n], n))
-        .solve([(*_numerators(r.terms), r.trunc) for r in s[n * n:]])]
+        .solve([(den, [(k, c) for _, k, c in items], trunc)
+                for den, items, trunc, _ in map(numerator_layout,
+                                                s[n * n:])])]
 
 
 def _matrix_apply(rng, dim):
