@@ -20,8 +20,8 @@ from .series import (
     grlex_key,
     layout_series,
     numerator_layout,
-    numerator_products,
     product_trunc,
+    sum_of_layout_products,
     sum_of_products,
     unit_exp,
 )
@@ -82,23 +82,18 @@ class DiffOperator:
     def apply_numerators(self, f: Series):
         """``apply(f)`` in the numerator layout of ``diff_numerators``, with
         no Fraction built; f is put in that layout once, and each
-        coefficient once per operator (``_coefficients``).  Certified as
-        ``sum_of_products`` certifies (c_alpha, d_alpha(f)) triples, a zero
-        c_alpha included; the order is read after cancelled terms are
-        dropped (x1 d1 - x2 d2 sends x1 x2 to 0)."""
+        coefficient once per operator (``_coefficients``).  One
+        ``sum_of_layout_products`` of (1, c_alpha, d_alpha(f)) triples; the
+        order is read after cancelled terms are dropped (x1 d1 - x2 d2
+        sends x1 x2 to 0)."""
         if f.dim != self.dim:
             raise DimensionMismatch("operand dim mismatch")
         if not self.terms:
             return 1, [], max(f.trunc - self.order, -1), INFINITE
-        trunc, parts = INFINITE, []
         layout = numerator_layout(f)
-        for alpha, (dc, left, tc, oc) in self._coefficients():
-            d, right, t, o = diff_numerators(layout, alpha)
-            trunc = min(trunc, product_trunc(tc, oc, t, o))
-            if left and right:
-                parts.append((1, dc * d, left, right))
-        acc, den = numerator_products(trunc, parts)
-        return _layout(self.dim, den, acc.items(), trunc)
+        return _layout(self.dim, *sum_of_layout_products(INFINITE, [
+            (1, c, diff_numerators(layout, alpha))
+            for alpha, c in self._coefficients()]))
 
     def _coefficients(self):
         """Each (alpha, c_alpha in the numerator layout), formed once."""

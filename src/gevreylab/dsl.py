@@ -292,7 +292,7 @@ class _Parser:
 
     def _product(self) -> Series:
         out = self._power()
-        while self.peek().kind in ("num", "name", "(") :
+        if self.peek().kind in ("num", "name", "("):
             # implicit multiplication is not in the grammar; require '*'
             tok = self.peek()
             raise ParseError(tok.line, tok.col, ("*", "+", "-", "^", "newline"))

@@ -4,15 +4,29 @@ A series is stored as a finite map from exponent tuples to nonzero exact
 coefficients, together with a total-degree bound ``trunc`` up to which the
 stored data is certified exact.  An integral coefficient is stored as an
 ``int`` and any other as a ``Fraction`` with denominator > 1, so ``int``
-arithmetic pays for no gcd; floats are refused.  Products, sums of products
-(``sum_of_products``) and majorant norms run on integer numerators over one
-common denominator (the lcm of the denominators) and normalise once per
-output coefficient, not once per pair of terms or per partial sum.  Their
-integer core (``numerator_products``) reads both factors in one numerator
-layout ``(D, items, trunc, order)``: the terms as items ``(d, k, n)``, an
-int numerator n over one common denominator D with its total degree d and
-its exponent's key k, in order of degree, with the series' trunc and order
-(``numerator_layout``).
+arithmetic pays for no gcd; floats are refused.  Every operation propagates
+``trunc`` pessimistically and none raises it (``truncate`` only lowers it),
+so ``trunc`` doubles as the certified degree of the value: coefficients of
+total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
+polynomial has ``trunc = INFINITE``; cut it to a finite degree before a
+division or an inverse, which expand it as a series.
+
+Products and majorant norms run on int numerators over one common
+denominator (the lcm of the denominators) and normalise once per output
+coefficient, not once per pair of terms or per partial sum.  Both factors
+of a product are read in one numerator layout ``(D, items, trunc, order)``
+(``numerator_layout``): the terms as items ``(d, k, n)``, an int numerator
+n over D with its total degree d and its exponent's key k, in order of
+degree, with the series' trunc and order.  A factor is put in the layout
+once, where it is formed, so the convolution's inner loop stops at
+``trunc`` without sorting a factor or summing an exponent per pair; a
+derivative (``diff_numerators``) is taken from a layout and keeps its
+order, since every term drops by |alpha|.  A sum of products of layouts is
+certified in one place (``sum_of_layout_products``), convolved by its
+integer core (``numerator_products``), and comes out as int numerators by
+key over one denominator; a caller builds a Series from that only where it
+needs one (``sum_of_products`` is that Series form), and a layout formed
+from it is reduced by the gcd of its D and numerators (``reduce_layout``).
 
 The key of an exponent e in ``dim`` variables is the graded Kronecker key
 ``sum_i e_i 2^(W i) + |e| 2^(W dim)``, W = 32 bits per field, the top field
@@ -24,22 +38,7 @@ components it needs by shift and mask.  An exponent of degree >= 2^W is refused
 with a ValueError when it is packed, and so is a product whose factors' top
 degrees could sum that high (an exact one), never corrupted by a carry.  Keys
 are made where a layout is formed and read back where a Series is built from
-one (``layout_series``), so ``Series.terms`` stays tuple-keyed.
-
-A factor is put in the layout once, where it is formed, so the convolution's
-inner loop stops at ``trunc`` without sorting a factor or summing an exponent
-per pair; a derivative (``diff_numerators``) is taken from a layout and
-keeps its order, since every term drops by |alpha|.  The left side of the
-equation, the order recurrence and the graded powers y^gamma of both
-solvers run on such layouts, and a Series is built from one only where it
-is needed (``layout_series``).  A layout formed from a sum of products is
-reduced by the gcd of its D and numerators (``reduce_layout``), which
-gives the D of ``numerator_layout``.  Every operation propagates ``trunc``
-pessimistically and none raises it (``truncate`` only lowers it), so
-``trunc`` doubles as the certified degree of the value: coefficients of
-total degree <= ``trunc`` are exact, nothing is claimed beyond it.  An exact
-polynomial has ``trunc = INFINITE``; cut it to a finite degree before a
-division or an inverse, which expand it as a series.
+one, so ``Series.terms`` stays tuple-keyed.
 
 Exponent tuples ("multi-indices") are plain tuples of non-negative ints;
 the helpers at the top of the module supply the arithmetic on them.
@@ -488,7 +487,7 @@ def layout_series(dim: int, layout) -> Series:
     """The Series of a numerator layout, with one Fraction per coefficient
     when D > 1."""
     den, items, trunc, _ = layout
-    return _over(dim, trunc, [(k, n) for _, k, n in items], den)
+    return _over(dim, den, [(k, n) for _, k, n in items], trunc)
 
 
 def _convolve(trunc, pairs) -> dict[int, int]:
@@ -514,7 +513,7 @@ def _convolve(trunc, pairs) -> dict[int, int]:
     return acc
 
 
-def _over(dim: int, trunc, items, den: int) -> Series:
+def _over(dim: int, den: int, items, trunc) -> Series:
     """The series of the int numerators ``items`` [(key, n)] over ``den``,
     with one Fraction per nonzero coefficient: each key of a nonzero
     numerator read back once."""
@@ -529,29 +528,29 @@ def _over(dim: int, trunc, items, den: int) -> Series:
 def sum_of_products(dim: int, trunc, triples) -> Series:
     """sum c * a * b over (c, a, b) triples with int c, equal (terms and
     trunc) to the left fold of ``+`` over ``(a * b).scale(c)`` from
-    ``Series.zero(dim, trunc)``.
-
-    Certified to the least of ``trunc`` and every product's
-    ``product_trunc`` (a zero c or a zero factor still bounds it).  The
-    factors go to ``sum_of_layout_products`` in the numerator layout."""
+    ``Series.zero(dim, trunc)``: the Series of ``sum_of_layout_products``
+    of the factors in the numerator layout."""
     layouts = []
     for c, a, b in triples:
         if a.dim != dim or b.dim != dim:
             raise DimensionMismatch(f"dim {dim} vs {a.dim}, {b.dim}")
         layouts.append((c, numerator_layout(a), numerator_layout(b)))
-    return sum_of_layout_products(dim, trunc, layouts)
+    return _over(dim, *sum_of_layout_products(trunc, layouts))
 
 
-def sum_of_layout_products(dim: int, trunc, triples) -> Series:
-    """``sum_of_products`` of (c, a, b) triples whose factors are in the
-    numerator layout, for a caller that puts a factor read more than once
-    in the layout once."""
+def sum_of_layout_products(trunc, triples) -> tuple:
+    """sum c * a * b over (c, a, b) triples with int c and both factors in
+    the numerator layout, as (D, [(key, n)], trunc): int numerators over
+    one denominator, the right side that ``GradedSolve.solve`` takes.  The
+    one place that certifies a sum of products: to the least of ``trunc``
+    and every product's ``product_trunc``, a zero c or a zero factor
+    included; only then is such a triple dropped."""
     parts = []
     for c, (da, left, ta, oa), (db, right, tb, ob) in triples:
         trunc = min(trunc, product_trunc(ta, oa, tb, ob))
         if c and left and right:
             parts.append((c, da * db, left, right))
-    return sum_of_numerator_products(dim, trunc, parts)
+    return (*numerator_products(trunc, parts), trunc)
 
 
 def _product(dim: int, a, b) -> Series:
@@ -561,30 +560,23 @@ def _product(dim: int, a, b) -> Series:
     da, left, ta, oa = a
     db, right, tb, ob = b
     trunc = product_trunc(ta, oa, tb, ob)
-    return _over(dim, trunc, _convolve(trunc, ((left, right),)).items(),
-                 da * db)
+    return _over(dim, da * db, _convolve(trunc, ((left, right),)).items(),
+                 trunc)
 
 
-def sum_of_numerator_products(dim: int, trunc, parts) -> Series:
+def numerator_products(trunc, parts) -> tuple:
     """sum c * left * right / d over (c, d, left, right) parts, with int c
-    and d and both factors in the items of a numerator layout, as
-    ``_convolve`` reads them, through total degree ``trunc``, which the
-    caller certifies: the series of ``numerator_products``."""
-    acc, den = numerator_products(trunc, parts)
-    return _over(dim, trunc, acc.items(), den)
-
-
-def numerator_products(trunc, parts) -> tuple[dict[int, int], int]:
-    """``sum_of_numerator_products`` as (int numerators by key, L): each
-    product accumulated over L, the lcm of the d, and no Fraction built, so
-    each output coefficient is normalised once, not per sum."""
+    and d and both factors in the items of a numerator layout, through
+    total degree ``trunc``, which the caller certifies, as (L, [(key, n)]):
+    each product accumulated over L, the lcm of the d, and no Fraction
+    built, so each output coefficient is normalised once, not per sum."""
     den = lcm(*[d for _, d, _, _ in parts])
     pairs = []
     for c, d, left, right in parts:
         c *= den // d
         pairs.append(([(d1, k, c * n) for d1, k, n in left] if c != 1
                       else left, right))
-    return _convolve(trunc, pairs), den
+    return den, _convolve(trunc, pairs).items()
 
 
 def diff_numerators(layout, alpha: Exponent):
@@ -796,8 +788,8 @@ class SeriesMatrix:
             self._layouts = [[numerator_layout(s) for s in row]
                              for row in self.entries]
         vec = [numerator_layout(v) for v in vec]
-        return [sum_of_layout_products(dim, INFINITE,
-                                       [(1, a, v) for a, v in zip(row, vec)])
+        return [_over(dim, *sum_of_layout_products(
+            INFINITE, [(1, a, v) for a, v in zip(row, vec)]))
                 for row in self._layouts]
 
     def __eq__(self, other):

@@ -5,8 +5,8 @@ Two independent routes are provided:
 * ``solve_p_expansion`` -- the constructive pipeline: peel off the first k
   coefficients by implicit solves, lift the remaining tail to an auxiliary
   time variable t (so the tail becomes sum u_n t^n), and run the resulting
-  well-founded order-by-order recurrence.  Each implicit solve is that
-  recurrence too, at k = 1, with t scaling the forcing.
+  well-founded order-by-order recurrence (``solve_lifted``).  Each implicit
+  solve is that recurrence too, at k = 1, with t scaling the forcing.
 
 * ``solve_direct`` -- a degree-graded oracle that plugs a generic truncated
   series into the equation and solves one exact linear system per total
@@ -15,59 +15,16 @@ Two independent routes are provided:
   each degree is certified from the truncs and orders of P^j, the
   c_alpha, A and the right side by the arithmetic of ``product_trunc``,
   without forming the products; lhs(y) - f - A y is kept by degree, each
-  read once.  It is used to cross-check the pipeline, so each solver keeps
-  its own recurrence.  They share these kernels only: ``Series.__mul__``;
-  ``sum_of_products`` (``eval_poly_map``, ``_shift_poly_map`` and, by
-  ``SeriesMatrix.apply``, the oracle's sparse-branch A(0)^-1 r), checked
-  against a plain fold of ``+`` over scaled products by
-  ``tests/test_series.py::test_sum_of_products_equals_a_plain_fold``; its
-  integer core ``numerator_products`` and ``diff_numerators``, which form
-  ``lhs`` on numerators (``DiffOperator.apply_numerators``), checked
-  against folds of ``Series.diff``, ``*`` and ``+`` by
-  ``tests/test_diffops.py::test_apply_equals_its_fold`` and
-  ``tests/test_solver.py::test_lhs_with_several_alphas_equals_the_fold``,
-  and of which ``numerator_products`` also forms the oracle's [H(y)]_n,
-  one call per unknown; and ``_tail_monomial_coeff``, which forms the
-  graded parts of y^gamma from cached lower parts (grade t^n in the
-  pipeline, total degree n in the oracle), on the numerator layout of
-  ``series``: it reads each part of y as a layout and caches each product
-  as one ``numerator_products`` result, reduced by the gcd of its D and
-  numerators and in order of degree, so exactly ``numerator_layout`` of
-  its Series, and no Series or Fraction is built.  A single factor is its
-  own grade-m part, cut to its product's trunc, and a square takes each
-  unordered pair of grades once.  It is checked against plain products in
-  both gradings, against the plain prefix recurrence in terms, truncs and
-  storage, and for the layout it caches, in ``tests/test_solver.py``.  The
-  oracle puts each solved degree part in the layout once, when it is
-  solved.  The two solvers are checked against each other by acceptance
-  criterion 3.
+  read once.
 
-``solve_lifted`` keeps every u_n, every derivative d_alpha u_l and every
-right side on int numerators, in the numerator layout of ``series``
-(``numerator_layout``): each order's right side (forcing, linear and
-nonlinear terms) is one ``numerator_products`` call per unknown, its
-int numerators over their denominator go straight to the solve by B,
-which returns u_n in the layout, reduced and in order of degree, and each
-d_alpha u_l is taken from that layout (``diff_numerators``).  The
-nonlinear terms read the graded powers of the u_n from the same layouts
-(``_tail_monomial_coeff``), so the Series of u_n is built once, for the
-result, and the only keys read back to exponent tuples are its terms'.  A layout is kept for good when the equation has nonlinear terms,
-and otherwise dropped after its last derivative is taken.  Each
-coefficient is split once per call, as in ``lhs``, and each monomial into
-its factors.  Its linear terms are grouped by (j, alpha), with one left
-factor per group and order and one derivative per (l, unknown, alpha);
-the oracle does not group, and ``tests/test_solver.py`` checks the grouped
-form against the per-term ``sum_of_products`` loop it replaces, terms,
-truncs and storage, on random problems, the registry's documents and a B
-that depends on x.
-
-Every linear step of the pipeline, one per order of ``solve_lifted``, is
-one solve B u = r by the kernel ``GradedSolve``, on int numerators: a
-product by B(0)^-1 and a degree-bucketed pass over the terms of
-B - B(0), without forming B^-1.  ``invert_series_matrix`` is a client of
-that kernel's unit-column solves (``GradedSolve.columns``).
-``tests/test_solver.py`` checks the kernel against a dense reference
-inverse applied to r, terms and truncs.
+The oracle cross-checks the pipeline (acceptance criterion 3), so each
+solver keeps its own recurrence.  They share only kernels, each tested
+against plain folds of ``Series`` arithmetic: ``Series.__mul__``; the one
+certified sum of products on numerator layouts,
+``sum_of_layout_products``, and its integer core ``numerator_products``;
+``diff_numerators``; and ``_tail_monomial_coeff``, the graded parts of
+y^gamma in both gradings.  Every linear step of the pipeline is one solve
+by ``GradedSolve``, which forms no inverse.
 
 Both routes read P^j from ``ProblemSpec.power``, formed once per spec as
 the reduction asks; every other run of powers is one ``Series.powers``.
@@ -106,6 +63,8 @@ from .series import (
     _det,
     _graded,
     _layout,
+    _over,
+    _too_high,
     diff_numerators,
     exp_binomial,
     exp_key,
@@ -120,7 +79,7 @@ from .series import (
     numerator_products,
     product_trunc,
     reduce_layout,
-    sum_of_numerator_products,
+    sum_of_layout_products,
     sum_of_products,
     unit_exp,
 )
@@ -197,17 +156,9 @@ class ProblemSpec:
         if not ops:
             trunc = min(yi.trunc for yi in y)
             return [Series.zero(self.dim, trunc) for _ in range(self.unknowns)]
-        ops = [(*numerator_layout(Pj), L) for Pj, L in ops]
-        out = []
-        for yi in y:
-            trunc, parts = INFINITE, []
-            for dP, left, tP, oP, L in ops:
-                d, right, t, o = L.apply_numerators(yi)
-                trunc = min(trunc, product_trunc(tP, oP, t, o))
-                if left and right:
-                    parts.append((1, dP * d, left, right))
-            out.append(sum_of_numerator_products(self.dim, trunc, parts))
-        return out
+        ops = [(numerator_layout(Pj), L) for Pj, L in ops]
+        return [_over(self.dim, *sum_of_layout_products(INFINITE, [
+            (1, Pj, L.apply_numerators(yi)) for Pj, L in ops])) for yi in y]
 
     def residual(self, y: Vector) -> Vector:
         return [a - b for a, b in
@@ -314,7 +265,7 @@ class GradedSolve:
         top = max(high if t == INFINITE else t for t in truncs)
         if self.K and top >= _LIMIT:
             # K u_d would carry a key field
-            raise ValueError(f"degree {top} does not fit a key field")
+            raise _too_high(top)
         n, X0, dK = self.n, self.X0, self.dK
         # w_d = dX dr dK^d u_d is integral for dr the lcm of the D_l:
         # w_d = dK^d X0n rn_d + sum_e Kn_e dK^(e-1) w_(d-e), kept only for
@@ -592,8 +543,10 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
     once (``diff_numerators``), from the layout in which the solve by B
     returned u_{l,i}, and dropped after order l + the largest j of its
     alpha.  A row is certified to the least ``product_trunc`` over
-    every member, as ``sum_of_products`` certifies its triples, never from
-    the combined factor, whose order rises when its terms cancel."""
+    every member, as ``sum_of_layout_products`` certifies its triples,
+    never from the combined factor, whose order rises when its terms
+    cancel: so each row, forcing, linear and nonlinear terms, is one
+    ``numerator_products`` call, certified here."""
     dim, unknowns, k = eq.dim, eq.unknowns, eq.k
     us: list[Vector] = [
         [Series.zero(dim, degree) for _ in range(unknowns)] for _ in range(k)
@@ -671,11 +624,8 @@ def solve_lifted(eq: LiftedEquation, order: int, degree: int) -> list[Vector]:
                     parts[i].append((1, dc * d, left, right))
         for key in [key for key in derivatives if key[0] + last[key[1]] <= n]:
             del derivatives[key]
-        rhs = []
-        for t, p in zip(truncs, parts):
-            acc, den = numerator_products(t, p)
-            rhs.append((den, acc.items(), t))
-        un = solve_B(rhs)
+        un = solve_B([(*numerator_products(t, p), t)
+                      for t, p in zip(truncs, parts)])
         layouts.append(un)
         us.append([layout_series(dim, u) for u in un])
         # u_l is read last at order l + the largest j
@@ -731,9 +681,9 @@ def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
     square u_i^2 takes each unordered pair of grades once, with c = 2 off
     the diagonal: both orders give the same product and trunc.  Longer
     monomials keep their prefix order, which fixes their truncs.  A part
-    of two or more factors is one ``numerator_products`` call, certified
-    to the least ``product_trunc`` of its pairs; a factor zero only below
-    the base trunc still bounds what it feeds."""
+    of two or more factors is one ``sum_of_layout_products`` call over its
+    pairs; a factor zero only below the base trunc still bounds what it
+    feeds."""
     key = (factors, m)
     if key in products:
         return products[key]
@@ -764,24 +714,19 @@ def _tail_monomial_coeff(us: list, factors: tuple[int, ...], m: int, k: int,
         for pre, grades in reversed(levels):
             for d in grades:
                 _tail_monomial_coeff(us, pre, d, k, products, dim)
-    found, trunc, parts = False, INFINITE, []
+    triples = []
     # the head's product starts at grade k |head|
     for d in range(k * len(head), (m // 2 if square else m - k) + 1):
-        du, right, tu, ou = us[m - d][i]
-        if not right and tu >= base:
+        u = us[m - d][i]
+        if not u[1] and u[2] >= base:
             continue
         prev = _tail_monomial_coeff(us, head, d, k, products, dim)
-        if prev is None:
-            continue
-        dp, left, tp, op = prev
-        found, trunc = True, min(trunc, product_trunc(tp, op, tu, ou))
-        if left and right:
-            parts.append((2 if square and 2 * d < m else 1, dp * du, left,
-                          right))
+        if prev is not None:
+            triples.append((2 if square and 2 * d < m else 1, prev, u))
     out = None
-    if found:
-        acc, den = numerator_products(trunc, parts)
-        out = reduce_layout(_layout(dim, den, acc.items(), trunc))
+    if triples:
+        out = reduce_layout(
+            _layout(dim, *sum_of_layout_products(INFINITE, triples)))
     products[key] = out
     return out
 
@@ -969,7 +914,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     # per unknown: each solved part delta adds lhs(delta) - A delta, of
     # degree >= n, and degree n is read once, as the right side's linear
     # part.  [H(y)]_n = sum_gamma sum_m [c_gamma]_{n-m} [y^gamma]_m is
-    # one numerator_products call per unknown over layouts[d], the
+    # one sum_of_layout_products call per unknown over layouts[d], the
     # degree-d part of y, d < n, in the numerator layout, the products
     # cached in ``products`` as layouts and each c_gamma split by degree
     # into int numerators once
@@ -994,6 +939,7 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
     least = degree
     layouts = [None]
     products = {((), 0): (1, [(0, 0, 1)], working, 0)}
+    one = (1, [(0, 0, 1)], INFINITE, 0)  # the exact 1, for r - [H(y)]_n
     H = [(_factors(gamma), [[numerator_layout(h)
                              for h in map(c.homogeneous, range(degree + 1))]
                             for c in vec]) for gamma, vec in prob.H.items()]
@@ -1005,9 +951,10 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         rhs_vec = [Series._of(dim, t, b.pop(n, {}).items())
                    for t, b in zip(truncs, buckets)]
         if hy:
-            rhs_vec = [_minus_products(dim, r, [(split[i][n - m], ym)
-                                                for split, m, ym in hy])
-                       for i, r in enumerate(rhs_vec)]
+            rhs_vec = [_over(dim, *sum_of_layout_products(INFINITE, [
+                (1, numerator_layout(r), one),
+                *[(-1, split[i][n - m], ym) for split, m, ym in hy]]))
+                for i, r in enumerate(rhs_vec)]
         if systems is None:
             cert = min(working, *(r.trunc for r in rhs_vec))
             delta = [s.truncate(cert) for s in A0inv.apply(rhs_vec)]
@@ -1026,19 +973,6 @@ def solve_direct(problem: ProblemSpec, degree: int) -> Vector:
         collect(prob.A.apply(delta), sub, n)
     # the parts have distinct degrees: y is their union, at the least trunc
     return [Series._of(dim, least, yi.items()) for yi in ys]
-
-
-def _minus_products(dim: int, r: Series, pairs) -> Series:
-    """r - sum c y over (c, y) pairs of a c and a y in the numerator
-    layout, one ``numerator_products`` call, certified as
-    ``sum_of_products`` certifies (1, r, 1) and each (-1, c, y)."""
-    den, items, trunc, _ = numerator_layout(r)
-    parts = [(1, den, items, [(0, 0, 1)])] if items else []
-    for (dc, left, tc, oc), (dy, right, ty, oy) in pairs:
-        trunc = min(trunc, product_trunc(tc, oc, ty, oy))
-        if left and right:
-            parts.append((-1, dc * dy, left, right))
-    return sum_of_numerator_products(dim, trunc, parts)
 
 
 class _DegreeSystems:

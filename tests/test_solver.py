@@ -1050,16 +1050,16 @@ def test_tail_monomial_coeff_equals_the_prefix_recurrence():
 
 
 def test_tail_monomial_coeff_forms_each_square_pair_once(monkeypatch):
-    # u_i^2 at grade m with lowest grade k is one numerator_products call
-    # with one part per unordered pair of grades, m // 2 - k + 1, not one
-    # per ordered pair, m - 2k + 1; a single factor needs no product by 1
+    # u_i^2 at grade m with lowest grade k is one sum_of_layout_products
+    # call with one triple per unordered pair of grades, m // 2 - k + 1, not
+    # one per ordered pair, m - 2k + 1; a single factor needs no product by 1
     calls = []
-    kernel = solver.numerator_products
+    kernel = solver.sum_of_layout_products
 
-    def counting(trunc, parts):
-        calls.append(len(parts))
-        return kernel(trunc, parts)
-    monkeypatch.setattr(solver, "numerator_products", counting)
+    def counting(trunc, triples):
+        calls.append(len(triples))
+        return kernel(trunc, triples)
+    monkeypatch.setattr(solver, "sum_of_layout_products", counting)
     for k in (1, 2, 3):
         us = [[Series.zero(2, 20)] for _ in range(k)] + [
             [Series(2, 20, {(l, 0): l, (0, l): Fraction(1, l)})]
@@ -1642,29 +1642,29 @@ def test_direct_forms_no_power_and_scans_no_running_sum(monkeypatch):
     assert y[0].trunc == degree
     assert all(y[0].coeff((n, n)) == -table[n] for n in range(len(table)))
     # a second lhs on the same spec forms sum_j P^j L_j(y_i) as one
-    # numerator kernel call per unknown, with one part per L_j whose left
+    # layout kernel call per unknown, with one triple per L_j whose left
     # factor is the cached P^j, and builds no derivative Series, no product
     # and no power
     prob.lhs(y)
     for seen in calls.values():
         seen.clear()
     kernel = []
-    real = solver.sum_of_numerator_products
+    real = solver.sum_of_layout_products
 
-    def counted(dim, trunc, parts):
-        kernel.append(parts)
-        return real(dim, trunc, parts)
+    def counted(trunc, triples):
+        kernel.append(triples)
+        return real(trunc, triples)
 
-    monkeypatch.setattr(solver, "sum_of_numerator_products", counted)
+    monkeypatch.setattr(solver, "sum_of_layout_products", counted)
     prob.lhs(y)
     assert calls["pow"] == [] and calls["__mul__"] == [] and calls["diff"] == []
     assert len(kernel) == prob.unknowns
     powers = [prob.power(pos + 1) for pos, L in enumerate(prob.operators)
               if L is not None]
-    assert all(len(parts) == len(powers) and
-               all(left == numerator_layout(Pj)[1]
-                   for (_, _, left, _), Pj in zip(parts, powers))
-               for parts in kernel)
+    assert all(len(triples) == len(powers) and
+               all(left[1] == numerator_layout(Pj)[1]
+                   for (_, left, _), Pj in zip(triples, powers))
+               for triples in kernel)
 
 
 def test_direct_H_and_sparse_parts_equal_the_folds_they_replace():
@@ -2211,6 +2211,15 @@ def test_graded_solve_singular_and_exact_matrices():
     r = [Series(2, float("inf"), {(1, 0): 1})]
     assert _solve_series(solver.GradedSolve(exact), r) == \
         _reference_inverse(exact).apply(r)
+
+
+def test_graded_solve_refuses_a_degree_a_key_field_cannot_hold():
+    # a matrix with a degree-1 part certified to 2^32 would carry K u_d
+    # into the degree field: refused with the packing's own message
+    M = SeriesMatrix([[Series(1, 2 ** 32, {(0,): 1, (1,): 1})]])
+    with pytest.raises(ValueError, match="does not fit a 32-bit key field"):
+        solver.GradedSolve(M).solve(
+            [(1, [(series.exp_key((1,)), 1)], 2 ** 32)])
 
 
 GUARD_DOC = """dim 2; unknowns 2; order 2
