@@ -22,7 +22,6 @@ from .series import (
     numerator_layout,
     product_trunc,
     sum_of_layout_products,
-    sum_of_products,
     unit_exp,
 )
 
@@ -103,14 +102,16 @@ class DiffOperator:
         return self._layouts
 
     def star(self, P: Series) -> Series:
-        """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad."""
+        """sum_alpha a_alpha * (d_1 P)^a1 ... (d_d P)^ad, as the fold of
+        ``+`` over the products: for a monomial P each is a shift."""
         if P.dim != self.dim:
             raise DimensionMismatch("operand dim mismatch")
         if not self.terms:
             return Series.zero(self.dim, max(P.trunc - 1, -1))
-        return sum_of_products(self.dim, INFINITE, [
-            (1, coef, partial_star(alpha, P))
-            for alpha, coef in self.terms.items()])
+        out = Series.zero(self.dim, INFINITE)
+        for alpha, coef in self.terms.items():
+            out = out + coef * partial_star(alpha, P)
+        return out
 
     def star_at_zero(self, P: Series) -> tuple[Rational, int]:
         """(L*(P)(0), the trunc of L*(P)) without forming L*(P): the value

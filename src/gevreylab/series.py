@@ -13,8 +13,10 @@ division or an inverse, which expand it as a series.
 
 Products and majorant norms run on int numerators over one common
 denominator (the lcm of the denominators) and normalise once per output
-coefficient, not once per pair of terms or per partial sum.  Both factors
-of a product are read in one numerator layout ``(D, items, trunc, order)``
+coefficient, not once per pair of terms or per partial sum.  A product with
+a one-term factor c x^e is a shift (``_shifted``): each term of the partner
+is moved by e and scaled by c, with nothing packed.  Both factors of any
+other product are read in one numerator layout ``(D, items, trunc, order)``
 (``numerator_layout``): the terms as items ``(d, k, n)``, an int numerator
 n over D with its total degree d and its exponent's key k, in order of
 degree, with the series' trunc and order.  A factor is put in the layout
@@ -35,8 +37,9 @@ below 2^W, the key of a sum of exponents is the sum of their keys, and the key
 of e - alpha, for e >= alpha componentwise, is the difference: so the
 convolution adds ints, not exponent tuples, and a derivative reads the
 components it needs by shift and mask.  An exponent of degree >= 2^W is refused
-with a ValueError when it is packed, and so is a product whose factors' top
-degrees could sum that high (an exact one), never corrupted by a carry.  Keys
+with a ValueError when it is packed, and so is a convolution whose factors'
+top degrees could sum that high (an exact one), never corrupted by a carry;
+a shift packs nothing, so the refusal applies where a layout is formed.  Keys
 are made where a layout is formed and read back where a Series is built from
 one, so ``Series.terms`` stays tuple-keyed.
 
@@ -51,7 +54,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, inf, lcm, perm, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DivisibilityViolation, SingularMatrix
@@ -286,19 +289,35 @@ class Series:
                           [(e, c * v) for e, v in self.terms.items()])
 
     def __mul__(self, other: "Series") -> "Series":
+        """The product: a shift (``_shifted``) when a factor has one term,
+        which packs nothing, so no key field bounds its degree; else
+        ``_product`` of the factors in the numerator layout."""
         self._check_dim(other)
+        if len(other.terms) == 1:
+            return _shifted(self, other)
+        if len(self.terms) == 1:
+            return _shifted(other, self)
         return _product(self.dim, numerator_layout(self),
                         numerator_layout(other))
 
     def powers(self, n: int) -> list["Series"]:
         """[s^0, ..., s^n]: 1 at s's trunc, then each power the one before
-        times s."""
+        times s, as ``*`` forms it: a shift per power when s has one term,
+        with no key formed (a degree of 2^32 or more is refused only where
+        a power is put in a layout); else s^1 = 1 * s is s, and each later
+        power a ``_product`` with s put in the layout once."""
         if n < 0:
             raise ValueError("negative power")
         out = [Series.constant(self.dim, self.trunc, 1)]
-        right = numerator_layout(self)  # s, put in the layout once
-        for _ in range(n):
-            out.append(_product(self.dim, numerator_layout(out[-1]), right))
+        if len(self.terms) == 1:
+            for _ in range(n):
+                out.append(_shifted(out[-1], self))
+        elif n:
+            out.append(self)
+            right = numerator_layout(self)
+            for _ in range(n - 1):
+                out.append(_product(self.dim, numerator_layout(out[-1]),
+                                    right))
         return out
 
     def pow(self, n: int) -> "Series":
@@ -307,10 +326,18 @@ class Series:
     # -- calculus -----------------------------------------------------------
 
     def diff(self, alpha: Sequence[int]) -> "Series":
-        """Iterated partial derivative; certified degree drops by |alpha|."""
+        """Iterated partial derivative; certified degree drops by |alpha|.
+        One term c x^e is differentiated in place, to c ff(e, alpha)
+        x^(e - alpha), dropped when 0 or above the trunc; any other series
+        in the numerator layout (``diff_numerators``)."""
         alpha = tuple(alpha)
         if len(alpha) != self.dim:
             raise DimensionMismatch(f"index {alpha} in dimension {self.dim}")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return Series._of(self.dim, max(self.trunc - sum(alpha), -1),
+                              [(tuple(map(sub, e, alpha)),
+                                c * prod(map(perm, e, alpha)))])
         return layout_series(self.dim,
                              diff_numerators(numerator_layout(self), alpha))
 
@@ -562,6 +589,17 @@ def _product(dim: int, a, b) -> Series:
     trunc = product_trunc(ta, oa, tb, ob)
     return _over(dim, da * db, _convolve(trunc, ((left, right),)).items(),
                  trunc)
+
+
+def _shifted(s: Series, one: Series) -> Series:
+    """s * one for a one-term ``one`` = c x^e: each term of s shifted by e
+    and scaled by c, certified to the same ``product_trunc`` as
+    ``_product`` and cut there.  Nothing is packed, so no key field bounds
+    the degrees."""
+    (e, c), = one.terms.items()
+    trunc = product_trunc(s.trunc, s.order(), one.trunc, sum(e))
+    return Series._of(s.dim, trunc, [(tuple(map(add, e2, e)), c2 * c)
+                                     for e2, c2 in s.terms.items()])
 
 
 def numerator_products(trunc, parts) -> tuple:

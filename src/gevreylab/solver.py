@@ -1125,7 +1125,7 @@ class PoincareVerdict:
     __slots__ = ("ok", "n_star", "failing", "partial", "lambdas", "A0")
 
     def __init__(self, ok: bool, n_star: int, failing: list[int], partial: bool,
-                 lambdas: dict[int, Fraction], A0: list[list[Fraction]]):
+                 lambdas: dict[int, Rational], A0: list[list[Fraction]]):
         self.ok = ok
         self.n_star = n_star
         self.failing = failing
@@ -1180,7 +1180,7 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
         n_star = max(k, int(bound) + 1)
     # det(s I - A(0)) depends on n only through s(n), which is the same for
     # every n under the divergent route (all lambda_j = 0)
-    dets: dict[Fraction, Fraction] = {}
+    dets: dict[Rational, Fraction] = {}
     failing = []
     for n in range(n_star + 1):
         s = _char_s(lambdas, n)
@@ -1191,13 +1191,12 @@ def check_poincare(problem: ProblemSpec, user_bound: int | None = None) -> Poinc
     return PoincareVerdict(not failing, n_star, failing, partial, lambdas, A0)
 
 
-def _char_s(lambdas: dict[int, Fraction], n: int) -> Fraction:
-    """s(n) = sum_j n!/(n-j)! lambda_j."""
-    return sum((falling_factorial(n, j) * lam for j, lam in lambdas.items()),
-               Fraction(0))
+def _char_s(lambdas: dict[int, Rational], n: int) -> Rational:
+    """s(n) = sum_j n!/(n-j)! lambda_j: an int when every lambda_j is."""
+    return sum(falling_factorial(n, j) * lam for j, lam in lambdas.items())
 
 
-def _shifted_det(s: Fraction, A0: list[list[Fraction]]) -> Fraction:
+def _shifted_det(s: Rational, A0: list[list[Fraction]]) -> Fraction:
     """det(s I - A(0))."""
     N = len(A0)
     return _det([[(s if i == j else Fraction(0)) - A0[i][j] for j in range(N)]

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from gevreylab import diffops, series, solver
 from gevreylab.diffops import check_divisibility
-from gevreylab.dsl import DEFAULT_OPTIONS, parse_problem
+from gevreylab.dsl import DEFAULT_OPTIONS, ProblemDocument, parse_problem
 from gevreylab.errors import InputError, ParseError, SemanticError
 from gevreylab.registry import ENTRIES, build_document
 from gevreylab.series import INFINITE, Series
+
+from instances import random_admissible_problem
 
 DOC = """\
 dim 2; unknowns 1; order 2
@@ -337,3 +340,32 @@ def test_error_bad_character():
         parse_problem("dim 1; unknowns 1; order 1\nP = x1 @ 2\n")
     assert err.value.line == 2
     assert err.value.column == 8
+
+
+def test_parse_and_divisibility_pack_no_one_term_series(monkeypatch):
+    # the parser's products and powers, and L_j*(P) for a monomial P, are
+    # shifts: on corpus-like documents neither parse_problem nor
+    # check_divisibility puts a one-term series in the numerator layout
+    packed = []
+    real = series.numerator_layout
+
+    def counted(s):
+        packed.append(len(s.terms))
+        return real(s)
+
+    for module in (series, diffops, solver):
+        monkeypatch.setattr(module, "numerator_layout", counted)
+    rng = random.Random(3203)
+    products = powers = 0
+    for _ in range(30):
+        spec = random_admissible_problem(rng, 8)
+        text = ProblemDocument(
+            "", spec, dict(DEFAULT_OPTIONS, degree=8, order=6)).serialize()
+        products += text.count("*")
+        powers += text.count("^")
+        run = parse_problem(text).run()
+        verdict = check_divisibility(run.spec.P, run.spec.operators)
+        assert verdict.ok
+    assert products > 200 and powers > 50, (products, powers)
+    assert 1 not in packed, packed.count(1)
+

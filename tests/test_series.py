@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from gevreylab.errors import (DimensionMismatch, DivisibilityViolation,
                               SingularLinearPart, SingularMatrix)
-from gevreylab.series import (INFINITE, Series, SeriesMatrix, diff_numerators,
-                              exp_key, format_rational, gauss_jordan,
+from gevreylab.series import (INFINITE, Series, SeriesMatrix, _product,
+                              diff_numerators, exp_key, format_rational,
+                              gauss_jordan,
                               invert_rational_matrix, iter_exponents,
                               json_text, key_exp, numerator_layout,
                               sum_of_products)
@@ -540,6 +541,81 @@ def test_sum_of_products_equals_a_plain_fold():
         sum_of_products(2, 3, [(1, x1, x1), (1, x1, Series.variable(1, 3, 0))])
     with pytest.raises(DimensionMismatch):
         sum_of_products(1, 3, [(1, x1, x1)])
+
+
+def _stored(s):
+    """A series as (trunc, {e: (storage type, coefficient)})."""
+    return s.trunc, {e: (type(c), c) for e, c in s.terms.items()}
+
+
+def _layout_product(a, b):
+    """a * b through the numerator layout, as every product was formed
+    before a one-term factor became a shift."""
+    return _product(a.dim, numerator_layout(a), numerator_layout(b))
+
+
+def test_a_one_term_factor_is_a_shift_equal_to_the_layout_product():
+    # seeded draws in dims 1-4, the one-term factor on either side: terms,
+    # trunc and int | Fraction storage equal the layout product's
+    rng = random.Random(3201)
+    seen = dict.fromkeys(("finite", "exact", "constant", "above", "fraction",
+                          "zero partner", "cut"), 0)
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        e = (0,) * dim if rng.random() < 0.2 else tuple(
+            rng.randint(0, 4) for _ in range(dim))
+        c = rng.choice([1, -1, 3, rng.randint(-2**80, 2**80),
+                        Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)),
+                        Fraction(2**70 + 1, 3**40)])
+        trunc = rng.choice([sum(e), sum(e) + rng.randint(0, 4), INFINITE])
+        one = Series(dim, trunc, {e: c})
+        s = _operand(rng, dim)
+        want = _stored(_layout_product(one, s))
+        assert _stored(one * s) == want
+        assert _stored(s * one) == want
+        seen["finite" if trunc != INFINITE else "exact"] += 1
+        seen["constant"] += not any(e)
+        seen["above"] += sum(e) > s.trunc
+        seen["fraction"] += type(c) is Fraction
+        seen["zero partner"] += s.is_zero
+        seen["cut"] += len((one * s).terms) < len(s.terms)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_powers_of_a_one_term_series_equal_the_layout_chain():
+    # each power the layout product of the one before and s, from 1 at s's
+    # trunc: the chain that powers of a one-term series replaces
+    rng = random.Random(3202)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        e = tuple(rng.randint(0, 3) for _ in range(dim))
+        c = rng.choice([1, -2, Fraction(-3, 4), rng.randint(-2**40, 2**40)])
+        s = Series(dim, rng.choice([sum(e), sum(e) + 3, INFINITE]), {e: c})
+        n = rng.randint(0, 6)
+        want = [Series.constant(dim, s.trunc, 1)]
+        for _ in range(n):
+            want.append(_layout_product(want[-1], s))
+        assert [_stored(p) for p in s.powers(n)] == [_stored(p) for p in want]
+
+
+def test_a_one_term_product_forms_no_key():
+    # the shift packs nothing, so an exact product of one-term series whose
+    # degrees sum to 2^32 or more is exact; the refusal stays where a
+    # layout is formed, and the layout product still refuses
+    for a, b, e in (({(2**31,): 2}, {(2**31,): 3}, (2**32,)),
+                    ({(2**32, 0): 1}, {(0, 5): 3}, (2**32, 5)),
+                    ({(2**31, 2**31): Fraction(1, 2)}, {(0, 0): 4},
+                     (2**31, 2**31))):
+        dim = len(e)
+        a, b = Series(dim, INFINITE, a), Series(dim, INFINITE, b)
+        (ca,), (cb,) = a.terms.values(), b.terms.values()
+        product = a * b
+        assert (product.terms, product.trunc) == ({e: ca * cb}, INFINITE)
+        with pytest.raises(ValueError):
+            numerator_layout(product)
+    half = Series(1, INFINITE, {(2**31,): 1})
+    with pytest.raises(ValueError):
+        _layout_product(half, half)
 
 
 def _reference_diff(s, alpha):

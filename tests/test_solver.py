@@ -7,7 +7,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, perm
 
 import pytest
 
@@ -17,7 +17,7 @@ from gevreylab.dsl import parse_problem
 from gevreylab.errors import (DivisibilityViolation, InconclusiveBound,
                               InputError, PoincareViolation, SingularLinearPart,
                               SingularMatrix, TruncationTooSmall)
-from gevreylab.registry import build_document
+from gevreylab.registry import ENTRIES, build_document
 from gevreylab.series import (INFINITE, Series, SeriesMatrix, exp_binomial,
                               falling_factorial, gauss_jordan,
                               invert_rational_matrix, iter_exponents,
@@ -1989,6 +1989,48 @@ def test_poincare_computes_one_determinant_per_distinct_s(monkeypatch):
         assert len(calls) == 1
         assert verdict.n_star == 16 and verdict.failing == failing
         assert verdict.determinant(5) == (0 if failing else 2)
+
+
+def _reference_char_s(lambdas, n):
+    """s(n) summed from Fraction(0), as check_poincare read it before its
+    scan moved onto ints."""
+    return sum((perm(n, j) * lam for j, lam in lambdas.items()), Fraction(0))
+
+
+def test_poincare_scans_int_orders_with_an_unchanged_verdict(monkeypatch):
+    # s(n) is an int for int lambdas and the same Fraction for a fractional
+    # one; on the registry and convergent documents, and on a fractional
+    # lambda, the verdict equals the one read with s(n) as a Fraction
+    assert type(solver._char_s({1: 2, 2: -1}, 5)) is int
+    assert solver._char_s({1: 2, 2: -1}, 5) == _reference_char_s(
+        {1: 2, 2: -1}, 5)
+    half = {1: Fraction(1, 2), 2: 3}
+    assert (type(solver._char_s(half, 3)), solver._char_s(half, 3)) == \
+        (Fraction, _reference_char_s(half, 3))
+    texts = [build_document(name, {})[0] for name in ENTRIES]
+    texts += [text for text, _ in CONVERGENT_DOCUMENTS]
+    specs = [parse_problem(text).run().spec for text in texts]
+    trunc = 6
+    L1 = DiffOperator(1, 1, {(1,): const(1, trunc, Fraction(-3, 2))})
+    specs += [ProblemSpec(1, 1, 1, Series.variable(1, trunc, 0), [L1],
+                          [Series.variable(1, trunc, 0)],
+                          scalar_matrix(1, trunc, a0), {})
+              for a0 in (Fraction(-3, 2), 3, 0)]
+
+    def verdicts():
+        out = []
+        for spec in specs:
+            v = check_poincare(spec, user_bound=16)
+            out.append((v.ok, v.n_star, v.failing, v.partial,
+                        [v.determinant(n) for n in range(v.n_star + 3)]))
+        return out
+
+    got = verdicts()
+    monkeypatch.setattr(solver, "_char_s", _reference_char_s)
+    want = verdicts()
+    assert got == want
+    assert {ok for ok, *_ in got} == {True, False}
+    assert any(partial for *_, partial, _ in got)
 
 
 # -- invert_series_matrix ----------------------------------------------------
